@@ -103,6 +103,14 @@ def main(argv=None) -> int:
     p_check.add_argument("--debug-smt", action="store_true")
 
     args = parser.parse_args(argv)
+    out = getattr(args, "out", None)
+    if out:
+        # fail before any benchmark runs, not after the whole corpus
+        out_dir = os.path.dirname(os.path.abspath(out))
+        if not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK | os.X_OK)):
+            print(f"recsolve: cannot write report {out}: {out_dir} is not a writable directory",
+                  file=sys.stderr)
+            return 2
     try:
         if args.cmd == "solve":
             return _cmd_solve(args)

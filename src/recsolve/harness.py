@@ -105,7 +105,8 @@ def _log_eval(e: Expr, env) -> tuple[int, float] | tuple[str] | None:
     """Sign/log-magnitude evaluation, used where exact evaluation overflows
     (exponential and factorial growth along probe rays).  It stands in for
     guarded evaluation, so it keeps the same conventions: log2 of anything
-    below 1 is 0."""
+    below 1 is 0, division by zero is 0, and floor/ceil are exact wherever
+    their argument evaluates without overflow."""
     from .model import (
         Add,
         Ceil,
@@ -167,10 +168,10 @@ def _log_eval(e: Expr, env) -> tuple[int, float] | tuple[str] | None:
             return (a[0] * b[0], a[1] + b[1])
         if isinstance(node, Div):
             a, b = go(node.lhs), go(node.rhs)
-            if a is None or b is None or b == _ZERO:
+            if a is None or b is None:
                 return None
-            if a == _ZERO:
-                return _ZERO
+            if a == _ZERO or b == _ZERO:
+                return _ZERO  # guarded convention: x/0 is 0
             return (a[0] * b[0], a[1] - b[1])
         if isinstance(node, Pow):
             base = go(node.base)
@@ -183,7 +184,13 @@ def _log_eval(e: Expr, env) -> tuple[int, float] | tuple[str] | None:
                 return None
             return (1, base[1] * ev)
         if isinstance(node, (Floor, Ceil)):
-            return go(node.arg)  # negligible shift at these magnitudes
+            try:
+                v = _ground(node, env)
+            except EvalError as exc:
+                if exc.kind != "overflow":
+                    return None
+                return go(node.arg)  # negligible shift at these magnitudes
+            return _ZERO if v == 0 else _log_of_number(v)
         if isinstance(node, Log2):
             a = go(node.arg)
             if a is None:

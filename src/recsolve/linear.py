@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+from scipy.linalg import cho_solve, solve_triangular
 
 from .evaluator import EvalBudget, Evaluator
 from .model import (
@@ -83,8 +84,6 @@ class LassoConfig:
     epsilon: float = 0.05
     fit_timeout: float = 10.0
     seed: int = 0
-    max_sweeps: int = 10_000
-    tol: float = 1e-8
 
     def __post_init__(self):
         grid = tuple(float(v) for v in self.lambda_grid)
@@ -336,7 +335,7 @@ def build_training_set(
 
 
 # ---------------------------------------------------------------------------
-# Lasso via cyclic coordinate descent
+# Lasso by the exact homotopy path
 # ---------------------------------------------------------------------------
 
 
@@ -348,74 +347,87 @@ class LassoResult:
     dropped_features: tuple[int, ...] = ()
 
 
-def _cd_kernel_py(G, c, n, thr, beta, max_sweeps, tol):
+# Cholesky pivot tolerance: a column whose Schur complement against the
+# active Gram block is at most this share of its own diagonal lies in the
+# span of the active columns up to rounding.  Exactly collinear columns (a
+# catalog sampled at a few distinct points, such as x in [1, 3]) land near
+# 1e-15; ceil(log2 x) and floor(log2 x), which differ only at powers of two,
+# stay near 1e-1 on samples that hold powers of two and others.
+_PIVOT_TOL = 1e-10
+
+
+def _lasso_path(G, c, alphas, deadline: float | None = None) -> np.ndarray:
+    """Exact minimisers of 0.5*b'Gb - c'b + alpha*|b|_1, one row per entry of
+    `alphas` (G positive semi-definite), by the homotopy of Osborne, Presnell
+    & Turlach (2000), the lasso form of LARS (Efron et al. 2004).
+
+    The path starts at b = 0 for alpha >= max|c| and is linear in alpha
+    between breakpoints: with active set A and signs s fixed,
+    b_A = G_AA^-1 (c_A - alpha*s_A).  A segment ends where an inactive
+    correlation c_j - G_jA b_A reaches +-alpha (j joins) or an active
+    coefficient reaches 0 (it drops).  A joining column in the span of the
+    active ones (see _PIVOT_TOL) would make G_AA singular and cannot change
+    the fit, so it stays out until some variable drops.
+    """
     p = len(c)
-    v = G @ beta if beta.any() else np.zeros(p)
-    for _ in range(max_sweeps):
-        max_delta = 0.0
-        for j in range(p):
-            bj = beta[j]
-            zj = c[j] - v[j] + n * bj
-            new = math.copysign(max(abs(zj) - thr, 0.0), zj) / n
-            if new != bj:
-                v += G[:, j] * (new - bj)
-                beta[j] = new
-                delta = abs(new - bj)
-                if delta > max_delta:
-                    max_delta = delta
-        if max_delta < tol:
+    alphas = np.asarray(alphas, dtype=float)
+    out = np.zeros((len(alphas), p))
+    todo = list(np.argsort(-alphas, kind="stable"))  # descending penalties
+    active: list[int] = []
+    signs: list[float] = []
+    parked: set[int] = set()
+    cur = math.inf
+    while todo:
+        if deadline is not None and time.monotonic() > deadline:
+            raise FitTimeout("lasso path exceeded the fit timeout")
+        if active:
+            L = np.linalg.cholesky(G[np.ix_(active, active)])
+            u = cho_solve((L, True), c[active])
+            w = cho_solve((L, True), np.asarray(signs))
+            GA = G[:, active]
+            r0, a = c - GA @ u, GA @ w  # correlations c - Gb = r0 + alpha*a
+        else:
+            u = w = np.zeros(0)
+            r0, a = c, np.zeros(p)
+        # largest penalty below `cur` where an inequality of the KKT
+        # conditions becomes tight
+        nxt, event, sign = 0.0, -1, 0.0
+        free = np.ones(p, dtype=bool)
+        free[active] = False
+        free[list(parked)] = False
+        for s in (1.0, -1.0):
+            slope = 1.0 - s * a  # s*r_j - alpha grows as alpha falls iff slope > 0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                hit = np.where(free & (slope > 0), s * r0 / slope, -np.inf)
+            j = int(np.argmax(hit))
+            if min(hit[j], cur) > nxt:
+                nxt, event, sign = min(hit[j], cur), j, s
+        for i, idx in enumerate(active):
+            if signs[i] * w[i] < 0:  # |b_i| shrinks as alpha falls
+                hit = min(u[i] / w[i], cur)
+                if hit > nxt:
+                    nxt, event, sign = hit, idx, 0.0
+        while todo and alphas[todo[0]] >= nxt:
+            k = todo.pop(0)
+            out[k, active] = u - alphas[k] * w
+        if event < 0:
             break
-    return beta
-
-
-try:  # the JIT kernel keeps the 10^4-sweep cap affordable on wide catalogs
-    from numba import njit
-
-    @njit(cache=True)
-    def _cd_kernel_jit(G, c, n, thr, beta, max_sweeps, tol):  # pragma: no cover
-        p = len(c)
-        v = G @ beta
-        for _ in range(max_sweeps):
-            max_delta = 0.0
-            for j in range(p):
-                bj = beta[j]
-                zj = c[j] - v[j] + n * bj
-                az = abs(zj) - thr
-                if az > 0.0:
-                    new = az / n if zj > 0 else -az / n
-                else:
-                    new = 0.0
-                if new != bj:
-                    d = new - bj
-                    for k in range(p):
-                        v[k] += G[k, j] * d
-                    beta[j] = new
-                    ad = abs(d)
-                    if ad > max_delta:
-                        max_delta = ad
-            if max_delta < tol:
-                break
-        return beta
-
-    _cd_kernel = _cd_kernel_jit
-except Exception:  # pragma: no cover
-    _cd_kernel = _cd_kernel_py
-
-
-def _cd_lasso_std(G, c, n, lam, beta, max_sweeps, tol, deadline=None):
-    """Minimize sum((yc - Xs b)^2) + lam*sum|b| on standardized columns by
-    cyclic coordinate descent with soft thresholding (Gram form)."""
-    if deadline is not None and time.monotonic() > deadline:
-        raise FitTimeout("coordinate descent exceeded the fit timeout")
-    return _cd_kernel(
-        np.ascontiguousarray(G),
-        np.ascontiguousarray(c),
-        float(n),
-        lam / 2.0,
-        beta,
-        max_sweeps,
-        tol,
-    )
+        cur = nxt
+        if sign == 0.0:
+            i = active.index(event)
+            del active[i], signs[i]
+            parked.clear()
+            continue
+        schur = G[event, event]
+        if active:
+            v = solve_triangular(L, G[active, event], lower=True)
+            schur -= v @ v
+        if schur <= _PIVOT_TOL * G[event, event]:
+            parked.add(event)
+        else:
+            active.append(event)
+            signs.append(sign)
+    return out
 
 
 def cv_lasso(
@@ -425,7 +437,11 @@ def cv_lasso(
     deadline: float | None = None,
 ) -> LassoResult:
     """Pick the penalty by k-fold cross-validation (ties toward the sparser,
-    larger penalty), then fit on all rows at the chosen value."""
+    larger penalty), then fit on all rows at the chosen value.
+
+    The objective is sum((y - b0 - Xb)^2) + lam*sum|b| on standardized
+    columns, solved in units of std(y): b = ysd*b' with penalty lam/ysd,
+    which _lasso_path takes as alpha = lam/ysd/2 on the Gram form."""
     n, p = T.X.shape
     if n < cfg.folds:
         raise EmptyTrainingSet(f"{n} rows for {cfg.folds}-fold CV")
@@ -440,58 +456,38 @@ def cv_lasso(
         random.Random(cfg.seed).shuffle(order)
         folds = [order[i :: cfg.folds] for i in range(cfg.folds)]
 
+    def standardized(rows: np.ndarray, y: np.ndarray):
+        mu, s = rows.mean(axis=0), rows.std(axis=0)
+        s = np.where(s > 0, s, 1.0)
+        Xs = (rows - mu) / s
+        ysd = float(y.std()) or 1.0
+        yc = (y - y.mean()) / ysd
+        return Xs.T @ Xs, Xs.T @ yc, mu, s, ysd
+
     grid = sorted(set(cfg.lambda_grid), reverse=True)
-    best_lam, best_mse = grid[0], math.inf
+    best_lam = grid[0]
     if p_eff > 0:
-        fold_data = []
+        lams = np.asarray(grid)
+        mse = np.zeros(len(grid))
         for val_idx in folds:
             val = np.asarray(val_idx, dtype=int)
             mask = np.ones(n, dtype=bool)
             mask[val] = False
-            Xtr, ytr = X[mask], T.y[mask]
-            mu, s = Xtr.mean(axis=0), Xtr.std(axis=0)
-            s = np.where(s > 0, s, 1.0)
-            Xs = (Xtr - mu) / s
-            # solve in units of std(y): identical objective (beta = ysd*beta',
-            # penalty lam/ysd), but the convergence test stays meaningful for
-            # targets of any magnitude
-            ysd = float(ytr.std()) or 1.0
-            yc = (ytr - ytr.mean()) / ysd
-            fold_data.append(
-                (Xs.T @ Xs, Xs.T @ yc, len(ytr), ytr.mean(), ysd, mu, s, X[val], T.y[val])
-            )
-        betas = [np.zeros(p_eff) for _ in folds]
-        mses = {}
-        for lam in grid:
-            if deadline is not None and time.monotonic() > deadline:
-                raise FitTimeout("cross-validation exceeded the fit timeout")
-            total = 0.0
-            for k, (G, cvec, ntr, ybar, ysd, mu, s, Xv, yv) in enumerate(fold_data):
-                betas[k] = _cd_lasso_std(
-                    G, cvec, ntr, lam / ysd, betas[k], cfg.max_sweeps, cfg.tol, deadline
-                )
-                pred = ybar + ((Xv - mu) / s) @ (betas[k] * ysd)
-                total += float(np.mean((yv - pred) ** 2))
-            mses[lam] = total / len(folds)
-        for lam in grid:  # descending: first strict improvement wins ties upward
-            if mses[lam] < best_mse:
-                best_mse, best_lam = mses[lam], lam
+            ytr = T.y[mask]
+            G, cvec, mu, s, ysd = standardized(X[mask], ytr)
+            B = _lasso_path(G, cvec, lams / ysd / 2, deadline)
+            pred = ytr.mean() + ((X[val] - mu) / s) @ (B.T * ysd)
+            mse += np.mean((T.y[val][:, None] - pred) ** 2, axis=0)
+        best_mse = math.inf
+        for lam, m in zip(grid, mse):  # descending: first strict improvement wins ties upward
+            if m < best_mse:
+                best_mse, best_lam = m, lam
 
     # final fit on the full training set at the chosen penalty
     beta_raw = np.zeros(p)
     if p_eff > 0:
-        mu, s = X.mean(axis=0), X.std(axis=0)
-        s = np.where(s > 0, s, 1.0)
-        Xs = (X - mu) / s
-        ysd = float(T.y.std()) or 1.0
-        yc = (T.y - T.y.mean()) / ysd
-        G, cvec = Xs.T @ Xs, Xs.T @ yc
-        beta_std = np.zeros(p_eff)
-        for lam in [g for g in grid if g >= best_lam]:  # warm-started path
-            beta_std = _cd_lasso_std(
-                G, cvec, n, lam / ysd, beta_std, cfg.max_sweeps, cfg.tol, deadline
-            )
-        b = beta_std * ysd / s
+        G, cvec, mu, s, ysd = standardized(X, T.y)
+        b = _lasso_path(G, cvec, [best_lam / ysd / 2], deadline)[0] * ysd / s
         beta0 = float(T.y.mean() - b @ mu)
         beta_raw[keep] = b
     else:

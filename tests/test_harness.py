@@ -118,6 +118,9 @@ def test_log_eval_matches_guarded_evaluation():
         "2^(n+1) - log2(1/(n+2))",
         "(n+1)! / 2^n + log2(0)",
         "5 * log2(n - 7)",
+        "3^n * floor(n/2) + ceil(log2(n + 1))",
+        "floor(log2(n + 2)) * ceil(n/3) - 2^n",
+        "2^n / (n - 1) + (n + 1) / (n - 4)",
     ]
     for text in exprs:
         e = parse_expr(text)
@@ -138,6 +141,30 @@ def test_log_eval_matches_guarded_evaluation():
                     got,
                     want,
                 )
+    # past the exact-evaluation limit (2^512): floor/ceil of a small argument
+    # stays exact and x/0 stays 0
+    big = lambda n, m: (1, (600 * n * math.log(2)) + math.log(m))
+    cases = [
+        ("2^(600*n) * floor(n/2)", 1, _ZERO),
+        ("2^(600*n) * floor(n/2)", 3, big(3, 1)),
+        ("2^(600*n) * ceil(n/2)", 3, big(3, 2)),
+        ("2^(600*n) * floor(log2(3))", 1, big(1, 1)),
+        ("2^(600*n) / (n - 1)", 1, _ZERO),
+        ("2^(600*n) / (n - 1)", 3, big(3, 0.5)),
+        ("floor(2^(600*n) / 3)", 1, big(1, 1 / 3)),
+    ]
+    for text, n, want in cases:
+        got = _log_eval(parse_expr(text), {"n": n})
+        assert got is not None, (text, n)
+        if want == _ZERO:
+            assert got == _ZERO, (text, n, got)
+        else:
+            assert got[0] == want[0] and math.isclose(got[1], want[1], rel_tol=1e-12), (
+                text,
+                n,
+                got,
+                want,
+            )
 
 
 def test_classify_expect_overflowing_on_grid_does_not_raise():
@@ -325,6 +352,16 @@ def test_cli_usage_error_exit_one():
 def test_cli_internal_error_exit_two(tmp_path):
     p = _cli("solve", "/nonexistent/definitely-missing.rec")
     assert p.returncode == 2
+
+
+def test_cli_out_into_missing_directory_fails_before_running(tmp_path):
+    out = str(tmp_path / "missing" / "r.jsonl")
+    for cmd in (("corpus", "corpus"), ("solve", "corpus/nested.rec")):
+        p = _cli(*cmd, "--repeat", "1", "--out", out)
+        assert p.returncode == 2
+        assert "cannot write report" in p.stderr
+        assert p.stdout == ""  # no benchmark ran
+    assert not os.path.exists(tmp_path / "missing")
 
 
 def test_cli_check(corpus_dir):

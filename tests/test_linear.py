@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from recsolve.dsl import parse, parse_expr, print_expr, print_piecewise
 from recsolve.linear import (
     AllPruned,
     FeatureSet,
+    FitTimeout,
     LassoConfig,
     TrainingSet,
     build_training_set,
@@ -21,6 +23,7 @@ from recsolve.linear import (
     r2_score,
     rationalize,
     rationalize_value,
+    _lasso_path,
 )
 from recsolve.model import eval_ground
 from recsolve.evaluator import Evaluator
@@ -167,6 +170,153 @@ def test_degenerate_feature_dropped():
     res = cv_lasso(T, LassoConfig())
     assert res.dropped_features == (1,)
     assert res.beta[1] == 0.0
+
+
+def _gram(X, y):
+    """The Gram form cv_lasso hands to the path: standardized columns and y
+    in units of its standard deviation."""
+    X = X[:, X.std(axis=0) > 0]
+    Xs = (X - X.mean(axis=0)) / X.std(axis=0)
+    ysd = float(y.std()) or 1.0
+    yc = (y - y.mean()) / ysd
+    return Xs.T @ Xs, Xs.T @ yc, ysd
+
+
+def _kkt_violation(G, c, beta, alpha):
+    """Largest breach of the lasso optimality conditions, relative to
+    max|c|: c_j - (G b)_j equals alpha*sign(b_j) where b_j != 0 and lies in
+    [-alpha, alpha] elsewhere."""
+    r = c - G @ beta
+    on = beta != 0
+    worst = max(
+        np.max(np.abs(r[on] - alpha * np.sign(beta[on])), initial=0.0),
+        np.max(np.abs(r[~on]) - alpha, initial=0.0),
+    )
+    return worst / max(1.0, float(np.max(np.abs(c))))
+
+
+def _catalog_data(fn, hi):
+    """100 rows of the 1-ary large catalog (ceil/floor(log2 x), 2^x, 5^x,
+    x! ...) at x drawn from [1, hi]."""
+    fs = catalog_for(1)["large"]
+    rng = random.Random(1)
+    xs = [(rng.randint(1, hi),) for _ in range(100)]
+    return fs, build_training_set(fs, ("x",), xs, [fn(x) for (x,) in xs])
+
+
+_GRID = np.geomspace(0.001, 1.0, 100)[::-1]
+
+
+def _kkt_cases():
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(60, 8))
+    yield "random", X, X @ rng.normal(size=8) + rng.normal(size=60)
+    X = rng.normal(size=(15, 40))
+    yield "p>n", X, X[:, :3] @ np.array([2.0, -1.0, 0.5]) + 0.1 * rng.normal(size=15)
+    X = rng.integers(0, 3, size=(12, 30)).astype(float)
+    yield "p>n, repeated columns", X, X[:, 0] - X[:, 1] + rng.normal(size=12)
+    for hi in (20, 5, 3):  # [1, 3] has 3 distinct points: centred rank 2
+        for name, fn in (
+            ("2^(x+1)", lambda x: 2 ** (x + 1)),
+            ("x! + x", lambda x: math.factorial(x) + x),
+            ("x*ceil(log2(x))", lambda x: x * math.ceil(math.log2(x))),
+            ("5^x - x^2", lambda x: 5**x - x * x),
+        ):
+            _, T = _catalog_data(fn, hi)
+            yield f"1-ary large, {name}, x <= {hi}", T.X, T.y
+
+
+def test_lasso_path_satisfies_kkt_at_every_grid_penalty():
+    for name, X, y in _kkt_cases():
+        G, c, ysd = _gram(X, y)
+        alphas = _GRID / ysd / 2
+        B = _lasso_path(G, c, alphas)
+        assert B.shape == (len(alphas), G.shape[0])
+        for beta, alpha in zip(B, alphas):
+            assert _kkt_violation(G, c, beta, alpha) <= 1e-8, (name, alpha)
+        # also off the grid, down to the least-squares end of the path
+        for alpha in (0.0, float(np.max(np.abs(c))) * 1.5):
+            beta = _lasso_path(G, c, [alpha])[0]
+            assert _kkt_violation(G, c, beta, alpha) <= 1e-8, (name, alpha)
+
+
+def test_lasso_path_keeps_collinear_columns_out():
+    rng = np.random.default_rng(2)
+    X = rng.normal(size=(40, 4))
+    y = X @ np.array([3.0, 0.0, -2.0, 0.0]) + 0.1 * rng.normal(size=40)
+    G, c, _ = _gram(X, y)
+    # copies of columns 0 and 2 (one negated): the same problem, whose
+    # solution is unique only up to how a coefficient is split between twins
+    twin = np.hstack([X, X[:, [0]], -X[:, [2]]])
+    Gt, ct, _ = _gram(twin, y)
+    alphas = [10.0, 1.0, 0.01, 0.0]
+    B, Bt = _lasso_path(G, c, alphas), _lasso_path(Gt, ct, alphas)
+    for beta, beta_t, alpha in zip(B, Bt, alphas):
+        assert _kkt_violation(Gt, ct, beta_t, alpha) <= 1e-8
+        assert np.count_nonzero(beta_t[[0, 4]]) <= 1
+        assert np.count_nonzero(beta_t[[2, 5]]) <= 1
+        merged = beta_t[:4] + np.array([beta_t[4], 0.0, -beta_t[5], 0.0])
+        assert np.allclose(merged, beta, atol=1e-9)
+    # x in [1, 3]: every column of the 1-ary large catalog is an affine
+    # function of two indicators, so at most two can be active
+    _, T = _catalog_data(lambda x: 2 ** (x + 1), 3)
+    G3, c3, _ = _gram(T.X, T.y)
+    assert all(np.count_nonzero(b) <= 2 for b in _lasso_path(G3, c3, [1.0, 1e-3, 0.0]))
+
+
+def _cd_kernel_py(G, c, n, thr, beta, max_sweeps, tol):
+    """Cyclic coordinate descent with soft thresholding on the Gram form
+    (thr = alpha, n = the common diagonal of G): an independent reference
+    solver, accurate on well-conditioned data."""
+    p = len(c)
+    v = G @ beta if beta.any() else np.zeros(p)
+    for _ in range(max_sweeps):
+        max_delta = 0.0
+        for j in range(p):
+            bj = beta[j]
+            zj = c[j] - v[j] + n * bj
+            new = math.copysign(max(abs(zj) - thr, 0.0), zj) / n
+            if new != bj:
+                v += G[:, j] * (new - bj)
+                beta[j] = new
+                delta = abs(new - bj)
+                if delta > max_delta:
+                    max_delta = delta
+        if max_delta < tol:
+            break
+    return beta
+
+
+def test_lasso_path_matches_coordinate_descent_oracle():
+    rng = np.random.default_rng(4)
+    for trial in range(5):
+        n, p = 50, 6
+        X = rng.normal(size=(n, p)) + 0.3 * rng.normal(size=(n, 1))
+        y = X @ rng.normal(size=p) * (trial % 2) + rng.normal(size=n)
+        G, c, ysd = _gram(X, y)
+        alphas = _GRID / ysd / 2 * n / 10
+        B = _lasso_path(G, c, alphas)
+        beta = np.zeros(p)
+        for alpha, got in zip(alphas, B):
+            beta = _cd_kernel_py(G, c, float(n), alpha, beta, 100_000, 1e-13)
+            assert np.allclose(got, beta, atol=1e-9), (trial, alpha)
+
+
+def test_cv_lasso_finds_power_of_two_on_large_catalog_quickly():
+    fs, T = _catalog_data(lambda x: 2 ** (x + 1), 20)
+    t0 = time.monotonic()
+    res = cv_lasso(T, LassoConfig())
+    assert time.monotonic() - t0 < 1.0
+    chosen = {print_expr(t): b for t, b in zip(fs.base_functions, res.beta) if b != 0}
+    assert list(chosen) == ["2^x"]
+    assert abs(chosen["2^x"] - 2) < 1e-6
+    assert abs(res.beta0) < 1e-4
+
+
+def test_cv_lasso_past_deadline_raises():
+    _, T = _catalog_data(lambda x: x * x, 20)
+    with pytest.raises(FitTimeout):
+        cv_lasso(T, LassoConfig(), deadline=time.monotonic() - 1.0)
 
 
 def test_prune_threshold_semantics():
