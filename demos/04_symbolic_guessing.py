@@ -10,7 +10,7 @@ import random
 
 from recsolve import dsl
 from recsolve.dsl import print_bool, print_expr
-from recsolve.symbolic import GPConfig, OperatorSet, evolve, guess_symbolic, to_expr
+from recsolve.symbolic import GPConfig, OperatorSet, evolve, guess_symbolic
 
 # Direct use on raw data: targets are 2^(x+y), operators restricted to
 # {+, *, 2^.}
@@ -24,7 +24,7 @@ front = evolve(
 )
 print("pareto front (complexity, train MSE, expression):")
 for entry in front.pareto():
-    print(f"  {entry.complexity:3d}  {entry.loss:12.4g}  {print_expr(to_expr(entry.tree))}")
+    print(f"  {entry.complexity:3d}  {entry.loss:12.4g}  {print_expr(entry.tree)}")
 
 # Full pipeline on the two-way doubling recurrence, per subdomain
 exp3 = dsl.parse(

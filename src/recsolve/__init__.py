@@ -55,8 +55,7 @@ from .sampler import (
     SampleConfig,
     Subdomain,
     choose_bound,
-    make_splits,
-    sample_inputs,
+    sample_for_function,
     split_domains,
 )
 from .smt import (

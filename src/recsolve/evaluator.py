@@ -161,25 +161,6 @@ def _error_kind(exc: Exception) -> str:
     return type(exc).__name__
 
 
-def eval_fun(
-    system: RecurrenceSystem,
-    func: str,
-    args: tuple[int, ...],
-    budget: EvalBudget | None = None,
-) -> Number:
-    """One-shot evaluation; see Evaluator for batch use with a shared memo."""
-    return Evaluator(system, budget).eval_fun(func, args)
-
-
-def batch_eval(
-    system: RecurrenceSystem,
-    func: str,
-    inputs,
-    budget: EvalBudget | None = None,
-) -> list[BatchResult]:
-    return Evaluator(system, budget).batch_eval(func, inputs)
-
-
 def _run_deep(job):
     """Run `job` on a thread with a large stack so deep recursion only ever
     surfaces as BudgetExceeded, never as a hard interpreter crash."""

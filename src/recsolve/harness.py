@@ -486,6 +486,8 @@ def run_benchmark(source, cfg: RunConfig, name: str = "") -> BenchmarkResult:
     score = outcome.score if outcome else 0.0
     if outcome and outcome.failed_domains:
         flags.append(f"missing-pieces:{outcome.failed_domains}")
+    for fit in outcome.fits if outcome else ():
+        flags.extend(f for f in fit.flags if f not in flags)
 
     verification: VerificationResult | None = None
     verification_str = "not-run"

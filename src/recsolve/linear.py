@@ -24,7 +24,6 @@ from .model import (
     Ceil,
     Const,
     Div,
-    EvalError,
     Expr,
     Factorial,
     Floor,
@@ -38,7 +37,7 @@ from .model import (
     RecurrenceSystem,
     TRUE,
     Var,
-    eval_ground,
+    eval_array,
 )
 from .rewrite import simplify
 from .sampler import (
@@ -140,7 +139,10 @@ def _pow(e: Expr, k: int) -> Expr:
     return e if k == 1 else Pow(e, Const(Fraction(k)))
 
 
-MAX_CATALOG = 20_000
+# At most 2048 columns keeps the p x p Gram matrices of cv_lasso within
+# 32 MiB; the catalogs it cuts (5-ary large, 6-ary medium and up) took
+# longer than the fit timeout to evaluate anyway.
+MAX_CATALOG = 2_048
 
 
 class CatalogTooLarge(Exception):
@@ -239,11 +241,11 @@ def _monomials(params: tuple[str, ...], depth: int) -> list[Expr]:
     out: list[tuple[int, tuple[int, ...]]] = []
 
     def grow(prefix: tuple[int, ...], used: int):
-        if len(out) > MAX_CATALOG:
-            raise CatalogTooLarge(f"{len(params)}-ary {depth}")
         if len(prefix) == m:
             if any(prefix):
                 out.append((sum(prefix), prefix))
+                if len(out) > MAX_CATALOG:
+                    raise CatalogTooLarge(f"{len(params)}-ary {depth}")
             return
         for e in exps:
             cost = parts[e]
@@ -282,56 +284,32 @@ def build_training_set(
     deadline: float | None = None,
 ) -> TrainingSet:
     """Evaluate base functions at each sample under guarded semantics
-    (log2 is 0 below 1, division by zero is 0, integer square roots exact);
+    (log2 is 0 below 1, division by zero is 0), one column per base function;
     rows with non-finite entries are dropped and counted."""
-    rows: list[list[float]] = []
-    ys: list[float] = []
-    kept_inputs: list[tuple[int, ...]] = []
-    dropped = 0
-    nchecks = 0
-    for tup, val in zip(samples, values):
+    cols = {p: np.array([t[i] for t in samples], dtype=float) for i, p in enumerate(params)}
+    X = np.empty((len(samples), fs.count))
+    for j, t in enumerate(fs.base_functions):
         if deadline is not None and time.monotonic() > deadline:
             raise FitTimeout("feature evaluation exceeded the fit timeout")
-        env = dict(zip(params, tup))
-        row: list[float] = []
-        ok = True
-        for t in fs.base_functions:
-            nchecks += 1
-            if (
-                deadline is not None
-                and nchecks % 4096 == 0
-                and time.monotonic() > deadline
-            ):
-                raise FitTimeout("feature evaluation exceeded the fit timeout")
-            try:
-                fv = float(eval_ground(t, env, guarded=True))
-            except (EvalError, OverflowError):
-                ok = False
-                break
-            if not math.isfinite(fv):
-                ok = False
-                break
-            row.append(fv)
-        try:
-            yv = float(val)
-        except OverflowError:
-            ok = False
-            yv = 0.0
-        if not ok or not math.isfinite(yv):
-            dropped += 1
-            continue
-        rows.append(row)
-        ys.append(yv)
-        kept_inputs.append(tup)
-    if len(rows) < 2:
-        raise EmptyTrainingSet(f"{len(rows)} usable rows")
+        X[:, j] = eval_array(t, cols, guarded=True)
+    y = np.array([_target(v) for v in values], dtype=float)
+    ok = np.isfinite(X).all(axis=1) & np.isfinite(y)
+    if np.count_nonzero(ok) < 2:
+        raise EmptyTrainingSet(f"{np.count_nonzero(ok)} usable rows")
     return TrainingSet(
         features=fs.base_functions,
-        X=np.asarray(rows, dtype=float),
-        y=np.asarray(ys, dtype=float),
-        inputs=kept_inputs,
-        dropped_rows=dropped,
+        X=X[ok],
+        y=y[ok],
+        inputs=[t for t, k in zip(samples, ok) if k],
+        dropped_rows=int(np.count_nonzero(~ok)),
     )
+
+
+def _target(v) -> float:
+    try:
+        return float(v)
+    except OverflowError:
+        return math.nan
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping, Union
 
+import numpy as np
+
 # Values on the exact path are int/Fraction; Log2 and irrational Pow fall
 # back to float.  Magnitudes beyond OVERFLOW_LIMIT raise instead of wrapping.
 Number = Union[int, Fraction, float]
@@ -330,13 +332,6 @@ class PiecewiseClosedForm:
     def exact_coeffs(self) -> bool:
         return all(p.exact_coeffs for p in self.pieces)
 
-    def single_body(self) -> Expr | None:
-        return self.pieces[0].body if len(self.pieces) == 1 else None
-
-
-def closed_form(body: Expr, domain: BoolExpr = TRUE, score: float = 1.0) -> PiecewiseClosedForm:
-    return PiecewiseClosedForm((Piece(domain, body, score),))
-
 
 # ---------------------------------------------------------------------------
 # Tree utilities
@@ -540,18 +535,97 @@ def _eval_pow(e: Pow, env, g, cb=None) -> Number:
             if r * r == i:
                 return r
             return math.sqrt(i)
-    if base < 0:
+    if base < 0 and not float(exp).is_integer():
         raise EvalError("pow-domain", "negative base with non-integer exponent")
     try:
         return _check_overflow(float(base) ** float(exp))
     except OverflowError:
         raise EvalError("overflow", "float power overflow") from None
+    except ZeroDivisionError:
+        raise EvalError("division-by-zero", "0 to a negative power") from None
 
 
 def _bits(v: Number) -> int:
     if isinstance(v, Fraction):
         return max(abs(v.numerator), v.denominator).bit_length()
     return abs(v).bit_length()
+
+
+# float(k!) for k = 0..170; 171! and beyond overflow a double
+_FACTORIALS = np.array([float(math.factorial(k)) for k in range(171)] + [math.inf])
+_FLOAT_LIMIT = float(OVERFLOW_LIMIT)
+
+
+def eval_array(e: Expr, cols: Mapping[str, np.ndarray], *, guarded: bool = False) -> np.ndarray:
+    """Evaluate a call-free expression at many integer points at once.
+
+    `cols` maps each variable to a float64 column holding its integer values.
+    Where eval_ground succeeds the result is its value in float64; where it
+    raises EvalError the entry is nan or inf.  Magnitudes above
+    OVERFLOW_LIMIT are checked on the final value only.  `guarded` has the
+    meaning it has for eval_ground.  x^2 and x^3 are computed as products and
+    2^e with a non-constant exponent as exp2.
+    """
+    n = len(next(iter(cols.values())))
+    with np.errstate(all="ignore"):
+        v = _eval_array(e, cols, guarded)
+        v = np.where(np.abs(v) > _FLOAT_LIMIT, np.nan, v)
+    return v if v.shape == (n,) else np.full(n, v)
+
+
+def _eval_array(e: Expr, cols, g: bool):
+    """Array (or, for constant subtrees, scalar) value of `e`; see eval_array."""
+    if isinstance(e, Const):
+        return np.float64(float(e.value))
+    if isinstance(e, Var):
+        try:
+            return cols[e.name]
+        except KeyError:
+            raise EvalError("unbound-variable", e.name) from None
+    if isinstance(e, Add):
+        return _eval_array(e.lhs, cols, g) + _eval_array(e.rhs, cols, g)
+    if isinstance(e, Sub):
+        return _eval_array(e.lhs, cols, g) - _eval_array(e.rhs, cols, g)
+    if isinstance(e, Mul):
+        return _eval_array(e.lhs, cols, g) * _eval_array(e.rhs, cols, g)
+    if isinstance(e, Div):
+        num = _eval_array(e.lhs, cols, g)
+        den = _eval_array(e.rhs, cols, g)
+        # guarded x/0 is 0, or nan where x itself failed
+        return np.where(den == 0, np.abs(num) * 0.0 if g else np.nan, num / den)
+    if isinstance(e, Pow):
+        if isinstance(e.exp, Const) and e.exp.value in (2, 3):
+            a = _eval_array(e.base, cols, g)
+            return a * a if e.exp.value == 2 else a * a * a
+        if isinstance(e.base, Const) and e.base.value == 2 and not isinstance(e.exp, Const):
+            return np.exp2(_eval_array(e.exp, cols, g))
+        a = _eval_array(e.base, cols, g)
+        b = _eval_array(e.exp, cols, g)
+        bad = ((a < 0) & (b != np.round(b))) | ((a == 0) & (b < 0))
+        # np.power(nan, 0) and np.power(1, nan) are 1: keep a failure failed
+        bad |= np.isnan(a) | np.isnan(b)
+        return np.where(bad, np.nan, np.power(a, b))
+    if isinstance(e, Floor):
+        return np.floor(_eval_array(e.arg, cols, g))
+    if isinstance(e, Ceil):
+        return np.ceil(_eval_array(e.arg, cols, g))
+    if isinstance(e, Log2):
+        a = _eval_array(e.arg, cols, g)
+        if g:
+            return np.where(a < 1, 0.0, np.log2(a))
+        return np.where(a > 0, np.log2(a), np.nan)
+    if isinstance(e, Factorial):
+        a = _eval_array(e.arg, cols, g)
+        ok = (a >= 0) & (a == np.round(a))
+        k = np.where(ok, np.minimum(a, len(_FACTORIALS) - 1), 0).astype(int)
+        return np.where(ok, _FACTORIALS[k], np.nan)
+    if isinstance(e, Max):
+        return np.maximum(_eval_array(e.lhs, cols, g), _eval_array(e.rhs, cols, g))
+    if isinstance(e, Min):
+        return np.minimum(_eval_array(e.lhs, cols, g), _eval_array(e.rhs, cols, g))
+    if isinstance(e, Call):
+        raise EvalError("call-in-ground", e.func)
+    raise TypeError(f"cannot evaluate {type(e).__name__} on arrays")
 
 
 def eval_bool(

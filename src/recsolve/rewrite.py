@@ -56,12 +56,6 @@ def simplify(e):
     return e
 
 
-def simplified_to_fixpoint(e) -> bool:
-    is_bool = isinstance(e, (Cmp, And, Or, Not, TrueExpr))
-    new = _simp_bool(e) if is_bool else _simp(e)
-    return new == e
-
-
 # ---------------------------------------------------------------------------
 # Arithmetic side
 # ---------------------------------------------------------------------------

@@ -27,10 +27,6 @@ class EmptyDomain(Exception):
     """No satisfying tuple was found within the rejection cap."""
 
 
-class InsufficientSamples(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class SampleConfig:
     n: int = 100
@@ -63,49 +59,6 @@ class SampleSet:
     shortfall: bool = False
 
 
-def sample_inputs(
-    pre: BoolExpr, arity: int, cfg: SampleConfig, bound: int | None = None,
-    seed: int | None = None, n: int | None = None,
-) -> SampleSet:
-    """Distinct tuples drawn uniformly from [0, bound]^arity, rejection-filtered
-    by `pre`.  Deterministic for a given seed; short domains are reported via
-    the shortfall flag rather than padded."""
-    b = bound if bound is not None else cfg.bound_ladder[0]
-    want = n if n is not None else cfg.n
-    rng = random.Random(cfg.seed if seed is None else seed)
-    names = _param_names(pre, arity)
-    found: dict[tuple[int, ...], None] = {}
-    attempts = 0
-    while len(found) < want and attempts < cfg.rejection_cap:
-        attempts += 1
-        tup = tuple(rng.randint(0, b) for _ in range(arity))
-        if tup in found:
-            continue
-        if eval_bool(pre, dict(zip(names, tup))):
-            found[tup] = None
-    if not found:
-        raise EmptyDomain(f"no point of [0,{b}]^{arity} satisfies the precondition")
-    return SampleSet(list(found), shortfall=len(found) < want)
-
-
-def _param_names(pre: BoolExpr, arity: int) -> list[str]:
-    # sample_inputs only sees a constraint: coordinates follow the sorted
-    # constraint variables, padded with fresh names up to the arity
-    from .model import free_vars
-
-    fv = sorted(free_vars(pre))
-    if len(fv) > arity:
-        raise ValueError(f"constraint names {len(fv)} variables, arity is {arity}")
-    pad = []
-    i = 0
-    while len(fv) + len(pad) < arity:
-        i += 1
-        name = f"u{i}"
-        if name not in fv:
-            pad.append(name)
-    return fv + pad
-
-
 def sample_for_function(
     func: FuncDef,
     cfg: SampleConfig,
@@ -114,7 +67,10 @@ def sample_for_function(
     seed: int | None = None,
     n: int | None = None,
 ) -> SampleSet:
-    """Like sample_inputs but with the function's own parameter names."""
+    """Distinct tuples drawn uniformly from [0, bound]^arity, rejection-filtered
+    by the function's precondition and `constraint`.  Deterministic for a
+    given seed; short domains are reported via the shortfall flag rather
+    than padded."""
     b = bound
     want = n if n is not None else cfg.n
     rng = random.Random(cfg.seed if seed is None else seed)
@@ -212,50 +168,3 @@ def positive_orthant(func: FuncDef) -> BoolExpr:
         atom = Cmp(">=", Var(p), Const(Fraction(1)))
         c = atom if c is None else And(c, atom)
     return c if c is not None else TRUE
-
-
-@dataclass
-class Splits:
-    train: list[tuple[int, ...]]
-    folds: list[list[int]]  # row indices into train
-    test: list[tuple[int, ...]]
-    test_short: bool = False
-
-
-def make_splits(
-    samples: list[tuple[int, ...]],
-    cfg: SampleConfig,
-    seed: int | None = None,
-    fresh_test=None,
-) -> Splits:
-    """Deterministic k-fold partition of the training rows plus a test set.
-
-    `fresh_test`, when given, is called with the desired size and returns
-    freshly sampled tuples (same distribution as training); without it the
-    test set is held out of `samples`.
-    """
-    if len(samples) < cfg.folds + 1:
-        raise InsufficientSamples(f"{len(samples)} samples for {cfg.folds} folds")
-    rng = random.Random(cfg.seed if seed is None else seed)
-    order = list(range(len(samples)))
-    rng.shuffle(order)
-
-    test: list[tuple[int, ...]] = []
-    train_idx = order
-    test_short = False
-    if fresh_test is not None:
-        test = list(fresh_test(cfg.test_size))
-        if len(test) < cfg.test_size:
-            test_short = True
-    else:
-        hold = min(cfg.test_size, max(0, len(samples) - 2 * cfg.folds))
-        test = [samples[i] for i in order[:hold]]
-        train_idx = order[hold:]
-        if len(test) < cfg.test_size:
-            test_short = True
-
-    train = [samples[i] for i in train_idx]
-    folds: list[list[int]] = [[] for _ in range(cfg.folds)]
-    for pos, _ in enumerate(train):
-        folds[pos % cfg.folds].append(pos)
-    return Splits(train=train, folds=folds, test=test, test_short=test_short)

@@ -495,7 +495,7 @@ def check(job: SmtJob, confirmer=None, debug_dir: str | None = None) -> Verifica
 
 
 def _parse_model(stdout: str, variables) -> dict:
-    from .lia import parse_sexprs, tokenize
+    from recsolve_lia import parse_sexprs, tokenize
 
     idx = stdout.find("sat")
     rest = stdout[idx + 3 :]
@@ -703,7 +703,7 @@ def _encode_only(system, cand, solver):
         if solver.real_encoding
         else solver
     )
-    entails = _make_entailment_checker(params, side_solver)
+    entails = _make_entailment_checker(params, side_solver, solver.debug_dir)
     lhs_raw = inline_candidate(cand, tuple(Var(p) for p in params), params)
     case_eqs = []
     prev_ctx: BoolExpr = TRUE

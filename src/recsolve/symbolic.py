@@ -1,9 +1,8 @@
 """Symbolic guessing: multi-population evolutionary search over expression
 trees with node-cost complexity penalties and simplex-based constant tuning.
 
-Internally trees are nested tuples ("add", a, b), ("pow2", a), ("const", c),
-("var", name); they convert to model expressions only at the end so that
-square/cube/2^x count as single nodes for complexity.
+Trees are model expressions, evaluated by model.eval_array.  The search sees
+x^2, x^3 and 2^e as the single unary nodes square, cube and pow2.
 """
 
 from __future__ import annotations
@@ -11,18 +10,16 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import gammaln
 
 from .evaluator import EvalBudget, Evaluator
 from .linear import GuessOutcome, DomainFit, collect_domain_data, r2_score, rationalize_value
 from .model import (
     Add,
-    Call,
     Ceil,
     Const,
     Div,
@@ -38,16 +35,13 @@ from .model import (
     RecurrenceSystem,
     Sub,
     Var,
+    eval_array,
 )
 from .rewrite import simplify
 from .sampler import SampleConfig, Subdomain, positive_orthant, split_domains
 
 BINARY = ("add", "sub", "max", "mul", "div", "pow")
 UNARY = ("floor", "ceil", "square", "cube", "log2", "pow2", "fact")
-
-
-class BudgetExhausted(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -75,8 +69,7 @@ class GPConfig:
     max_complexity: int = 30
     tournament: int = 3
     p_crossover: float = 0.6
-    p_mutation: float = 0.3
-    p_const_perturb: float = 0.1
+    p_mutation: float = 0.3  # the rest, 1 - p_crossover - p_mutation, perturbs a constant
     migration_interval: int = 5
 
     def __post_init__(self):
@@ -88,7 +81,7 @@ class GPConfig:
 class FrontEntry:
     complexity: int
     loss: float
-    tree: tuple
+    tree: Expr
 
 
 @dataclass
@@ -98,7 +91,7 @@ class ParetoFront:
 
     entries: dict[int, FrontEntry] = field(default_factory=dict)
 
-    def offer(self, tree: tuple, loss: float, complexity: int):
+    def offer(self, tree: Expr, loss: float, complexity: int):
         if not math.isfinite(loss):
             return
         cur = self.entries.get(complexity)
@@ -120,200 +113,96 @@ class ParetoFront:
 # Trees
 # ---------------------------------------------------------------------------
 
+_TWO = Const(Fraction(2))
+_THREE = Const(Fraction(3))
 
-def complexity(tree: tuple, ops: OperatorSet) -> int:
-    tag = tree[0]
-    if tag in ("var", "const"):
+# GP operator name -> constructor from its operands
+_BUILD = {
+    "add": Add,
+    "sub": Sub,
+    "mul": Mul,
+    "div": Div,
+    "max": Max,
+    "pow": Pow,
+    "floor": Floor,
+    "ceil": Ceil,
+    "log2": Log2,
+    "fact": Factorial,
+    "square": lambda a: Pow(a, _TWO),
+    "cube": lambda a: Pow(a, _THREE),
+    "pow2": lambda a: Pow(_TWO, a),
+}
+# node type -> GP operator name and operand count (Pow is classified apart)
+_KINDS = {Var: ("var", 0), Const: ("const", 0), Add: ("add", 2), Sub: ("sub", 2),
+          Mul: ("mul", 2), Div: ("div", 2), Max: ("max", 2), Floor: ("floor", 1),
+          Ceil: ("ceil", 1), Log2: ("log2", 1), Factorial: ("fact", 1)}
+
+
+def _node(e: Expr) -> tuple[str, tuple[Expr, ...]]:
+    """The GP operator of a node and its operands.  x^2, x^3 and 2^e (e not
+    a constant) are the unary square, cube and pow2, so their constant is
+    neither a node nor tuned."""
+    if type(e) is Pow:
+        base, exp = e.base, e.exp
+        if type(exp) is Const:
+            if exp.value == 2:
+                return "square", (base,)
+            if exp.value == 3:
+                return "cube", (base,)
+        elif type(base) is Const and base.value == 2:
+            return "pow2", (exp,)
+        return "pow", (base, exp)
+    try:
+        tag, arity = _KINDS[type(e)]
+    except KeyError:
+        raise TypeError(f"{type(e).__name__} is not a GP operator") from None
+    if arity == 2:
+        return tag, (e.lhs, e.rhs)
+    return tag, (e.arg,) if arity else ()
+
+
+def complexity(tree: Expr, ops: OperatorSet) -> int:
+    tag, kids = _node(tree)
+    if not kids:
         return 1
-    return ops.cost(tag) + sum(complexity(c, ops) for c in tree[1:])
+    return ops.cost(tag) + sum(complexity(c, ops) for c in kids)
 
 
-def tree_nodes(tree: tuple) -> list[tuple]:
+def tree_nodes(tree: Expr) -> list[Expr]:
+    """GP nodes in preorder."""
     out = [tree]
-    for c in tree[1:]:
-        if isinstance(c, tuple):
-            out.extend(tree_nodes(c))
+    for c in _node(tree)[1]:
+        out.extend(tree_nodes(c))
     return out
 
 
-def _count(tree: tuple) -> int:
-    tag = tree[0]
-    if tag in ("var", "const"):
-        return 1
-    return 1 + sum(_count(c) for c in tree[1:])
+def replace_at(tree: Expr, index: int, repl: Expr) -> Expr:
+    """Replace the preorder-index-th GP node."""
 
-
-def replace_at(tree: tuple, index: int, repl: tuple) -> tuple:
-    """Replace the preorder-index-th node."""
-
-    def go(node: tuple, i: int) -> tuple[tuple, int]:
+    def go(node: Expr, i: int) -> tuple[Expr, int]:
+        # (new node, preorder index after it), or index -1 once replaced
         if i == index:
-            return repl, i + _count(node)
-        tag = node[0]
-        if tag in ("var", "const"):
-            return node, i + 1
-        children = []
-        j = i + 1
-        for c in node[1:]:
-            newc, j = go(c, j)
-            children.append(newc)
-        return (tag, *children), j
+            return repl, -1
+        tag, kids = _node(node)
+        i += 1
+        new = list(kids)
+        for k, kid in enumerate(kids):
+            new[k], i = go(kid, i)
+            if i < 0:
+                return _BUILD[tag](*new), -1
+        return node, i
 
-    new, _ = go(tree, 0)
-    return new
-
-
-def subtree_at(tree: tuple, index: int) -> tuple:
-    def go(node: tuple, i: int):
-        if i == index:
-            return node, i + _count(node)
-        tag = node[0]
-        if tag in ("var", "const"):
-            return None, i + 1
-        j = i + 1
-        for c in node[1:]:
-            found, j = go(c, j)
-            if found is not None:
-                return found, j
-        return None, j
-
-    found, _ = go(tree, 0)
-    return found if found is not None else tree
-
-
-def to_expr(tree: tuple) -> Expr:
-    tag = tree[0]
-    if tag == "var":
-        return Var(tree[1])
-    if tag == "const":
-        return Const(Fraction(tree[1]))
-    if tag == "add":
-        return Add(to_expr(tree[1]), to_expr(tree[2]))
-    if tag == "sub":
-        return Sub(to_expr(tree[1]), to_expr(tree[2]))
-    if tag == "mul":
-        return Mul(to_expr(tree[1]), to_expr(tree[2]))
-    if tag == "div":
-        return Div(to_expr(tree[1]), to_expr(tree[2]))
-    if tag == "max":
-        return Max(to_expr(tree[1]), to_expr(tree[2]))
-    if tag == "pow":
-        return Pow(to_expr(tree[1]), to_expr(tree[2]))
-    if tag == "floor":
-        return Floor(to_expr(tree[1]))
-    if tag == "ceil":
-        return Ceil(to_expr(tree[1]))
-    if tag == "square":
-        return Pow(to_expr(tree[1]), Const(Fraction(2)))
-    if tag == "cube":
-        return Pow(to_expr(tree[1]), Const(Fraction(3)))
-    if tag == "log2":
-        return Log2(to_expr(tree[1]))
-    if tag == "pow2":
-        return Pow(Const(Fraction(2)), to_expr(tree[1]))
-    if tag == "fact":
-        return Factorial(to_expr(tree[1]))
-    raise ValueError(f"unknown tag {tag}")
-
-
-def from_expr(e: Expr) -> tuple:
-    if isinstance(e, Var):
-        return ("var", e.name)
-    if isinstance(e, Const):
-        return ("const", float(e.value))
-    if isinstance(e, Add):
-        return ("add", from_expr(e.lhs), from_expr(e.rhs))
-    if isinstance(e, Sub):
-        return ("sub", from_expr(e.lhs), from_expr(e.rhs))
-    if isinstance(e, Mul):
-        return ("mul", from_expr(e.lhs), from_expr(e.rhs))
-    if isinstance(e, Div):
-        return ("div", from_expr(e.lhs), from_expr(e.rhs))
-    if isinstance(e, Max):
-        return ("max", from_expr(e.lhs), from_expr(e.rhs))
-    if isinstance(e, Pow):
-        if isinstance(e.base, Const) and e.base.value == 2 and not isinstance(e.exp, Const):
-            return ("pow2", from_expr(e.exp))
-        if isinstance(e.exp, Const) and e.exp.value == 2:
-            return ("square", from_expr(e.base))
-        if isinstance(e.exp, Const) and e.exp.value == 3:
-            return ("cube", from_expr(e.base))
-        return ("pow", from_expr(e.base), from_expr(e.exp))
-    if isinstance(e, Floor):
-        return ("floor", from_expr(e.arg))
-    if isinstance(e, Ceil):
-        return ("ceil", from_expr(e.arg))
-    if isinstance(e, Log2):
-        return ("log2", from_expr(e.arg))
-    if isinstance(e, Factorial):
-        return ("fact", from_expr(e.arg))
-    if isinstance(e, Call):
-        raise ValueError("candidate trees are call-free")
-    raise TypeError(f"cannot convert {type(e).__name__}")
+    return go(tree, 0)[0]
 
 
 # ---------------------------------------------------------------------------
-# Vectorized fitness
+# Fitness
 # ---------------------------------------------------------------------------
 
-_FACT_CUTOFF = 170.0
 
-
-def eval_tree(tree: tuple, cols: dict[str, np.ndarray]) -> np.ndarray:
-    """Evaluate over row vectors; invalid points become nan/inf, which the
-    loss turns into an infinite penalty.  Mirrors ground evaluation: log2 of
-    a non-positive, division by zero and factorial outside the non-negative
-    integers are invalid."""
-    tag = tree[0]
-    with np.errstate(all="ignore"):
-        if tag == "var":
-            return cols[tree[1]]
-        if tag == "const":
-            n = len(next(iter(cols.values())))
-            return np.full(n, float(tree[1]))
-        if tag == "add":
-            return eval_tree(tree[1], cols) + eval_tree(tree[2], cols)
-        if tag == "sub":
-            return eval_tree(tree[1], cols) - eval_tree(tree[2], cols)
-        if tag == "mul":
-            return eval_tree(tree[1], cols) * eval_tree(tree[2], cols)
-        if tag == "div":
-            b = eval_tree(tree[2], cols)
-            return np.where(b == 0, np.nan, eval_tree(tree[1], cols) / np.where(b == 0, 1, b))
-        if tag == "max":
-            return np.maximum(eval_tree(tree[1], cols), eval_tree(tree[2], cols))
-        if tag == "pow":
-            a = eval_tree(tree[1], cols)
-            b = eval_tree(tree[2], cols)
-            bad = (a < 0) & (b != np.round(b))
-            bad |= (a == 0) & (b < 0)
-            v = np.power(np.where(bad, 1.0, a), b)
-            return np.where(bad, np.nan, v)
-        if tag == "floor":
-            return np.floor(eval_tree(tree[1], cols))
-        if tag == "ceil":
-            return np.ceil(eval_tree(tree[1], cols))
-        if tag == "square":
-            a = eval_tree(tree[1], cols)
-            return a * a
-        if tag == "cube":
-            a = eval_tree(tree[1], cols)
-            return a * a * a
-        if tag == "log2":
-            a = eval_tree(tree[1], cols)
-            return np.where(a > 0, np.log2(np.where(a > 0, a, 1.0)), np.nan)
-        if tag == "pow2":
-            return np.exp2(eval_tree(tree[1], cols))
-        if tag == "fact":
-            a = eval_tree(tree[1], cols)
-            ok = (a >= 0) & (a == np.round(a)) & (a <= _FACT_CUTOFF)
-            v = np.exp(gammaln(np.where(ok, a, 0.0) + 1.0))
-            return np.where(ok, np.round(v) if v.ndim else v, np.nan)
-    raise ValueError(f"unknown tag {tag}")
-
-
-def tree_loss(tree: tuple, cols: dict[str, np.ndarray], targets: np.ndarray) -> float:
-    pred = eval_tree(tree, cols)
+def tree_loss(tree: Expr, cols: dict[str, np.ndarray], targets: np.ndarray) -> float:
+    """Mean squared error; invalid points (nan/inf) make the loss infinite."""
+    pred = eval_array(tree, cols)
     if not np.all(np.isfinite(pred)):
         return math.inf
     with np.errstate(all="ignore"):
@@ -326,59 +215,57 @@ def tree_loss(tree: tuple, cols: dict[str, np.ndarray], targets: np.ndarray) -> 
 # ---------------------------------------------------------------------------
 
 
-def _random_leaf(rng: random.Random, params: tuple[str, ...]) -> tuple:
+def _random_leaf(rng: random.Random, params: tuple[str, ...]) -> Expr:
     if rng.random() < 0.7:
-        return ("var", rng.choice(params))
-    return ("const", float(rng.choice([1.0, 2.0, 3.0, 0.5, round(rng.uniform(-5, 5), 3)])))
+        return Var(rng.choice(params))
+    return Const(Fraction(rng.choice([1.0, 2.0, 3.0, 0.5, round(rng.uniform(-5, 5), 3)])))
 
 
-def _random_tree(rng: random.Random, params, ops: OperatorSet, depth: int) -> tuple:
+def _random_tree(rng: random.Random, params, ops: OperatorSet, depth: int) -> Expr:
     if depth <= 0 or rng.random() < 0.3:
         return _random_leaf(rng, params)
     pool = ops.binary + ops.unary
     tag = rng.choice(pool)
     if tag in ops.binary:
-        return (tag, _random_tree(rng, params, ops, depth - 1), _random_tree(rng, params, ops, depth - 1))
-    return (tag, _random_tree(rng, params, ops, depth - 1))
+        lhs = _random_tree(rng, params, ops, depth - 1)
+        return _BUILD[tag](lhs, _random_tree(rng, params, ops, depth - 1))
+    return _BUILD[tag](_random_tree(rng, params, ops, depth - 1))
 
 
-def _mutate(rng: random.Random, tree: tuple, params, ops: OperatorSet) -> tuple:
+def _mutate(rng: random.Random, tree: Expr, params, ops: OperatorSet) -> Expr:
     nodes = tree_nodes(tree)
     idx = rng.randrange(len(nodes))
     if rng.random() < 0.5:
         return replace_at(tree, idx, _random_tree(rng, params, ops, 2))
     # point mutation: swap the operator, keep children
-    node = nodes[idx]
-    tag = node[0]
+    tag, kids = _node(nodes[idx])
     if tag in ops.binary:
-        newtag = rng.choice(ops.binary)
-        return replace_at(tree, idx, (newtag, node[1], node[2]))
+        return replace_at(tree, idx, _BUILD[rng.choice(ops.binary)](*kids))
     if tag in ops.unary:
-        newtag = rng.choice(ops.unary)
-        return replace_at(tree, idx, (newtag, node[1]))
+        return replace_at(tree, idx, _BUILD[rng.choice(ops.unary)](*kids))
     return replace_at(tree, idx, _random_leaf(rng, params))
 
 
-def _perturb_const(rng: random.Random, tree: tuple) -> tuple:
+def _perturb_const(rng: random.Random, tree: Expr) -> Expr:
     nodes = tree_nodes(tree)
-    const_idx = [i for i, n in enumerate(nodes) if n[0] == "const"]
+    const_idx = [i for i, n in enumerate(nodes) if isinstance(n, Const)]
     if not const_idx:
         return tree
     idx = rng.choice(const_idx)
-    c = nodes[idx][1]
+    c = float(nodes[idx].value)
     new = c * (1.0 + rng.gauss(0, 0.3)) + rng.gauss(0, 0.1)
-    return replace_at(tree, idx, ("const", float(new)))
+    return replace_at(tree, idx, Const(Fraction(new)))
 
 
-def _crossover(rng: random.Random, a: tuple, b: tuple) -> tuple:
-    ai = rng.randrange(_count(a))
-    bi = rng.randrange(_count(b))
-    return replace_at(a, ai, subtree_at(b, bi))
+def _crossover(rng: random.Random, a: Expr, b: Expr) -> Expr:
+    ai = rng.randrange(len(tree_nodes(a)))
+    b_nodes = tree_nodes(b)
+    return replace_at(a, ai, b_nodes[rng.randrange(len(b_nodes))])
 
 
 @dataclass
 class _Individual:
-    tree: tuple
+    tree: Expr
     loss: float
     complexity: int
 
@@ -408,7 +295,7 @@ def evolve(
     deadline = time.monotonic() + cfg.wall_clock
     front = ParetoFront()
 
-    def make(tree: tuple) -> _Individual:
+    def make(tree: Expr) -> _Individual:
         comp = complexity(tree, ops)
         loss = tree_loss(tree, cols, y) if comp <= cfg.max_complexity else math.inf
         ind = _Individual(tree, loss, comp)
@@ -459,7 +346,7 @@ def evolve(
             bi = min(range(len(newpop)), key=lambda j: (newpop[j].loss, newpop[j].complexity))
             btree = newpop[bi].tree
             if math.isfinite(newpop[bi].loss) and any(
-                n[0] == "const" for n in tree_nodes(btree)
+                isinstance(n, Const) for n in tree_nodes(btree)
             ):
                 tuned = optimize_constants_tree(btree, cols, y, max_evals=40)
                 if tuned != btree:
@@ -487,19 +374,14 @@ def evolve(
 
 
 def optimize_constants_tree(
-    tree: tuple, cols: dict[str, np.ndarray], y: np.ndarray, max_evals: int = 200
-) -> tuple:
-    nodes = tree_nodes(tree)
-    const_idx = [i for i, n in enumerate(nodes) if n[0] == "const"]
-    if not const_idx:
+    tree: Expr, cols: dict[str, np.ndarray], y: np.ndarray, max_evals: int = 200
+) -> Expr:
+    x0 = np.asarray([float(n.value) for n in tree_nodes(tree) if isinstance(n, Const)])
+    if not len(x0):
         return tree
-    x0 = np.asarray([nodes[i][1] for i in const_idx], dtype=float)
 
-    def with_consts(vals) -> tuple:
-        t = tree
-        for i, v in zip(const_idx, vals):
-            t = replace_at(t, i, ("const", float(v)))
-        return t
+    def with_consts(vals) -> Expr:
+        return _set_consts(tree, iter(vals))
 
     def objective(vals) -> float:
         loss = tree_loss(with_consts(vals), cols, y)
@@ -517,13 +399,22 @@ def optimize_constants_tree(
     return tree
 
 
+def _set_consts(tree: Expr, vals) -> Expr:
+    """`tree` with its tunable constants, in preorder, taken from `vals`."""
+    tag, kids = _node(tree)
+    if tag == "const":
+        return Const(Fraction(float(next(vals))))
+    if not kids:
+        return tree
+    return _BUILD[tag](*(_set_consts(k, vals) for k in kids))
+
+
 def optimize_constants(expr: Expr, inputs, targets, params: tuple[str, ...]) -> Expr:
     """Simplex search over the numeric leaves minimizing train MSE; the
     result is never worse than the input on the training rows."""
-    tree = from_expr(expr)
     cols = {p: np.asarray([t[i] for t in inputs], dtype=float) for i, p in enumerate(params)}
     y = np.asarray(targets, dtype=float)
-    return to_expr(optimize_constants_tree(tree, cols, y))
+    return optimize_constants_tree(expr, cols, y)
 
 
 # ---------------------------------------------------------------------------
@@ -598,21 +489,9 @@ def guess_symbolic(
         if len(data.train_values) < 5:
             # tiny subdomains (e.g. a single point) take the constant fit
             val = float(np.median([float(v) for v in data.train_values]))
-            tree = ("const", val)
+            tree = Const(Fraction(val))
         else:
-            cfg_i = GPConfig(
-                populations=gp_cfg.populations,
-                population_size=gp_cfg.population_size,
-                iterations=gp_cfg.iterations,
-                seed=gp_cfg.seed * 977 + di,
-                wall_clock=gp_cfg.wall_clock,
-                max_complexity=gp_cfg.max_complexity,
-                tournament=gp_cfg.tournament,
-                p_crossover=gp_cfg.p_crossover,
-                p_mutation=gp_cfg.p_mutation,
-                p_const_perturb=gp_cfg.p_const_perturb,
-                migration_interval=gp_cfg.migration_interval,
-            )
+            cfg_i = replace(gp_cfg, seed=gp_cfg.seed * 977 + di)
             front = evolve(
                 data.train_inputs,
                 [float(v) for v in data.train_values],
@@ -626,7 +505,7 @@ def guess_symbolic(
                 failed += 1
                 continue
             tree = _select_entry(entries, f.params, data)
-        expr = simplify(to_expr(tree))
+        expr = simplify(tree)
         expr, exact = _rationalize_expr(expr)
         expr = simplify(expr)
         score = _test_r2(tree, f.params, data)
@@ -640,18 +519,18 @@ def guess_symbolic(
     )
 
 
-def _test_r2(tree: tuple, params, data) -> float:
+def _test_r2(tree: Expr, params, data) -> float:
     inputs = data.test_inputs or data.train_inputs
     values = data.test_values if data.test_inputs else data.train_values
     cols = {p: np.asarray([t[i] for t in inputs], dtype=float) for i, p in enumerate(params)}
-    pred = eval_tree(tree, cols)
+    pred = eval_array(tree, cols)
     y = np.asarray([float(v) for v in values])
     if not np.all(np.isfinite(pred)):
         return -math.inf
     return r2_score(y, pred)
 
 
-def _select_entry(entries: list[FrontEntry], params, data) -> tuple:
+def _select_entry(entries: list[FrontEntry], params, data) -> Expr:
     best, best_key = None, None
     for e in entries:
         r2 = _test_r2(e.tree, params, data)

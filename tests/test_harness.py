@@ -293,11 +293,18 @@ def test_run_benchmark_merge_split_vs_global(corpus_dir):
 def test_run_benchmark_auto_falls_back_to_symreg(corpus_dir):
     from recsolve.symbolic import GPConfig
 
-    cfg = _fast_cfg(method="auto", domsplit=True, verify=False)
-    cfg.gp = GPConfig(populations=8, population_size=20, iterations=15, seed=0)
+    cfg = _fast_cfg(method="auto", domsplit=True, verify=False, seed=7)
+    cfg.gp = GPConfig(populations=8, population_size=20, iterations=15, seed=7)
     res = run_benchmark(os.path.join(corpus_dir, "exp3.rec"), cfg)
     assert res.method == "symreg"
     assert res.score > 0.99  # small stochastic config; the mechanism is the point
+
+
+def test_run_benchmark_reports_tier_flags():
+    cfg = _fast_cfg()
+    cfg.lasso = LassoConfig(fit_timeout=0.0)
+    res = run_benchmark(EQ1, cfg)
+    assert "small:timeout" in res.flags
 
 
 def test_run_benchmark_never_raises_on_bad_input(tmp_path):

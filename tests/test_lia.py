@@ -4,7 +4,7 @@ enumeration (decision and model) on randomly generated bounded formulas."""
 import itertools
 import random
 
-from recsolve.lia import parse_sexprs, run_script, tokenize
+from recsolve_lia import parse_sexprs, run_script, tokenize
 
 
 def _eval_sexpr(tree, env):

@@ -1,21 +1,34 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recsolve.dsl import parse_bool, parse_expr
 from recsolve.model import (
+    Add,
     Call,
+    Ceil,
     Const,
+    Div,
     EvalError,
+    Factorial,
+    Floor,
+    Log2,
+    Max,
+    Min,
     Mul,
+    Pow,
+    Sub,
     Var,
+    eval_array,
     eval_bool,
     eval_ground,
     free_vars,
     substitute,
+    walk,
 )
 
 
@@ -141,3 +154,96 @@ def test_exactness_closure_on_integer_ops():
     e = parse_expr("floor(x) + ceil(y) + fact(min(x,5)) + max(x,y) - x*y")
     v = eval_ground(e, {"x": 6, "y": 3})
     assert isinstance(v, int)
+
+
+def test_negative_float_base_with_integer_exponent():
+    # log2(3) - 2 is a negative float; its square is defined
+    v = eval_ground(parse_expr("(log2(x) - 2)^2"), {"x": 3})
+    assert v == (math.log2(3) - 2) ** 2
+    with pytest.raises(EvalError) as exc:
+        eval_ground(parse_expr("(log2(x) - 2)^(1/2)"), {"x": 3})
+    assert exc.value.kind == "pow-domain"
+    with pytest.raises(EvalError) as exc:
+        eval_ground(parse_expr("(0/log2(x))^(-1)"), {"x": 3})
+    assert exc.value.kind == "division-by-zero"
+
+
+# -- eval_array against eval_ground ---------------------------------------------
+
+# Leaves are x, y in [0, 12] and small constants; factorial and the general
+# power take leaves only, floor and ceil take leaves, leaf quotients or leaf
+# logarithms, and trees are at most three operators deep.  Exact values then
+# stay below 2^400, so no intermediate result overflows (eval_array checks the
+# final value only), and no float rounding moves a value across a floor, a
+# sign test or a zero test.
+_CONSTS = [Fraction(v) for v in (-2, -1, 0, 1, 2, 3)] + [Fraction(1, 2), Fraction(3, 2)]
+_LEAF = st.one_of(st.sampled_from([Var("x"), Var("y")]), st.sampled_from(_CONSTS).map(Const))
+_EXPONENT = st.sampled_from([Fraction(v) for v in (-1, 0, 2, 3)] + [Fraction(1, 2)]).map(Const)
+_ROUNDED = st.one_of(_LEAF, st.builds(Div, _LEAF, _LEAF), st.builds(Log2, _LEAF))
+
+
+def _exprs(depth: int):
+    if depth == 0:
+        return _LEAF
+    sub = _exprs(depth - 1)
+    return st.one_of(
+        _LEAF,
+        st.builds(Add, sub, sub),
+        st.builds(Sub, sub, sub),
+        st.builds(Mul, sub, sub),
+        st.builds(Div, sub, sub),
+        st.builds(Max, sub, sub),
+        st.builds(Min, sub, sub),
+        st.builds(Pow, sub, _EXPONENT),
+        st.builds(Pow, _LEAF, _LEAF),
+        st.builds(Log2, sub),
+        st.builds(Factorial, _LEAF),
+        st.builds(Floor, _ROUNDED),
+        st.builds(Ceil, _ROUNDED),
+    )
+
+
+@given(
+    _exprs(3),
+    st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1, max_size=8),
+    st.booleans(),
+)
+@settings(max_examples=400, deadline=None)
+def test_eval_array_agrees_with_eval_ground(e, points, guarded):
+    cols = {
+        "x": np.array([float(x) for x, _ in points]),
+        "y": np.array([float(y) for _, y in points]),
+    }
+    got = eval_array(e, cols, guarded=guarded)
+    assert got.shape == (len(points),)
+    for (x, y), v in zip(points, got):
+        env = {"x": x, "y": y}
+        try:
+            want = float(eval_ground(e, env, guarded=guarded))
+        except EvalError:
+            assert not math.isfinite(v), (e, env, v)
+            continue
+        # float rounding of an intermediate value bounds the error: relative
+        # to the result, or to the largest intermediate where terms cancel
+        scale = max(
+            abs(float(eval_ground(n, env, guarded=guarded)))
+            for n in walk(e)
+        )
+        assert math.isclose(v, want, rel_tol=1e-12, abs_tol=1e-12 * scale), (e, env, v, want)
+
+
+def test_eval_array_overflow_and_guards():
+    cols = {"x": np.array([0.0, 3.0, 100.0, 600.0])}
+
+    def arr(src, guarded=False):
+        return list(eval_array(parse_expr(src), cols, guarded=guarded))
+
+    # beyond 2^512 a value is an error, as exact evaluation says
+    assert [math.isfinite(v) for v in arr("2^x")] == [True, True, True, False]
+    assert [math.isfinite(v) for v in arr("x!")] == [True, True, False, False]
+    assert arr("log2(x)", guarded=True)[0] == 0.0
+    assert arr("x/(x - 3)", guarded=True)[1] == 0.0
+    assert not math.isfinite(arr("x/(x - 3)")[1])
+    # a guarded quotient by zero stays an error where its numerator is one
+    assert not math.isfinite(arr("(x - 4)^(1/2)/(x - 3)", guarded=True)[1])
+    assert arr("7") == [7.0] * 4

@@ -8,20 +8,22 @@ from recsolve.evaluator import EvalBudget
 from recsolve.model import eval_bool
 from recsolve.sampler import (
     EmptyDomain,
-    InsufficientSamples,
     SampleConfig,
     choose_bound,
-    make_splits,
-    sample_inputs,
+    sample_for_function,
     split_domains,
 )
 
 from conftest import EQ1, FIB, MERGE, NONTERM, SUCC
 
 
+def _func(pre: str, params: str = "x, y"):
+    return parse(f"def f({params}) pre {pre} {{ case {pre} -> 0 }} entry f").system.entry_func
+
+
 def test_box_sampling_in_bounds():
     cfg = SampleConfig(n=5, seed=1)
-    ss = sample_inputs(parse_bool("x >= 0 and y >= 0"), 2, cfg, bound=3)
+    ss = sample_for_function(_func("x >= 0 and y >= 0"), cfg, bound=3)
     assert len(ss.tuples) == 5
     assert len(set(ss.tuples)) == 5
     assert all(0 <= a <= 3 and 0 <= b <= 3 for a, b in ss.tuples)
@@ -30,12 +32,12 @@ def test_box_sampling_in_bounds():
 def test_unsatisfiable_precondition_raises():
     cfg = SampleConfig(n=5, seed=1, rejection_cap=2000)
     with pytest.raises(EmptyDomain):
-        sample_inputs(parse_bool("x > 0 and x < 0"), 1, cfg, bound=3)
+        sample_for_function(_func("x > 0 and x < 0", "x"), cfg, bound=3)
 
 
 def test_pigeonhole_shortfall():
     cfg = SampleConfig(n=100, seed=2)
-    ss = sample_inputs(parse_bool("x >= 0"), 1, cfg, bound=20)
+    ss = sample_for_function(_func("x >= 0", "x"), cfg, bound=20)
     assert ss.shortfall
     assert len(ss.tuples) <= 21
 
@@ -43,15 +45,19 @@ def test_pigeonhole_shortfall():
 def test_samples_satisfy_precondition():
     cfg = SampleConfig(n=50, seed=3)
     pre = parse_bool("x > y")
-    ss = sample_inputs(pre, 2, cfg, bound=10)
+    ss = sample_for_function(_func("x > y"), cfg, bound=10)
+    assert all(eval_bool(pre, {"x": a, "y": b}) for a, b in ss.tuples)
+    ss = sample_for_function(_func("x >= 0 and y >= 0"), cfg, bound=10, constraint=pre)
     assert all(eval_bool(pre, {"x": a, "y": b}) for a, b in ss.tuples)
 
 
 def test_determinism_given_seed():
     cfg = SampleConfig(n=30, seed=9)
-    a = sample_inputs(parse_bool("x >= 0"), 2, cfg, bound=8)
-    b = sample_inputs(parse_bool("x >= 0"), 2, cfg, bound=8)
+    a = sample_for_function(_func("x >= 0"), cfg, bound=8)
+    b = sample_for_function(_func("x >= 0"), cfg, bound=8)
     assert a.tuples == b.tuples
+    c = sample_for_function(_func("x >= 0"), cfg, bound=8, seed=10)
+    assert c.tuples != a.tuples
 
 
 def test_split_domains_worked_example():
@@ -106,37 +112,6 @@ def test_choose_bound_nonterminating_falls_to_smallest():
     assert bc.bound == 3
     assert bc.fell_through
     assert bc.any_budget_failure
-
-
-def test_make_splits_100_k2():
-    samples = [(i,) for i in range(100)]
-    cfg = SampleConfig(n=100, folds=2, test_size=30, seed=5)
-    sp = make_splits(samples, cfg, fresh_test=lambda n: [(1000 + i,) for i in range(n)])
-    assert sorted(len(f) for f in sp.folds) == [50, 50]
-    assert len(sp.test) == 30
-    assert not sp.test_short
-
-
-def test_make_splits_degenerate():
-    cfg = SampleConfig(n=10, folds=2, test_size=30, seed=5)
-    sp = make_splits([(0,), (1,), (2,)], cfg)
-    assert sorted(len(f) for f in sp.folds) == [1, 2]
-    assert sp.test == []
-    assert sp.test_short
-
-
-def test_make_splits_deterministic():
-    samples = [(i,) for i in range(40)]
-    cfg = SampleConfig(n=40, folds=2, seed=7)
-    a = make_splits(samples, cfg)
-    b = make_splits(samples, cfg)
-    assert a.train == b.train and a.folds == b.folds and a.test == b.test
-
-
-def test_make_splits_needs_enough_samples():
-    cfg = SampleConfig(n=10, folds=2, seed=1)
-    with pytest.raises(InsufficientSamples):
-        make_splits([(0,), (1,)], cfg)
 
 
 def test_config_validation():

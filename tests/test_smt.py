@@ -125,6 +125,14 @@ def test_verify_worked_example(eq1):
     assert isinstance(verify(eq1.system, parse_candidate("x")), Proved)
 
 
+def test_debug_dir_keeps_entailment_and_verify_scripts(eq1, tmp_path):
+    res = verify(eq1.system, parse_candidate("x"), SolverConfig(debug_dir=str(tmp_path)))
+    assert isinstance(res, Proved)
+    names = [p.name for p in tmp_path.iterdir()]
+    assert any(n.startswith("entail-") and n.endswith(".smt2") for n in names), names
+    assert any(n.startswith("verify-f-") and n.endswith(".smt2") for n in names), names
+
+
 def test_verify_succ():
     bf = parse(SUCC)
     assert isinstance(verify(bf.system, parse_candidate("n+1")), Proved)

@@ -7,18 +7,18 @@ import pytest
 from recsolve import dsl
 from recsolve.dsl import parse_expr, print_expr
 from recsolve.evaluator import Evaluator
-from recsolve.model import EvalError, eval_ground
+from recsolve.model import EvalError, Var, eval_array, eval_ground
 from recsolve.symbolic import (
     GPConfig,
     OperatorSet,
+    _node,
     complexity,
-    eval_tree,
     evolve,
-    from_expr,
     guess_symbolic,
     optimize_constants,
-    to_expr,
+    replace_at,
     tree_loss,
+    tree_nodes,
 )
 
 
@@ -32,7 +32,7 @@ def test_constant_targets_front():
     best = front.pareto()[0]
     assert best.complexity == 1
     assert best.loss < 1e-9
-    assert abs(eval_tree(best.tree, {"x": np.array([0.0])})[0] - 5.0) < 1e-3
+    assert abs(eval_array(best.tree, {"x": np.array([0.0])})[0] - 5.0) < 1e-3
 
 
 def test_exp_sum_found_with_restricted_operators():
@@ -87,8 +87,8 @@ def test_optimize_constants_never_worse():
     before = parse_expr("3*x")  # already optimal
     after = optimize_constants(before, xs, ys, ("x",))
     cols = {"x": np.array([float(i) for i in range(1, 15)])}
-    la = tree_loss(from_expr(after), cols, np.array(ys))
-    lb = tree_loss(from_expr(before), cols, np.array(ys))
+    la = tree_loss(after, cols, np.array(ys))
+    lb = tree_loss(before, cols, np.array(ys))
     assert la <= lb + 1e-12
 
 
@@ -104,16 +104,8 @@ def test_front_respects_complexity_cap_and_operator_set():
     allowed = {"add", "mul", "square", "var", "const"}
     for entry in front.pareto():
         assert entry.complexity <= 12
-        tags = {t[0] for t in _walk(entry.tree)}
+        tags = {_node(t)[0] for t in tree_nodes(entry.tree)}
         assert tags <= allowed
-
-
-def _walk(tree):
-    out = [tree]
-    for c in tree[1:]:
-        if isinstance(c, tuple):
-            out.extend(_walk(c))
-    return out
 
 
 def test_front_is_pareto():
@@ -137,10 +129,10 @@ def test_front_is_pareto():
 
 def test_node_costs():
     ops = OperatorSet()
-    assert complexity(("var", "x"), ops) == 1
-    assert complexity(("floor", ("var", "x")), ops) == 3  # floor costs 2
-    assert complexity(("pow", ("var", "x"), ("const", 2.0)), ops) == 5  # pow costs 3
-    assert complexity(("pow2", ("add", ("var", "x"), ("var", "y"))), ops) == 4
+    assert complexity(Var("x"), ops) == 1
+    assert complexity(parse_expr("floor(x)"), ops) == 3  # floor costs 2
+    assert complexity(parse_expr("x^4"), ops) == 5  # pow costs 3
+    assert complexity(parse_expr("2^(x + y)"), ops) == 4
 
 
 def test_fitness_matches_tree_walking_oracle():
@@ -161,25 +153,30 @@ def test_fitness_matches_tree_walking_oracle():
     }
     for src in exprs:
         e = parse_expr(src)
-        tree = from_expr(e)
-        vec = eval_tree(tree, cols)
+        vec = eval_array(e, cols)
         for i, (a, b) in enumerate(rows):
             direct = float(eval_ground(e, {"x": a, "y": b}))
             assert math.isclose(vec[i], direct, rel_tol=1e-12, abs_tol=1e-9), src
 
 
 def test_invalid_rows_score_infinite_loss():
-    tree = from_expr(parse_expr("log2(x)"))
     cols = {"x": np.array([0.0, 2.0])}
-    assert tree_loss(tree, cols, np.array([0.0, 1.0])) == math.inf
-    tree = from_expr(parse_expr("1/x"))
-    assert tree_loss(tree, cols, np.array([0.0, 0.5])) == math.inf
+    assert tree_loss(parse_expr("log2(x)"), cols, np.array([0.0, 1.0])) == math.inf
+    assert tree_loss(parse_expr("1/x"), cols, np.array([0.0, 0.5])) == math.inf
 
 
-def test_to_expr_from_expr_roundtrip():
-    for src in ["x + y", "2^x", "x^2", "x!", "floor(x/2)", "max(x, 3)"]:
+def test_tree_nodes_replace_at_roundtrip():
+    """Every GP node can be put back in place; square, cube and pow2 carry
+    their constant inside the node."""
+    for src in ["x + y", "2^x", "x^2", "x^3", "x^y", "x!", "floor(x/2)", "max(x, 3)"]:
         e = parse_expr(src)
-        assert to_expr(from_expr(e)) == e
+        for i, node in enumerate(tree_nodes(e)):
+            assert replace_at(e, i, node) == e
+    assert [_node(n)[0] for n in tree_nodes(parse_expr("x^2 + 2^x"))] == [
+        "add", "square", "var", "pow2", "var"
+    ]
+    assert [_node(n)[0] for n in tree_nodes(parse_expr("x^4"))] == ["pow", "var", "const"]
+    assert replace_at(parse_expr("x^2 + y"), 1, Var("y")) == parse_expr("y + y")
 
 
 def test_evolve_deterministic():
