@@ -3,6 +3,7 @@ expected solution; corpus runs aggregate per-category counts."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import random
@@ -10,16 +11,32 @@ import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 
 from .dsl import BenchmarkFile, parse, print_piecewise
 from .evaluator import EvalBudget
 from .linear import GuessOutcome, LassoConfig, guess_linear
 from .model import (
+    Add,
+    Ceil,
+    Const,
+    Div,
     EvalError,
     Expr,
+    Factorial,
+    Floor,
     FuncDef,
+    Ite,
+    Log2,
+    Max,
+    Min,
+    Mul,
     PiecewiseClosedForm,
+    Pow,
+    Sub,
+    Var,
     eval_bool,
+    eval_ground,
 )
 from .sampler import SampleConfig
 from .smt import (
@@ -30,6 +47,8 @@ from .smt import (
     Unsupported,
     VerificationResult,
     eval_piecewise,
+    piece_at,
+    values_agree,
     verify,
 )
 from .symbolic import GPConfig, OperatorSet, guess_symbolic
@@ -90,8 +109,6 @@ def _log_of_number(v) -> tuple[int, float] | None:
     try:
         if isinstance(v, float):
             return (1 if v > 0 else -1, math.log(abs(v)))
-        from fractions import Fraction
-
         if isinstance(v, Fraction):
             sign = 1 if v > 0 else -1
             return (sign, math.log(abs(v.numerator)) - math.log(v.denominator))
@@ -107,27 +124,11 @@ def _log_eval(e: Expr, env) -> tuple[int, float] | tuple[str] | None:
     guarded evaluation, so it keeps the same conventions: log2 of anything
     below 1 is 0, division by zero is 0, and floor/ceil are exact wherever
     their argument evaluates without overflow."""
-    from .model import (
-        Add,
-        Ceil,
-        Const,
-        Div,
-        Factorial,
-        Floor,
-        Ite,
-        Log2,
-        Max,
-        Min,
-        Mul,
-        Pow,
-        Sub,
-        Var,
-    )
 
     def lin(node) -> float | None:
         # plain float value for subterms that stay small (exponents, args)
         try:
-            v = _ground(node, env)
+            v = eval_ground(node, env, guarded=True)
         except (EvalError, OverflowError):
             return None
         try:
@@ -185,7 +186,7 @@ def _log_eval(e: Expr, env) -> tuple[int, float] | tuple[str] | None:
             return (1, base[1] * ev)
         if isinstance(node, (Floor, Ceil)):
             try:
-                v = _ground(node, env)
+                v = eval_ground(node, env, guarded=True)
             except EvalError as exc:
                 if exc.kind != "overflow":
                     return None
@@ -220,25 +221,15 @@ def _log_eval(e: Expr, env) -> tuple[int, float] | tuple[str] | None:
     return go(e)
 
 
-def _ground(e, env):
-    from .model import eval_ground
-
-    return eval_ground(e, env, guarded=True)
-
-
 def _point_value(pcf: PiecewiseClosedForm, env) -> tuple | None:
-    """Evaluate at a point as ('zero',) or (sign, log|v|); None if no piece
-    covers the point or evaluation fails outright."""
-    for p in pcf.pieces:
-        if eval_bool(p.domain, env):
-            try:
-                v = _ground(p.body, env)
-                return _ZERO if v == 0 else _log_of_number(v)
-            except EvalError as exc:
-                if exc.kind == "overflow":
-                    return _log_eval(p.body, env)
-                return None
-    return None
+    """Evaluate at a point as ('zero',) or (sign, log|v|), on the piece that
+    eval_piecewise would choose; None if evaluation fails outright."""
+    body = piece_at(pcf, env).body
+    try:
+        v = eval_ground(body, env, guarded=True)
+    except EvalError as exc:
+        return _log_eval(body, env) if exc.kind == "overflow" else None
+    return _ZERO if v == 0 else _log_of_number(v)
 
 
 def _probe_grid(func: FuncDef, seed: int, limit: int = 40_000, hi: int = 30):
@@ -246,8 +237,6 @@ def _probe_grid(func: FuncDef, seed: int, limit: int = 40_000, hi: int = 30):
     total = (hi + 1) ** m
     rng = random.Random(seed)
     if total <= limit:
-        import itertools
-
         pts = itertools.product(range(hi + 1), repeat=m)
     else:
         pts = (tuple(rng.randint(0, hi) for _ in range(m)) for _ in range(limit))
@@ -354,7 +343,7 @@ def classify(
             except EvalError:
                 vc = None
             covered += 1
-            if vc is None or ve is None or not _num_eq(vc, ve):
+            if vc is None or ve is None or not values_agree(vc, ve):
                 grid_equal = False
                 break
         if grid_equal and covered > 0:
@@ -365,12 +354,6 @@ def classify(
     if all(_ray_ok(cand, expect, func, b, d, use_log=True) for b, d in rays):
         return "exp-theta"
     return _fallback_class(cand, func, seed)
-
-
-def _num_eq(a, b) -> bool:
-    if isinstance(a, float) or isinstance(b, float):
-        return math.isclose(float(a), float(b), rel_tol=1e-9, abs_tol=1e-9)
-    return a == b
 
 
 def _fallback_class(cand: PiecewiseClosedForm, func: FuncDef, seed: int) -> str:

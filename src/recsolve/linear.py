@@ -20,28 +20,26 @@ from .evaluator import EvalBudget, Evaluator
 from .model import (
     Add,
     BoolExpr,
-    Call,
     Ceil,
     Const,
     Div,
     Expr,
     Factorial,
     Floor,
-    FuncDef,
     Log2,
     Max,
+    Min,
     Mul,
     Piece,
     PiecewiseClosedForm,
     Pow,
     RecurrenceSystem,
-    TRUE,
+    Sub,
     Var,
     eval_array,
 )
 from .rewrite import simplify
 from .sampler import (
-    BoundChoice,
     EmptyDomain,
     SampleConfig,
     Subdomain,
@@ -120,6 +118,14 @@ class LinearModel:
         if len(self.selected) == 0:
             return np.full(X.shape[0] if X.ndim == 2 else len(X), self.intercept)
         return self.intercept + X @ self.coefficients
+
+    def expr(self) -> Expr:
+        """intercept + sum of coefficient * base function, with the float
+        coefficients as constants."""
+        body: Expr = Const(Fraction(float(self.intercept)))
+        for v, t in zip(self.coefficients, self.selected):
+            body = Add(body, Mul(Const(Fraction(float(v))), t))
+        return body
 
 
 # ---------------------------------------------------------------------------
@@ -541,42 +547,30 @@ def rationalize_value(v: float, tol: float = 1e-4, max_den: int = 64):
     return None
 
 
-def rationalize(
-    model: LinearModel,
-    domain: BoolExpr = TRUE,
-    tol: float = 1e-4,
-) -> Piece:
-    """Turn a fitted model into a closed-form piece.  Coefficients near zero
-    are dropped; coefficients without a close small-denominator rational stay
-    as floats and mark the piece as not exactly verifiable."""
+def rationalize(e: Expr, tol: float = 1e-4) -> tuple[Expr, bool]:
+    """Replace each constant by the nearest rational with a denominator of at
+    most 64, so a constant within `tol` of zero becomes 0.  A constant with no
+    such rational stays a float, and the flag returned with the expression is
+    then False: the piece is not exactly verifiable."""
     exact = True
-    body: Expr = Const(Fraction(0))
-    terms: list[Expr] = []
 
-    def coef_expr(v: float):
+    def go(node: Expr) -> Expr:
         nonlocal exact
-        if abs(v) <= tol:
-            return None
-        f = rationalize_value(v, tol)
-        if f is None:
-            exact = False
-            return Const(Fraction(v))
-        return Const(f)
+        if isinstance(node, Const):
+            if node.value.denominator <= 64:
+                return node
+            f = rationalize_value(float(node.value), tol)
+            if f is None:
+                exact = False
+                return node
+            return Const(f)
+        if isinstance(node, (Add, Sub, Mul, Div, Pow, Max, Min)):
+            return type(node)(go(node.lhs), go(node.rhs))
+        if isinstance(node, (Floor, Ceil, Log2, Factorial)):
+            return type(node)(go(node.arg))
+        return node
 
-    c0 = coef_expr(model.intercept)
-    if c0 is not None:
-        terms.append(c0)
-    for v, t in zip(model.coefficients, model.selected):
-        c = coef_expr(float(v))
-        if c is None:
-            continue
-        terms.append(Mul(c, t))
-    if terms:
-        body = terms[0]
-        for t in terms[1:]:
-            body = Add(body, t)
-    body = simplify(body)
-    return Piece(domain=domain, body=body, score=model.score, exact_coeffs=exact)
+    return go(e), exact
 
 
 # ---------------------------------------------------------------------------
@@ -659,12 +653,7 @@ class GuessOutcome:
 
 
 def _fit_tiers(
-    params: tuple[str, ...],
-    train_inputs,
-    train_values,
-    test_inputs,
-    test_values,
-    cfg: LassoConfig,
+    params: tuple[str, ...], data: DomainData, cfg: LassoConfig
 ) -> tuple[LinearModel | None, tuple[str, ...]]:
     flags: list[str] = []
     best: LinearModel | None = None
@@ -677,8 +666,8 @@ def _fit_tiers(
             flags.append(f"{tier}:catalog-too-large")
             continue
         try:
-            T = build_training_set(fs, params, train_inputs, train_values, deadline)
-            Ttest = build_training_set(fs, params, test_inputs, test_values, deadline) if test_inputs else None
+            T = build_training_set(fs, params, data.train_inputs, data.train_values, deadline)
+            Ttest = build_training_set(fs, params, data.test_inputs, data.test_values, deadline) if data.test_inputs else None
             res = cv_lasso(T, cfg, deadline=deadline)
             try:
                 fs2, T2 = prune(fs, T, res.beta, res.beta0, cfg.epsilon)
@@ -706,42 +695,39 @@ def _fit_tiers(
     return best, tuple(flags)
 
 
-def _constant_piece(dom: Subdomain, data: DomainData) -> Piece:
-    vals = np.asarray([float(v) for v in data.train_values])
-    c = float(np.median(vals))
-    if data.test_values:
-        score = r2_score(
-            np.asarray([float(v) for v in data.test_values]), np.full(len(data.test_values), c)
-        )
-    else:
-        score = r2_score(vals, np.full(len(vals), c))
-    f = rationalize_value(c)
-    body = Const(f if f is not None else Fraction(c))
-    return Piece(domain=dom.constraint, body=body, score=score, exact_coeffs=f is not None)
+def held_out_r2(e: Expr, params: tuple[str, ...], data: DomainData) -> float:
+    """R^2 of `e` on the domain's test rows, or on its training rows when it
+    has no test rows; -inf where `e` is not finite at some row."""
+    inputs = data.test_inputs or data.train_inputs
+    values = data.test_values if data.test_inputs else data.train_values
+    cols = {p: np.asarray([t[i] for t in inputs], dtype=float) for i, p in enumerate(params)}
+    pred = eval_array(e, cols)
+    if not np.all(np.isfinite(pred)):
+        return -math.inf
+    return r2_score(np.asarray([float(v) for v in values]), pred)
 
 
-def guess_linear(
+def _guess_domains(
     system: RecurrenceSystem,
-    func: str | None = None,
-    lasso_cfg: LassoConfig | None = None,
-    sample_cfg: SampleConfig | None = None,
-    domsplit: bool = False,
-    budget: EvalBudget | None = None,
+    fit,
+    min_rows: int,
+    func: str | None,
+    sample_cfg: SampleConfig | None,
+    domsplit: bool,
+    budget: EvalBudget | None,
 ) -> GuessOutcome:
-    """Run the full lasso pipeline for the entry function: per-subdomain when
-    splitting, otherwise once on the strictly positive orthant.  The best
-    tier wins on test R^2 with ties toward sparser models and smaller tiers."""
-    lasso_cfg = lasso_cfg or LassoConfig()
+    """The guessing loop both regressors share.  Each fit domain (the split
+    subdomains, or else the strictly positive orthant) is sampled with its
+    own seed.  A domain with fewer than `min_rows` training rows takes the
+    median as a constant; any other goes to `fit(params, data, index)`, which
+    returns (expression or None, score, model or None, flags).  The
+    expression is simplified, rationalized and simplified again."""
     sample_cfg = sample_cfg or SampleConfig()
     budget = budget or EvalBudget()
     fname = func or system.entry
     f = system.functions[fname]
     evaluator = Evaluator(system, budget)
-
-    if domsplit:
-        domains = split_domains(f)
-    else:
-        domains = [Subdomain(positive_orthant(f), -1)]
+    domains = split_domains(f) if domsplit else [Subdomain(positive_orthant(f), -1)]
 
     fits: list[DomainFit] = []
     pieces: list[Piece] = []
@@ -759,30 +745,45 @@ def guess_linear(
             fits.append(DomainFit(dom, None, None, error=data))
             failed += 1
             continue
-        if len(data.train_inputs) < 2 * lasso_cfg.folds:
-            # tiny subdomains (down to a single point) take the constant fit
-            piece = _constant_piece(dom, data)
-            pieces.append(piece)
-            fits.append(DomainFit(dom, piece, None, bound=data.bound, flags=("constant-fit",)))
-            continue
         t0 = time.monotonic()
-        model, flags = _fit_tiers(
-            f.params,
-            data.train_inputs,
-            data.train_values,
-            data.test_inputs,
-            data.test_values,
-            lasso_cfg,
-        )
+        if len(data.train_inputs) < min_rows:
+            # tiny subdomains (down to a single point) take the constant fit
+            c = Const(Fraction(float(np.median([float(v) for v in data.train_values]))))
+            expr, score, model, flags = c, held_out_r2(c, f.params, data), None, ("constant-fit",)
+        else:
+            expr, score, model, flags = fit(f.params, data, di)
         fit_s += time.monotonic() - t0
-        if model is None:
+        if expr is None:
             fits.append(DomainFit(dom, None, None, bound=data.bound, error="no-fit", flags=flags))
             failed += 1
             continue
-        piece = rationalize(model, domain=dom.constraint)
+        body, exact = rationalize(simplify(expr))
+        piece = Piece(domain=dom.constraint, body=simplify(body), score=score, exact_coeffs=exact)
         pieces.append(piece)
         fits.append(DomainFit(dom, piece, model, bound=data.bound, flags=flags))
     return GuessOutcome(
         PiecewiseClosedForm(tuple(pieces)), fits, failed,
         sample_seconds=sample_s, fit_seconds=fit_s,
     )
+
+
+def guess_linear(
+    system: RecurrenceSystem,
+    func: str | None = None,
+    lasso_cfg: LassoConfig | None = None,
+    sample_cfg: SampleConfig | None = None,
+    domsplit: bool = False,
+    budget: EvalBudget | None = None,
+) -> GuessOutcome:
+    """Run the full lasso pipeline for the entry function: per-subdomain when
+    splitting, otherwise once on the strictly positive orthant.  The best
+    tier wins on test R^2 with ties toward sparser models and smaller tiers."""
+    lasso_cfg = lasso_cfg or LassoConfig()
+
+    def fit(params, data, index):
+        model, flags = _fit_tiers(params, data, lasso_cfg)
+        if model is None:
+            return None, 0.0, None, flags
+        return model.expr(), model.score, model, flags
+
+    return _guess_domains(system, fit, 2 * lasso_cfg.folds, func, sample_cfg, domsplit, budget)

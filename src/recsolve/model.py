@@ -515,12 +515,12 @@ def _eval_pow(e: Pow, env, g, cb=None) -> Number:
     exp = _eval(e.exp, env, g, cb)
     exp_i = _as_exact_int(exp) if not isinstance(exp, float) else None
     if exp_i is not None and not isinstance(base, float):
-        if exp_i >= 0:
-            if exp_i * _bits(base) > 520:  # cheap pre-check before exact pow
-                raise EvalError("overflow", "power result too large")
-            return _check_overflow(Fraction(base) ** exp_i)
-        if base == 0:
+        if exp_i < 0 and base == 0:
             raise EvalError("division-by-zero", "0 to a negative power")
+        # the numerator or the denominator of the base is at least
+        # 2^(bits - 1), so past this the result surely overflows
+        if abs(exp_i) * (_bits(base) - 1) > 512:
+            raise EvalError("overflow", "power result too large")
         return _check_overflow(Fraction(base) ** exp_i)
     # Exact square root when it exists, otherwise float.
     if (

@@ -45,6 +45,7 @@ from .model import (
     Mul,
     Not,
     Or,
+    Piece,
     PiecewiseClosedForm,
     Pow,
     RecurrenceSystem,
@@ -102,7 +103,6 @@ class SolverConfig:
     command: tuple[str, ...] | None = None  # None: resolve automatically
     timeout: float = 10.0
     debug_dir: str | None = None
-    real_encoding: bool = False  # reals + integrality constraints variant
 
     def resolved_command(self) -> tuple[str, ...]:
         if self.command:
@@ -220,23 +220,18 @@ class _Encoder:
     """Expressions become integer-scaled terms (text, positive denominator);
     rounding introduces fresh quotient variables with defining bounds, and
     constant-base exponentials become axiomatized recursive power functions.
-
-    real_mode reproduces the reals-plus-integrality-constraints device
-    (variables declared Real with x = to_real(to_int(x))) for cross-checks.
     """
 
-    def __init__(self, positive_divisors: set[str] | None = None, real_mode: bool = False):
+    def __init__(self, positive_divisors: set[str] | None = None):
         self.aux: list[str] = []
         self.fresh_vars: list[str] = []
         self._cache: dict = {}
         self.pow_bases: set[int] = set()
         self.positive_divisors = positive_divisors or set()
-        self.real_mode = real_mode
         self._counter = 0
 
     def lit(self, v: int) -> str:
-        text = f"{v}.0" if self.real_mode else str(v)
-        return text if v >= 0 else ("(- " + (f"{-v}.0" if self.real_mode else str(-v)) + ")")
+        return str(v) if v >= 0 else f"(- {-v})"
 
     def _fresh(self, prefix: str) -> str:
         self._counter += 1
@@ -253,8 +248,8 @@ class _Encoder:
         if isinstance(e, (Add, Sub)):
             (ta, da), (tb, db) = self.term(e.lhs), self.term(e.rhs)
             L = _lcm(da, db)
-            ta = _scaled(ta, L // da, self.real_mode)
-            tb = _scaled(tb, L // db, self.real_mode)
+            ta = _scaled(ta, L // da)
+            tb = _scaled(tb, L // db)
             op = "+" if isinstance(e, Add) else "-"
             return f"({op} {ta} {tb})", L
         if isinstance(e, Mul):
@@ -267,14 +262,12 @@ class _Encoder:
                     raise EncodingError("division-by-zero")
                 ta, da = self.term(e.lhs)
                 num = c.numerator
-                t = _scaled(ta, abs(c.denominator), self.real_mode)
+                t = _scaled(ta, abs(c.denominator))
                 if num < 0:
                     t = f"(- {t})"
                 return t, da * abs(num)
             raise EncodingError("variable-division")
         if isinstance(e, Pow):
-            if self.real_mode:
-                raise EncodingError("Pow")
             return self._pow(e)
         if isinstance(e, Floor):
             return self._rounding(e.arg, "floor")
@@ -283,16 +276,16 @@ class _Encoder:
         if isinstance(e, (Max, Min)):
             (ta, da), (tb, db) = self.term(e.lhs), self.term(e.rhs)
             L = _lcm(da, db)
-            ta = _scaled(ta, L // da, self.real_mode)
-            tb = _scaled(tb, L // db, self.real_mode)
+            ta = _scaled(ta, L // da)
+            tb = _scaled(tb, L // db)
             rel = ">=" if isinstance(e, Max) else "<="
             return f"(ite ({rel} {ta} {tb}) {ta} {tb})", L
         if isinstance(e, Ite):
             cond = self.boolean(e.cond)
             (ta, da), (tb, db) = self.term(e.then), self.term(e.orelse)
             L = _lcm(da, db)
-            ta = _scaled(ta, L // da, self.real_mode)
-            tb = _scaled(tb, L // db, self.real_mode)
+            ta = _scaled(ta, L // da)
+            tb = _scaled(tb, L // db)
             return f"(ite {cond} {ta} {tb})", L
         if isinstance(e, Log2):
             raise EncodingError("Log2")
@@ -380,8 +373,8 @@ class _Encoder:
         if isinstance(b, Cmp):
             (ta, da), (tb, db) = self.term(b.lhs), self.term(b.rhs)
             L = _lcm(da, db)
-            ta = _scaled(ta, L // da, self.real_mode)
-            tb = _scaled(tb, L // db, self.real_mode)
+            ta = _scaled(ta, L // da)
+            tb = _scaled(tb, L // db)
             if b.op == "=":
                 return f"(= {ta} {tb})"
             if b.op == "!=":
@@ -390,11 +383,8 @@ class _Encoder:
         raise EncodingError(type(b).__name__)
 
 
-def _scaled(t: str, m: int, real: bool = False) -> str:
-    if m == 1:
-        return t
-    lit = f"{m}.0" if real else str(m)
-    return f"(* {lit} {t})"
+def _scaled(t: str, m: int) -> str:
+    return t if m == 1 else f"(* {m} {t})"
 
 
 _POW_AXIOMS = """\
@@ -411,15 +401,10 @@ def build_job(
     positive_divisors: set[str] | None = None,
     name: str = "query",
 ) -> SmtJob:
-    enc = _Encoder(positive_divisors, real_mode=solver.real_encoding)
+    enc = _Encoder(positive_divisors)
     body = enc.boolean(assertion_bool)
-    sort = "Real" if solver.real_encoding else "Int"
-    decls = [f"(declare-fun {v} () {sort})" for v in list(variables) + enc.fresh_vars]
+    decls = [f"(declare-fun {v} () Int)" for v in list(variables) + enc.fresh_vars]
     axioms = [_POW_AXIOMS.format(c=c) for c in sorted(enc.pow_bases)]
-    if solver.real_encoding:
-        enc.aux = [
-            f"(= {v} (to_real (to_int {v})))" for v in list(variables) + enc.fresh_vars
-        ] + enc.aux
     if enc.aux:
         body = "(and " + " ".join(enc.aux + [body]) + ")"
     return SmtJob(
@@ -636,9 +621,7 @@ def verify(
         got = eval_piecewise(cand, dict(zip(params, args)))
         if got is None:
             return True  # no piece covers an in-domain point
-        if isinstance(actual, float) or isinstance(got, float):
-            return not math.isclose(float(actual), float(got), rel_tol=1e-9, abs_tol=1e-9)
-        return actual != got
+        return not values_agree(actual, got)
 
     try:
         return check(job, confirmer, solver.debug_dir)
@@ -646,18 +629,33 @@ def verify(
         return Unknown("malformed-solver-output")
 
 
-def eval_piecewise(cand: PiecewiseClosedForm, env: dict):
-    """Pieces are tried in order and the last one is the default branch,
-    mirroring the nested-conditional inlining used for verification (a
-    single-piece candidate is a global expression; its recorded domain only
-    documents where it was fitted).  Evaluation is guarded, matching the
-    feature semantics candidates were fitted under."""
-    if not cand.pieces:
-        return None
+def values_agree(a, b) -> bool:
+    """Equal values: exactly for exact numbers, within 1e-9 (relative or
+    absolute) once either is a float."""
+    if isinstance(a, float) or isinstance(b, float):
+        return math.isclose(float(a), float(b), rel_tol=1e-9, abs_tol=1e-9)
+    return a == b
+
+
+def piece_at(cand: PiecewiseClosedForm, env: dict) -> Piece:
+    """The piece that applies at a point of a non-empty candidate.  Pieces
+    are tried in order and the last one is the default branch, mirroring the
+    nested-conditional inlining used for verification (a single-piece
+    candidate is a global expression; its recorded domain only documents
+    where it was fitted)."""
     for p in cand.pieces[:-1]:
         if eval_bool(p.domain, env):
-            return eval_ground(p.body, env, guarded=True)
-    return eval_ground(cand.pieces[-1].body, env, guarded=True)
+            return p
+    return cand.pieces[-1]
+
+
+def eval_piecewise(cand: PiecewiseClosedForm, env: dict):
+    """Value of the candidate at a point (see piece_at), or None when it has
+    no pieces.  Evaluation is guarded, matching the feature semantics
+    candidates were fitted under."""
+    if not cand.pieces:
+        return None
+    return eval_ground(piece_at(cand, env).body, env, guarded=True)
 
 
 def encode(
@@ -697,13 +695,7 @@ def _guard_bindings(guard: BoolExpr) -> dict:
 def _encode_only(system, cand, solver):
     f = system.entry_func
     params = tuple(f.params)
-    # side-condition queries always use the plain integer encoding
-    side_solver = (
-        SolverConfig(command=solver.command, timeout=solver.timeout)
-        if solver.real_encoding
-        else solver
-    )
-    entails = _make_entailment_checker(params, side_solver, solver.debug_dir)
+    entails = _make_entailment_checker(params, solver, solver.debug_dir)
     lhs_raw = inline_candidate(cand, tuple(Var(p) for p in params), params)
     case_eqs = []
     prev_ctx: BoolExpr = TRUE

@@ -16,8 +16,8 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import minimize
 
-from .evaluator import EvalBudget, Evaluator
-from .linear import GuessOutcome, DomainFit, collect_domain_data, r2_score, rationalize_value
+from .evaluator import EvalBudget
+from .linear import GuessOutcome, _guess_domains, held_out_r2
 from .model import (
     Add,
     Ceil,
@@ -29,16 +29,13 @@ from .model import (
     Log2,
     Max,
     Mul,
-    Piece,
-    PiecewiseClosedForm,
     Pow,
     RecurrenceSystem,
     Sub,
     Var,
     eval_array,
 )
-from .rewrite import simplify
-from .sampler import SampleConfig, Subdomain, positive_orthant, split_domains
+from .sampler import SampleConfig
 
 BINARY = ("add", "sub", "max", "mul", "div", "pow")
 UNARY = ("floor", "ceil", "square", "cube", "log2", "pow2", "fact")
@@ -422,119 +419,43 @@ def optimize_constants(expr: Expr, inputs, targets, params: tuple[str, ...]) -> 
 # ---------------------------------------------------------------------------
 
 
-def _rationalize_expr(e: Expr, tol: float = 1e-4) -> tuple[Expr, bool]:
-    exact = True
-
-    def go(node: Expr) -> Expr:
-        nonlocal exact
-        if isinstance(node, Const):
-            if node.value.denominator <= 64:
-                return node
-            f = rationalize_value(float(node.value), tol)
-            if f is None:
-                exact = False
-                return node
-            return Const(f)
-        if isinstance(node, (Add, Sub, Mul, Div, Max, Pow)):
-            pair = (go(node.lhs), go(node.rhs)) if not isinstance(node, Pow) else (
-                go(node.base), go(node.exp))
-            return type(node)(*pair)
-        if isinstance(node, (Floor, Ceil, Log2, Factorial)):
-            return type(node)(go(node.arg))
-        return node
-
-    return go(e), exact
-
-
 def guess_symbolic(
     system: RecurrenceSystem,
     func: str | None = None,
     gp_cfg: GPConfig | None = None,
     sample_cfg: SampleConfig | None = None,
     ops: OperatorSet | None = None,
-    domsplit: bool = True,
+    domsplit: bool = False,
     budget: EvalBudget | None = None,
 ) -> GuessOutcome:
-    """Evolve candidates per subdomain and pick from each front the entry
-    with the best test-set R^2 (complexity breaks ties); constants are
-    rationalized for verification eligibility."""
+    """Evolve candidates in each fit domain (see linear._guess_domains) and
+    pick from each front the entry with the best test-set R^2 (complexity
+    breaks ties); constants are rationalized for verification eligibility."""
     gp_cfg = gp_cfg or GPConfig()
-    sample_cfg = sample_cfg or SampleConfig()
-    ops = ops or OperatorSet()
-    budget = budget or EvalBudget()
-    fname = func or system.entry
-    f = system.functions[fname]
-    evaluator = Evaluator(system, budget)
 
-    domains = (
-        split_domains(f) if domsplit else [Subdomain(positive_orthant(f), -1)]
-    )
-    fits: list[DomainFit] = []
-    pieces: list[Piece] = []
-    failed = 0
-    sample_s = 0.0
-    fit_s = 0.0
-    for di, dom in enumerate(domains):
-        seed = sample_cfg.seed * 7919 + di
-        t0 = time.monotonic()
-        data = collect_domain_data(
-            system, fname, dom.constraint, sample_cfg, budget, evaluator, seed
+    def fit(params, data, index):
+        front = evolve(
+            data.train_inputs,
+            [float(v) for v in data.train_values],
+            params,
+            ops,
+            replace(gp_cfg, seed=gp_cfg.seed * 977 + index),
         )
-        sample_s += time.monotonic() - t0
-        if isinstance(data, str):
-            fits.append(DomainFit(dom, None, None, error=data))
-            failed += 1
-            continue
-        t0 = time.monotonic()
-        if len(data.train_values) < 5:
-            # tiny subdomains (e.g. a single point) take the constant fit
-            val = float(np.median([float(v) for v in data.train_values]))
-            tree = Const(Fraction(val))
-        else:
-            cfg_i = replace(gp_cfg, seed=gp_cfg.seed * 977 + di)
-            front = evolve(
-                data.train_inputs,
-                [float(v) for v in data.train_values],
-                f.params,
-                ops,
-                cfg_i,
-            )
-            entries = front.pareto()
-            if not entries:
-                fits.append(DomainFit(dom, None, None, bound=data.bound, error="no-fit"))
-                failed += 1
-                continue
-            tree = _select_entry(entries, f.params, data)
-        expr = simplify(tree)
-        expr, exact = _rationalize_expr(expr)
-        expr = simplify(expr)
-        score = _test_r2(tree, f.params, data)
-        fit_s += time.monotonic() - t0
-        piece = Piece(domain=dom.constraint, body=expr, score=score, exact_coeffs=exact)
-        pieces.append(piece)
-        fits.append(DomainFit(dom, piece, None, bound=data.bound))
-    return GuessOutcome(
-        PiecewiseClosedForm(tuple(pieces)), fits, failed,
-        sample_seconds=sample_s, fit_seconds=fit_s,
-    )
+        entries = front.pareto()
+        if not entries:
+            return None, 0.0, None, ()
+        tree, score = _select_entry(entries, params, data)
+        return tree, score, None, ()
+
+    return _guess_domains(system, fit, 5, func, sample_cfg, domsplit, budget)
 
 
-def _test_r2(tree: Expr, params, data) -> float:
-    inputs = data.test_inputs or data.train_inputs
-    values = data.test_values if data.test_inputs else data.train_values
-    cols = {p: np.asarray([t[i] for t in inputs], dtype=float) for i, p in enumerate(params)}
-    pred = eval_array(tree, cols)
-    y = np.asarray([float(v) for v in values])
-    if not np.all(np.isfinite(pred)):
-        return -math.inf
-    return r2_score(y, pred)
-
-
-def _select_entry(entries: list[FrontEntry], params, data) -> Expr:
+def _select_entry(entries: list[FrontEntry], params, data) -> tuple[Expr, float]:
+    """The entry with the best held-out R^2, and that R^2."""
     best, best_key = None, None
     for e in entries:
-        r2 = _test_r2(e.tree, params, data)
+        r2 = held_out_r2(e.tree, params, data)
         key = (round(r2, 9), -e.complexity)
         if best is None or key > best_key:
-            best, best_key = e.tree, key
+            best, best_key = (e.tree, r2), key
     return best

@@ -70,6 +70,18 @@ def test_classify_scaled_by_constant_stays_theta(corpus):
         assert got in ("exact", "theta"), name
 
 
+@pytest.mark.parametrize("name, body", [("exp3", "3*2^(x + y)"), ("open_zip", "max(x, y) + 1")])
+def test_classify_single_piece_is_global_on_rays(corpus, name, body):
+    """A single piece is the default branch everywhere, so its recorded
+    domain (here the positive orthant it was fitted on) does not change its
+    class: probe rays along the axes leave that domain."""
+    bf = corpus[name]
+    f = bf.system.entry_func
+    fitted = parse_candidate(f"piece x >= 1 and y >= 1 -> {body}")
+    got = classify(fitted, bf.expect, None, f)
+    assert got == classify(parse_candidate(body), bf.expect, None, f) == "theta"
+
+
 def test_classify_proved_is_exact(eq1):
     assert classify(parse_candidate("x"), None, Proved(), eq1.system.entry_func) == "exact"
 

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -166,6 +167,26 @@ def test_negative_float_base_with_integer_exponent():
     with pytest.raises(EvalError) as exc:
         eval_ground(parse_expr("(0/log2(x))^(-1)"), {"x": 3})
     assert exc.value.kind == "division-by-zero"
+
+
+def test_power_overflow_precheck_is_exact():
+    # a base of magnitude 1 never overflows, whatever the exponent
+    e = parse_expr("x^600")
+    for x in (1, -1):
+        assert eval_ground(e, {"x": x}) == 1
+        assert eval_array(e, {"x": np.array([float(x)])})[0] == 1.0
+    # 3^300 < 2^512: in range although the base takes two bits
+    assert eval_ground(parse_expr("(3/2)^300"), {}) == Fraction(3, 2) ** 300
+    with pytest.raises(EvalError) as exc:
+        eval_ground(parse_expr("(3/2)^400"), {})
+    assert exc.value.kind == "overflow"
+    # negative exponents are checked before the power is computed
+    t0 = time.monotonic()
+    with pytest.raises(EvalError) as exc:
+        eval_ground(parse_expr("3^(0 - x)"), {"x": 2**24})
+    assert exc.value.kind == "overflow"
+    assert time.monotonic() - t0 < 0.1
+    assert eval_ground(parse_expr("2^(0 - x)"), {"x": 512}) == Fraction(1, 2**512)
 
 
 # -- eval_array against eval_ground ---------------------------------------------

@@ -185,14 +185,6 @@ def test_verify_float_coefficients_unsupported(eq1):
     assert isinstance(res, Unsupported)
 
 
-def test_real_encoding_mode_emits_paper_device(eq1):
-    from recsolve.smt import _encode_only
-
-    job = _encode_only(eq1.system, parse_candidate("x"), SolverConfig(real_encoding=True))
-    assert "(declare-fun x () Real)" in job.script
-    assert "(to_real (to_int x))" in job.script
-
-
 def test_verified_corpus_expects_and_soundness(corpus):
     """Every hand-written expected solution either proves or is honestly
     Unknown/Unsupported; Proved results agree with the evaluator on random

@@ -7,6 +7,7 @@ import pytest
 from recsolve import dsl
 from recsolve.dsl import parse_expr, print_expr
 from recsolve.evaluator import Evaluator
+from recsolve.linear import guess_linear
 from recsolve.model import EvalError, Var, eval_array, eval_ground
 from recsolve.symbolic import (
     GPConfig,
@@ -200,3 +201,17 @@ def test_guess_symbolic_eq1_split(eq1):
     bodies = {dsl.print_bool(p.domain): print_expr(p.body) for p in out.candidate.pieces}
     assert bodies["x = 0"] == "0"
     assert bodies["x > 0"] == "x"
+
+
+def test_both_regressors_flag_constant_fits(corpus):
+    """Both methods share one domain loop: the single-point subdomain x = 0
+    of nested takes the constant fit and says so."""
+    system = corpus["nested"].system
+    lin = guess_linear(system, domsplit=True)
+    sym = guess_symbolic(
+        system,
+        gp_cfg=GPConfig(populations=4, population_size=10, iterations=3, seed=1),
+        domsplit=True,
+    )
+    assert [f.flags for f in sym.fits] == [f.flags for f in lin.fits] == [("constant-fit",), ()]
+    assert [p.body for p in sym.candidate.pieces][:1] == [p.body for p in lin.candidate.pieces][:1]
