@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import sys
 import threading
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,10 +34,9 @@ _RECURSION_LIMIT = 400_000
 class EvalBudget:
     max_calls: int = 10**6
     max_depth: int = 10**4
-    wall_clock: float = 2.0  # seconds, per batch
 
     def __post_init__(self):
-        if self.max_calls <= 0 or self.max_depth <= 0 or self.wall_clock <= 0:
+        if self.max_calls <= 0 or self.max_depth <= 0:
             raise ValueError("budget components must be positive")
 
 
@@ -48,7 +46,7 @@ class NoMatchingCase(Exception):
 
 class BudgetExceeded(Exception):
     def __init__(self, reason: str):
-        self.reason = reason  # "depth" | "calls" | "wall-clock"
+        self.reason = reason  # "depth" | "calls"
         super().__init__(reason)
 
 
@@ -79,18 +77,23 @@ class Evaluator:
     def eval_fun(self, func: str, args: tuple[int, ...]) -> Number:
         return _run_deep(lambda: self._eval_top(func, tuple(args)))
 
-    def batch_eval(self, func: str, inputs) -> list[BatchResult]:
+    def batch_eval(self, func: str, inputs, stop_at_budget_failure: bool = False) -> list[BatchResult]:
+        """One result per input, in order.  With `stop_at_budget_failure`
+        the batch ends after the first input that exceeds the budget, so the
+        result list can be shorter than `inputs`."""
+
         def job():
             out = []
-            deadline = time.monotonic() + self.budget.wall_clock
             for inp in inputs:
                 inp = tuple(inp)
                 self._warned = False
                 try:
-                    v = self._call(func, inp, 0, deadline)
+                    v = self._call(func, inp, 0)
                     out.append(BatchResult(inp, value=v, warned=self._warned))
                 except (EvalError, NoMatchingCase, BudgetExceeded) as exc:
                     out.append(BatchResult(inp, error=_error_kind(exc), warned=self._warned))
+                    if stop_at_budget_failure and isinstance(exc, BudgetExceeded):
+                        break
             return out
 
         return _run_deep(job)
@@ -98,11 +101,10 @@ class Evaluator:
     # -- internals ------------------------------------------------------------
 
     def _eval_top(self, func: str, args: tuple[int, ...]) -> Number:
-        deadline = time.monotonic() + self.budget.wall_clock
         self._warned = False
-        return self._call(func, args, 0, deadline)
+        return self._call(func, args, 0)
 
-    def _call(self, func: str, args: tuple[int, ...], depth: int, deadline: float) -> Number:
+    def _call(self, func: str, args: tuple[int, ...], depth: int) -> Number:
         key = (func, args)
         hit = self.memo.get(key)
         if hit is not None:
@@ -113,8 +115,6 @@ class Evaluator:
             raise BudgetExceeded("depth")
         if self._calls_done >= self.budget.max_calls:
             raise BudgetExceeded("calls")
-        if time.monotonic() > deadline:
-            raise BudgetExceeded("wall-clock")
         self._calls_done += 1
 
         f = self.system.functions[func]
@@ -125,7 +125,7 @@ class Evaluator:
             for a in node.args:
                 v = eval_ground(a, call_env, on_call=on_call)
                 inner_args.append(self._coerce_arg(v))
-            return self._call(node.func, tuple(inner_args), depth + 1, deadline)
+            return self._call(node.func, tuple(inner_args), depth + 1)
 
         try:
             for case in f.cases:

@@ -476,9 +476,12 @@ def run_benchmark(source, cfg: RunConfig, name: str = "") -> BenchmarkResult:
     verification_str = "not-run"
     t_verify = 0.0
     if cfg.verify and cand is not None and cand.pieces and score >= cfg.auto_threshold:
+        solver = cfg.solver
+        if solver.debug_dir:
+            solver = replace(solver, debug_dir=os.path.join(solver.debug_dir, name))
         t0 = time.monotonic()
         try:
-            verification = verify(bf.system, cand, cfg.solver, cfg.budget)
+            verification = verify(bf.system, cand, solver, cfg.budget)
         except Exception as exc:
             verification = None
             flags.append(f"verify-error:{type(exc).__name__}")

@@ -79,7 +79,6 @@ class LassoConfig:
     lambda_grid: tuple[float, ...] = tuple(np.geomspace(0.001, 1.0, 100))
     folds: int = 2
     epsilon: float = 0.05
-    fit_timeout: float = 10.0
     seed: int = 0
 
     def __post_init__(self):
@@ -146,8 +145,7 @@ def _pow(e: Expr, k: int) -> Expr:
 
 
 # At most 2048 columns keeps the p x p Gram matrices of cv_lasso within
-# 32 MiB; the catalogs it cuts (5-ary large, 6-ary medium and up) took
-# longer than the fit timeout to evaluate anyway.
+# 32 MiB; it cuts the 5-ary large and the 6-ary medium tiers and up.
 MAX_CATALOG = 2_048
 
 
@@ -165,7 +163,7 @@ def catalog_tier(params: tuple[str, ...], tier: str) -> FeatureSet:
 
     Dimensions 1 and 2 are explicit lists; higher dimensions are bounded
     products of per-variable powers.  Combinatorial blowup past MAX_CATALOG
-    raises CatalogTooLarge, which fitting treats like a timeout.
+    raises CatalogTooLarge, which fitting flags and skips.
     """
     m = len(params)
     if m > 2:
@@ -287,7 +285,6 @@ def build_training_set(
     params: tuple[str, ...],
     samples: list[tuple[int, ...]],
     values,
-    deadline: float | None = None,
 ) -> TrainingSet:
     """Evaluate base functions at each sample under guarded semantics
     (log2 is 0 below 1, division by zero is 0), one column per base function;
@@ -295,8 +292,6 @@ def build_training_set(
     cols = {p: np.array([t[i] for t in samples], dtype=float) for i, p in enumerate(params)}
     X = np.empty((len(samples), fs.count))
     for j, t in enumerate(fs.base_functions):
-        if deadline is not None and time.monotonic() > deadline:
-            raise FitTimeout("feature evaluation exceeded the fit timeout")
         X[:, j] = eval_array(t, cols, guarded=True)
     y = np.array([_target(v) for v in values], dtype=float)
     ok = np.isfinite(X).all(axis=1) & np.isfinite(y)
@@ -363,7 +358,7 @@ def _lasso_path(G, c, alphas, deadline: float | None = None) -> np.ndarray:
     cur = math.inf
     while todo:
         if deadline is not None and time.monotonic() > deadline:
-            raise FitTimeout("lasso path exceeded the fit timeout")
+            raise FitTimeout("lasso path exceeded its deadline")
         if active:
             L = np.linalg.cholesky(G[np.ix_(active, active)])
             u = cho_solve((L, True), c[active])
@@ -659,16 +654,15 @@ def _fit_tiers(
     best: LinearModel | None = None
     best_key = None
     for tier_ix, tier in enumerate(TIERS):
-        deadline = time.monotonic() + cfg.fit_timeout
         try:
             fs = catalog_tier(params, tier)
         except CatalogTooLarge:
             flags.append(f"{tier}:catalog-too-large")
             continue
         try:
-            T = build_training_set(fs, params, data.train_inputs, data.train_values, deadline)
-            Ttest = build_training_set(fs, params, data.test_inputs, data.test_values, deadline) if data.test_inputs else None
-            res = cv_lasso(T, cfg, deadline=deadline)
+            T = build_training_set(fs, params, data.train_inputs, data.train_values)
+            Ttest = build_training_set(fs, params, data.test_inputs, data.test_values) if data.test_inputs else None
+            res = cv_lasso(T, cfg)
             try:
                 fs2, T2 = prune(fs, T, res.beta, res.beta0, cfg.epsilon)
             except AllPruned:
@@ -683,9 +677,6 @@ def _fit_tiers(
                 )
             model = ols_refit(T2, T2test)
             model.tier = tier
-        except FitTimeout:
-            flags.append(f"{tier}:timeout")
-            continue
         except EmptyTrainingSet:
             flags.append(f"{tier}:empty-training-set")
             continue

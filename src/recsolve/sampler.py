@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -68,20 +67,23 @@ def sample_for_function(
     n: int | None = None,
 ) -> SampleSet:
     """Distinct tuples drawn uniformly from [0, bound]^arity, rejection-filtered
-    by the function's precondition and `constraint`.  Deterministic for a
-    given seed; short domains are reported via the shortfall flag rather
-    than padded."""
+    by the function's precondition and `constraint`.  Drawing stops once every
+    tuple of the box has been drawn.  Deterministic for a given seed; short
+    domains are reported via the shortfall flag rather than padded."""
     b = bound
     want = n if n is not None else cfg.n
     rng = random.Random(cfg.seed if seed is None else seed)
     pre = And(func.precondition, constraint) if constraint != TRUE else func.precondition
     found: dict[tuple[int, ...], None] = {}
+    seen: set[tuple[int, ...]] = set()
+    box = (b + 1) ** func.arity
     attempts = 0
-    while len(found) < want and attempts < cfg.rejection_cap:
+    while len(found) < want and attempts < cfg.rejection_cap and len(seen) < box:
         attempts += 1
         tup = tuple(rng.randint(0, b) for _ in range(func.arity))
-        if tup in found:
+        if tup in seen:
             continue
+        seen.add(tup)
         if eval_bool(pre, dict(zip(func.params, tup))):
             found[tup] = None
     if not found:
@@ -97,8 +99,10 @@ class BoundChoice:
     samples: SampleSet
     results: list[BatchResult]
     fell_through: bool = False  # even the smallest bound misbehaved
-    all_failed: bool = False
-    any_budget_failure: bool = False
+
+    @property
+    def any_budget_failure(self) -> bool:
+        return any(r.error and r.error.startswith("budget-exceeded") for r in self.results)
 
 
 def choose_bound(
@@ -110,12 +114,12 @@ def choose_bound(
     evaluator: Evaluator | None = None,
     seed: int | None = None,
 ) -> BoundChoice:
-    """Largest ladder bound whose sample batch evaluates cleanly within the
-    wall clock; budget-exceeded results push down the ladder, and the
-    smallest bound is always accepted (flagged)."""
-    budget = budget or EvalBudget()
+    """Largest ladder bound whose sample batch evaluates without exceeding
+    the evaluator's budget; a budget failure pushes down the ladder, and the
+    smallest bound is always accepted (flagged).  Every rung but the last
+    stops evaluating at its first budget failure, which already rejects it."""
     f = system.functions[func]
-    ev = evaluator or Evaluator(system, budget)
+    ev = evaluator or Evaluator(system, budget or EvalBudget())
     last: BoundChoice | None = None
     for i, b in enumerate(cfg.bound_ladder):
         is_last = i == len(cfg.bound_ladder) - 1
@@ -125,22 +129,14 @@ def choose_bound(
             if is_last and last is None:
                 raise
             continue
-        t0 = time.monotonic()
-        results = ev.batch_eval(func, ss.tuples)
-        elapsed = time.monotonic() - t0
-        budget_failures = [r for r in results if r.error and r.error.startswith("budget-exceeded")]
-        ok = elapsed <= budget.wall_clock and not budget_failures
-        choice = BoundChoice(
-            bound=b,
-            samples=ss,
-            results=results,
-            all_failed=all(r.error is not None for r in results),
-            any_budget_failure=bool(budget_failures),
-        )
-        if ok:
+        choice = BoundChoice(b, ss, ev.batch_eval(func, ss.tuples, stop_at_budget_failure=not is_last))
+        if not choice.any_budget_failure:
             return choice
         last = choice
     assert last is not None
+    # a rung that stopped early is the fallback when the smaller ones were empty
+    done = len(last.results)
+    last.results += ev.batch_eval(func, last.samples.tuples[done:])
     last.fell_through = True
     return last
 

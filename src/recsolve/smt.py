@@ -67,6 +67,10 @@ class SolverNotFound(Exception):
     pass
 
 
+class SolverCrashed(Exception):
+    """The solver exited non-zero without printing a verdict."""
+
+
 class MalformedSolverOutput(Exception):
     pass
 
@@ -423,18 +427,17 @@ def build_job(
 # Solver driver
 # ---------------------------------------------------------------------------
 
-_DEBUG_SEQ = [0]
-
-
 def check(job: SmtJob, confirmer=None, debug_dir: str | None = None) -> VerificationResult:
     """Run one batch solver query: unsat proves the candidate; sat yields a
-    counterexample (confirmed through `confirmer` when given); anything else
-    is Unknown."""
+    counterexample (confirmed through `confirmer` when given); unknown or a
+    timeout is Unknown.  A missing solver raises SolverNotFound and one that
+    exits non-zero without a verdict raises SolverCrashed.  With `debug_dir`
+    the script is kept there, numbered after the scripts already in it."""
     script = job.script
     if debug_dir:
         os.makedirs(debug_dir, exist_ok=True)
-        _DEBUG_SEQ[0] += 1
-        path = os.path.join(debug_dir, f"{job.name}-{_DEBUG_SEQ[0]:03d}.smt2")
+        seq = sum(n.endswith(".smt2") for n in os.listdir(debug_dir)) + 1
+        path = os.path.join(debug_dir, f"{job.name}-{seq:03d}.smt2")
         with open(path, "w") as fh:
             fh.write(script)
     with tempfile.NamedTemporaryFile(
@@ -467,7 +470,7 @@ def check(job: SmtJob, confirmer=None, debug_dir: str | None = None) -> Verifica
             break
     if verdict is None:
         if proc.returncode != 0:
-            return Unknown(f"solver-crash:{proc.returncode}")
+            raise SolverCrashed(f"{' '.join(job.command)} exited {proc.returncode}: {proc.stderr[-300:]}")
         raise MalformedSolverOutput(proc.stdout[:500])
     if verdict == "unsat":
         return Proved()
@@ -557,11 +560,7 @@ def _make_entailment_checker(variables, solver: SolverConfig, debug_dir=None):
         except EncodingError:
             cache[key] = False
             return False
-        try:
-            res = check(job, debug_dir=debug_dir)
-        except (SolverNotFound, MalformedSolverOutput):
-            res = None
-        cache[key] = isinstance(res, Proved)
+        cache[key] = isinstance(check(job, debug_dir=debug_dir), Proved)
         return cache[key]
 
     return entails

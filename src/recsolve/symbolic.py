@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import random
-import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -62,7 +61,6 @@ class GPConfig:
     population_size: int = 33
     iterations: int = 40
     seed: int = 0
-    wall_clock: float = 180.0  # per subdomain
     max_complexity: int = 30
     tournament: int = 3
     p_crossover: float = 0.6
@@ -281,15 +279,13 @@ def evolve(
 ) -> ParetoFront:
     """Island-model GP: tournament selection, subtree crossover, mutation,
     constant perturbation and ring migration of the best individual.
-    Deterministic for a given seed; the wall-clock budget returns whatever
-    front exists when it runs out."""
+    Deterministic for a given seed."""
     ops = ops or OperatorSet()
     cfg = cfg or GPConfig()
     if len(targets) < 5:
         raise ValueError("need at least 5 rows")
     cols = {p: np.asarray([t[i] for t in inputs], dtype=float) for i, p in enumerate(params)}
     y = np.asarray(targets, dtype=float)
-    deadline = time.monotonic() + cfg.wall_clock
     front = ParetoFront()
 
     def make(tree: Expr) -> _Individual:
@@ -314,14 +310,8 @@ def evolve(
                 best = ch
         return best
 
-    exhausted = False
     for it in range(cfg.iterations):
-        if exhausted:
-            break
         for i, pop in enumerate(islands):
-            if time.monotonic() > deadline:
-                exhausted = True
-                break
             rng = rngs[i]
             elite = min(pop, key=lambda d: (d.loss, d.complexity))
             newpop = [elite]
@@ -351,7 +341,7 @@ def evolve(
                     if cand.beats(newpop[bi]):
                         newpop[bi] = cand
             islands[i] = newpop
-        if (it + 1) % cfg.migration_interval == 0 and not exhausted:
+        if (it + 1) % cfg.migration_interval == 0:
             bests = [min(pop, key=lambda d: (d.loss, d.complexity)) for pop in islands]
             for i in range(len(islands)):
                 dst = islands[(i + 1) % len(islands)]

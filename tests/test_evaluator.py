@@ -59,6 +59,22 @@ def test_nonterminating_cost_recurrence_budget():
     assert all(r.error and r.error.startswith("budget-exceeded") for r in results)
 
 
+def test_nonterminating_batch_fails_on_depth_alone():
+    # about 0.35 s per sample on a 2-vCPU machine; however long the batch
+    # runs, the depth count alone decides every sample
+    bf = dsl.parse(NONTERM)
+    results = Evaluator(bf.system).batch_eval("q", [(x,) for x in range(1, 11)])
+    assert {r.error for r in results} == {"budget-exceeded:depth"}
+
+
+def test_batch_can_stop_at_first_budget_failure():
+    bf = dsl.parse(NONTERM)
+    rs = Evaluator(bf.system).batch_eval("q", [(0,), (1,), (2,)], stop_at_budget_failure=True)
+    assert [(r.input, r.value, r.error) for r in rs] == [
+        ((0,), 1, None), ((1,), None, "budget-exceeded:depth")
+    ]
+
+
 def test_batch_empty():
     bf = dsl.parse(NONTERM)
     assert Evaluator(bf.system).batch_eval("q", []) == []

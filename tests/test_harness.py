@@ -14,12 +14,11 @@ from recsolve.harness import (
     run_benchmark,
     run_corpus,
 )
-from recsolve.linear import LassoConfig
 from recsolve.report import emit_csv, emit_report, strip_timings, summarize, write_report
 from recsolve.sampler import SampleConfig
-from recsolve.smt import Disproved, Proved
+from recsolve.smt import Disproved, Proved, SolverConfig
 
-from conftest import EQ1, MERGE
+from conftest import MERGE
 
 
 def _func(src):
@@ -312,11 +311,27 @@ def test_run_benchmark_auto_falls_back_to_symreg(corpus_dir):
     assert res.score > 0.99  # small stochastic config; the mechanism is the point
 
 
+_SUM5 = (
+    "def f(a,b,c,d,e) pre a>=0 and b>=0 and c>=0 and d>=0 and e>=0 {"
+    " case a=0 -> b+c+d+e case a>0 -> f(a-1,b,c,d,e)+1 } entry f"
+)
+
+
 def test_run_benchmark_reports_tier_flags():
-    cfg = _fast_cfg()
-    cfg.lasso = LassoConfig(fit_timeout=0.0)
-    res = run_benchmark(EQ1, cfg)
-    assert "small:timeout" in res.flags
+    res = run_benchmark(_SUM5, _fast_cfg(verify=False))
+    assert "large:catalog-too-large" in res.flags
+
+
+@pytest.mark.parametrize("command,error", [
+    (("no-such-solver-xyz",), "SolverNotFound"),
+    (("false",), "SolverCrashed"),
+])
+def test_run_benchmark_flags_solver_errors(corpus_dir, command, error):
+    cfg = _fast_cfg(solver=SolverConfig(command=command))
+    res = run_benchmark(os.path.join(corpus_dir, "nested.rec"), cfg)
+    assert f"verify-error:{error}" in res.flags
+    assert res.verification == "error"
+    assert summarize([res])["errors"] == 1
 
 
 def test_run_benchmark_never_raises_on_bad_input(tmp_path):
@@ -381,6 +396,52 @@ def test_cli_out_into_missing_directory_fails_before_running(tmp_path):
         assert "cannot write report" in p.stderr
         assert p.stdout == ""  # no benchmark ran
     assert not os.path.exists(tmp_path / "missing")
+
+
+def _corpus_subset(tmp_path, names):
+    src_dir = os.path.join(os.path.dirname(__file__), "..", "corpus")
+    sub = tmp_path / "corpus"
+    sub.mkdir()
+    for name in names:
+        (sub / f"{name}.rec").write_text(open(os.path.join(src_dir, f"{name}.rec")).read())
+    return str(sub)
+
+
+def test_cli_debug_smt_keeps_every_script_under_jobs(tmp_path):
+    corpus = _corpus_subset(tmp_path, ["nested", "succ", "nondet_max", "nondet_min"])
+    kept = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        out.mkdir()
+        p = _cli("corpus", corpus, "--verify", "--seed", "7", "--repeat", "1", "--debug-smt",
+                 "--jobs", jobs, "--out", str(out / "r.jsonl"))
+        assert p.returncode == 0, p.stderr
+        kept[jobs] = sorted(str(f.relative_to(out)) for f in out.rglob("*.smt2"))
+    assert kept["1"] == kept["2"]
+    for name in ("nested", "succ", "nondet_max", "nondet_min"):
+        assert any(k.startswith(name + os.sep) for k in kept["1"]), kept["1"]
+
+
+def test_cli_corpus_reports_match_across_jobs_under_load(tmp_path):
+    corpus = _corpus_subset(tmp_path, ["nonterm_q", "nested", "merge", "fib"])
+    reports = []
+    for jobs in ("1", "2"):
+        out = str(tmp_path / f"r{jobs}.jsonl")
+        burner = None
+        if jobs == "2":
+            burner = subprocess.Popen([sys.executable, "-c", "while True: pass"])
+        try:
+            p = _cli("corpus", corpus, "--verify", "--seed", "7", "--repeat", "1",
+                     "--jobs", jobs, "--out", out)
+        finally:
+            if burner is not None:
+                burner.kill()
+                burner.wait(timeout=10)
+        assert p.returncode == 0, p.stderr
+        with open(out) as fh:
+            reports.append(strip_timings(fh.read()))
+    assert reports[0] == reports[1]
+    assert '"nonterm_q"' in reports[0]
 
 
 def test_cli_check(corpus_dir):

@@ -1,10 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recsolve import dsl
+from recsolve import dsl, sampler
 from recsolve.dsl import parse, parse_bool, print_bool
-from recsolve.evaluator import EvalBudget
 from recsolve.model import eval_bool
 from recsolve.sampler import (
     EmptyDomain,
@@ -49,6 +50,48 @@ def test_samples_satisfy_precondition():
     assert all(eval_bool(pre, {"x": a, "y": b}) for a, b in ss.tuples)
     ss = sample_for_function(_func("x >= 0 and y >= 0"), cfg, bound=10, constraint=pre)
     assert all(eval_bool(pre, {"x": a, "y": b}) for a, b in ss.tuples)
+
+
+def _draw_to_cap(func, cfg, bound):
+    """Rejection sampling that always runs to the cap: the reference the
+    early stop of sample_for_function must reproduce."""
+    rng = random.Random(cfg.seed)
+    found = {}
+    for _ in range(cfg.rejection_cap):
+        if len(found) == cfg.n:
+            break
+        tup = tuple(rng.randint(0, bound) for _ in range(func.arity))
+        if tup not in found and eval_bool(func.precondition, dict(zip(func.params, tup))):
+            found[tup] = None
+    return list(found)
+
+
+@pytest.mark.parametrize("pre,params,bound", [
+    ("x >= 1", "x", 20),
+    ("x >= 0", "x", 3),
+    ("x >= 0 and y >= 0", "x, y", 5),
+    ("x > y and y >= 2", "x, y", 10),
+    ("x >= 0 and y >= 0", "x, y", 20),
+])
+def test_early_stop_keeps_the_samples_of_a_full_draw(pre, params, bound):
+    func = _func(pre, params)
+    for seed in (0, 7):
+        cfg = SampleConfig(n=100, seed=seed, rejection_cap=20_000)
+        assert sample_for_function(func, cfg, bound).tuples == _draw_to_cap(func, cfg, bound)
+
+
+def test_sampling_stops_once_the_whole_box_is_drawn(monkeypatch):
+    draws = []
+
+    class CountingRandom(random.Random):
+        def randint(self, a, b):
+            draws.append(None)
+            return super().randint(a, b)
+
+    monkeypatch.setattr(sampler.random, "Random", CountingRandom)
+    ss = sample_for_function(_func("x >= 1", "x"), SampleConfig(n=100, seed=3), bound=20)
+    assert sorted(ss.tuples) == [(x,) for x in range(1, 21)]
+    assert len(draws) < 1_000  # the cap is 10^5 draws
 
 
 def test_determinism_given_seed():
@@ -108,10 +151,21 @@ def test_choose_bound_fib_memoized_takes_top():
 
 def test_choose_bound_nonterminating_falls_to_smallest():
     bf = parse(NONTERM)
-    bc = choose_bound(bf.system, "q", SampleConfig(seed=1), EvalBudget(wall_clock=1.0))
+    bc = choose_bound(bf.system, "q", SampleConfig(seed=1))
     assert bc.bound == 3
     assert bc.fell_through
     assert bc.any_budget_failure
+
+
+def test_choose_bound_completes_an_early_stopped_fallback():
+    # the smallest rung holds no point of x >= 4, so the rung of bound 8,
+    # which stopped at its first budget failure, is evaluated in full
+    bf = parse("def q(x) pre x>=4 { case x=4 -> 1 case x>4 -> 1+q(x+1) } entry q")
+    bc = choose_bound(bf.system, "q", SampleConfig(n=10, bound_ladder=(20, 8, 3), seed=1))
+    assert bc.bound == 8 and bc.fell_through
+    assert sorted(bc.samples.tuples) == [(x,) for x in range(4, 9)]
+    assert [r.input for r in bc.results] == bc.samples.tuples
+    assert sum(r.error == "budget-exceeded:depth" for r in bc.results) == 4
 
 
 def test_config_validation():

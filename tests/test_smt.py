@@ -13,6 +13,7 @@ from recsolve.smt import (
     Proved,
     SmtJob,
     SolverConfig,
+    SolverCrashed,
     SolverNotFound,
     Unknown,
     Unsupported,
@@ -119,6 +120,16 @@ def test_check_solver_not_found(eq1):
     job.command = ("definitely-not-a-solver-xyz",)
     with pytest.raises(SolverNotFound):
         check(job)
+
+
+@pytest.mark.parametrize("command,error", [
+    (("no-such-solver-xyz",), SolverNotFound),
+    (("false",), SolverCrashed),  # exits 1 and prints no verdict
+])
+def test_verify_raises_on_missing_or_crashing_solver(corpus, command, error):
+    bf = corpus["nested"]
+    with pytest.raises(error):
+        verify(bf.system, bf.expect, SolverConfig(command=command))
 
 
 def test_verify_worked_example(eq1):
