@@ -1,11 +1,12 @@
 """The check stage: from candidate to proof or counterexample.
 
-The candidate replaces every recursive call (innermost first, with an
-entailment side-condition keeping substitutions inside the domain), the
-equation per case is simplified, and the negation of the conjunction goes
-to an SMT solver over the integers. unsat means the candidate solves the
-equation exactly; sat gives a counterexample that is replayed through the
-evaluator before being reported.
+The candidate replaces every recursive call (innermost first), and the
+equation per case is simplified. One query goes to an SMT solver over the
+integers: is there a point where some case's equation fails, or where one
+of its recursive calls leaves the precondition? unsat means the candidate
+solves the equation exactly and every substitution stayed inside the
+domain; sat gives a counterexample that is replayed through the evaluator
+before being reported.
 """
 
 from recsolve import dsl

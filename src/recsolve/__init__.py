@@ -17,7 +17,6 @@ from .dsl import (
     print_bool,
     print_expr,
     print_piecewise,
-    print_system,
 )
 from .evaluator import BatchResult, BudgetExceeded, EvalBudget, Evaluator, NoMatchingCase
 from .harness import BenchmarkResult, RunConfig, classify, run_benchmark, run_corpus
@@ -76,7 +75,6 @@ from .symbolic import (
     ParetoFront,
     evolve,
     guess_symbolic,
-    optimize_constants,
 )
 
 __version__ = "0.1.0"

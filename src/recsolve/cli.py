@@ -103,6 +103,12 @@ def main(argv=None) -> int:
     p_check.add_argument("--debug-smt", action="store_true")
 
     args = parser.parse_args(argv)
+    cfg = None
+    if args.cmd != "check":
+        try:
+            cfg = _config(args)
+        except ValueError as exc:  # a bad option value is a usage error
+            parser.error(f"bad option value: {exc}")
     out = getattr(args, "out", None)
     if out:
         # fail before any benchmark runs, not after the whole corpus
@@ -113,9 +119,9 @@ def main(argv=None) -> int:
             return 2
     try:
         if args.cmd == "solve":
-            return _cmd_solve(args)
+            return _cmd_solve(args, cfg)
         if args.cmd == "corpus":
-            return _cmd_corpus(args)
+            return _cmd_corpus(args, cfg)
         return _cmd_check(args)
     except SystemExit:
         raise
@@ -126,8 +132,7 @@ def main(argv=None) -> int:
         return 2
 
 
-def _cmd_solve(args) -> int:
-    cfg = _config(args)
+def _cmd_solve(args, cfg: RunConfig) -> int:
     result = run_benchmark(args.file, cfg)
     print(f"benchmark:      {result.name} [{result.category}]")
     print(f"method:         {result.method}")
@@ -143,8 +148,7 @@ def _cmd_solve(args) -> int:
     return 2 if result.error else 0
 
 
-def _cmd_corpus(args) -> int:
-    cfg = _config(args)
+def _cmd_corpus(args, cfg: RunConfig) -> int:
     results = run_corpus(args.dir, cfg)
     for r in results:
         print(f"{r.name:24s} {r.category:10s} {r.classification:10s} {r.verification:12s} {r.score:.4g}")

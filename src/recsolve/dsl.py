@@ -576,9 +576,3 @@ def print_benchmark(bf: BenchmarkFile) -> str:
     if bf.expect is not None:
         out.append(f"expect {print_piecewise(bf.expect)}")
     return "\n".join(out) + "\n"
-
-
-def print_system(system: RecurrenceSystem) -> str:
-    parts = [print_funcdef(f) for f in system.functions.values()]
-    parts.append(f"entry {system.entry}")
-    return "\n".join(parts) + "\n"

@@ -209,8 +209,9 @@ def _log_eval(e: Expr, env) -> tuple[int, float] | tuple[str] | None:
             a, b = go(node.lhs), go(node.rhs)
             if a is None or b is None:
                 return None
-            ka = -math.inf if a == _ZERO else a[0] * math.exp(min(a[1], 700))
-            kb = -math.inf if b == _ZERO else b[0] * math.exp(min(b[1], 700))
+            # (sign, sign * log|v|) orders the values as the numbers
+            ka = (0, 0.0) if a == _ZERO else (a[0], a[0] * a[1])
+            kb = (0, 0.0) if b == _ZERO else (b[0], b[0] * b[1])
             if isinstance(node, Max):
                 return a if ka >= kb else b
             return a if ka <= kb else b

@@ -19,7 +19,6 @@ import shutil
 import subprocess
 import sys
 import tempfile
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -53,10 +52,8 @@ from .model import (
     TRUE,
     TrueExpr,
     Var,
-    contains_call,
     eval_bool,
     eval_ground,
-    free_vars,
     substitute,
     walk,
 )
@@ -161,22 +158,13 @@ def inline_candidate(cand: PiecewiseClosedForm, args: tuple[Expr, ...], params) 
     return out
 
 
-def contains_calls(e: Expr, func: str) -> bool:
-    return any(isinstance(n, Call) and n.func == func for n in walk(e))
-
-
 def replace_calls(
-    e: Expr,
-    func: FuncDef,
-    cand: PiecewiseClosedForm,
-    pre: BoolExpr,
-    guard: BoolExpr,
-    entails,
+    e: Expr, func: FuncDef, cand: PiecewiseClosedForm, obligations: list[BoolExpr]
 ) -> Expr:
-    """Innermost-first replacement of calls to `func` by the candidate.  A
-    call with arguments a is replaced only when pre(x) and guard(x) entail
-    pre(a), discharged through the `entails` predicate (an SMT validity
-    query); calls that fail the check survive and are reported upstream."""
+    """Innermost-first replacement of every call to `func` by the candidate.
+    The replacement is sound only where the call stays inside the
+    precondition, so each call with arguments a appends pre(a) to
+    `obligations` for the verification query to check."""
 
     def go(node: Expr) -> Expr:
         if isinstance(node, (Const, Var)):
@@ -196,10 +184,8 @@ def replace_calls(
             args = tuple(go(a) for a in node.args)
             if node.func != func.name:
                 return Call(node.func, args)
-            target = substitute(pre, dict(zip(func.params, args)))
-            if entails(And(pre, guard), target):
-                return inline_candidate(cand, args, func.params)
-            return Call(node.func, args)
+            obligations.append(substitute(func.precondition, dict(zip(func.params, args))))
+            return inline_candidate(cand, args, func.params)
         raise TypeError(f"cannot replace calls in {type(node).__name__}")
 
     return go(e)
@@ -226,12 +212,11 @@ class _Encoder:
     constant-base exponentials become axiomatized recursive power functions.
     """
 
-    def __init__(self, positive_divisors: set[str] | None = None):
+    def __init__(self):
         self.aux: list[str] = []
         self.fresh_vars: list[str] = []
         self._cache: dict = {}
         self.pow_bases: set[int] = set()
-        self.positive_divisors = positive_divisors or set()
         self._counter = 0
 
     def lit(self, v: int) -> str:
@@ -323,12 +308,10 @@ class _Encoder:
         raise EncodingError("Pow")
 
     def _rounding(self, arg: Expr, kind: str) -> tuple[str, int]:
-        # floor/ceil of a variable-divisor quotient: q with q*b <= a < q*b + b
+        # floor/ceil of a variable-divisor quotient: where b >= 1, q with
+        # q*b <= a < q*b + b; elsewhere q is unconstrained, which can only
+        # add models, so unsat stays a proof
         if isinstance(arg, Div) and not isinstance(arg.rhs, Const):
-            from .dsl import print_expr
-
-            if print_expr(arg.rhs) not in self.positive_divisors:
-                raise EncodingError("variable-division")
             ta, da = self.term(arg.lhs)
             tb, db = self.term(arg.rhs)
             if da != 1 or db != 1:
@@ -338,11 +321,10 @@ class _Encoder:
                 return self._cache[key]
             q = self._fresh("q")
             if kind == "floor":
-                self.aux.append(f"(<= (* {q} {tb}) {ta})")
-                self.aux.append(f"(< {ta} (+ (* {q} {tb}) {tb}))")
+                bounds = f"(<= (* {q} {tb}) {ta}) (< {ta} (+ (* {q} {tb}) {tb}))"
             else:
-                self.aux.append(f"(>= (* {q} {tb}) {ta})")
-                self.aux.append(f"(< (- (* {q} {tb}) {tb}) {ta})")
+                bounds = f"(>= (* {q} {tb}) {ta}) (< (- (* {q} {tb}) {tb}) {ta})"
+            self.aux.append(f"(=> (>= {tb} 1) (and {bounds}))")
             self._cache[key] = (q, 1)
             return (q, 1)
         t, d = self.term(arg)
@@ -402,10 +384,9 @@ def build_job(
     variables: tuple[str, ...],
     assertion_bool: BoolExpr,
     solver: SolverConfig,
-    positive_divisors: set[str] | None = None,
     name: str = "query",
 ) -> SmtJob:
-    enc = _Encoder(positive_divisors)
+    enc = _Encoder()
     body = enc.boolean(assertion_bool)
     decls = [f"(declare-fun {v} () Int)" for v in list(variables) + enc.fresh_vars]
     axioms = [_POW_AXIOMS.format(c=c) for c in sorted(enc.pow_bases)]
@@ -547,42 +528,6 @@ def _transcendental_count(e: Expr) -> int:
     return n
 
 
-def _make_entailment_checker(variables, solver: SolverConfig, debug_dir=None):
-    cache: dict = {}
-
-    def entails(hyp: BoolExpr, concl: BoolExpr) -> bool:
-        key = (hyp, concl)
-        if key in cache:
-            return cache[key]
-        goal = And(hyp, Not(concl))
-        try:
-            job = build_job(tuple(variables), goal, solver, name="entail")
-        except EncodingError:
-            cache[key] = False
-            return False
-        cache[key] = isinstance(check(job, debug_dir=debug_dir), Proved)
-        return cache[key]
-
-    return entails
-
-
-def _positive_divisors(func: FuncDef, eqs, entails) -> set[str]:
-    """Variable divisors inside floor/ceil that the precondition proves
-    strictly positive (their quotient encoding needs the sign)."""
-    from .dsl import print_expr
-
-    out: set[str] = set()
-    for eq in eqs:
-        for node in walk(eq):
-            if isinstance(node, (Floor, Ceil)) and isinstance(node.arg, Div):
-                den = node.arg.rhs
-                if isinstance(den, Const):
-                    continue
-                if entails(func.precondition, Cmp(">=", den, Const(Fraction(1)))):
-                    out.add(print_expr(den))
-    return out
-
-
 def verify(
     system: RecurrenceSystem,
     cand: PiecewiseClosedForm,
@@ -591,8 +536,11 @@ def verify(
 ) -> VerificationResult:
     """Check a candidate closed form against a single-equation system:
     replace calls, simplify, refuse what the encoding cannot express, then
-    ask the solver for a countermodel of the equation.  Counterexamples are
-    confirmed against the evaluator before being trusted."""
+    ask the solver, in one query, for a point where the equation fails, a
+    recursive call leaves the precondition, or a divisor is below 1.
+    Counterexamples are confirmed against the evaluator before being
+    trusted; an unconfirmed one that breaks a side condition is reported as
+    that condition's Unsupported label."""
     solver = solver or SolverConfig()
     if not system.is_single_equation():
         return Unsupported(("system-of-equations",))
@@ -604,9 +552,10 @@ def verify(
     params = tuple(f.params)
     pre = f.precondition
 
-    job = _encode_only(system, cand, solver)
-    if isinstance(job, Unsupported):
-        return job
+    encoded = _encode_only(system, cand, solver)
+    if isinstance(encoded, Unsupported):
+        return encoded
+    job, side_conditions = encoded
 
     def confirmer(point: dict) -> bool:
         ev = Evaluator(system, budget or EvalBudget())
@@ -623,9 +572,21 @@ def verify(
         return not values_agree(actual, got)
 
     try:
-        return check(job, confirmer, solver.debug_dir)
+        result = check(job, confirmer, solver.debug_dir)
     except MalformedSolverOutput:
         return Unknown("malformed-solver-output")
+    if isinstance(result, Disproved) and not result.confirmed:
+        for label, broken in side_conditions:
+            if _holds_at(broken, result.counterexample):
+                return Unsupported((label,))
+    return result
+
+
+def _holds_at(b: BoolExpr, point: dict) -> bool:
+    try:
+        return eval_bool(b, point, guarded=True)
+    except EvalError:
+        return False
 
 
 def values_agree(a, b) -> bool:
@@ -664,11 +625,9 @@ def encode(
 ) -> SmtJob | Unsupported:
     """Build the solver job for a single function definition and candidate
     (the full replace/simplify/encode pipeline, without running the check)."""
-    solver = solver or SolverConfig()
     system = RecurrenceSystem({func.name: func}, func.name)
-    # reuse verify's plumbing up to job construction
-    result = _encode_only(system, cand, solver)
-    return result
+    encoded = _encode_only(system, cand, solver or SolverConfig())
+    return encoded if isinstance(encoded, Unsupported) else encoded[0]
 
 
 def _guard_bindings(guard: BoolExpr) -> dict:
@@ -692,29 +651,28 @@ def _guard_bindings(guard: BoolExpr) -> dict:
 
 
 def _encode_only(system, cand, solver):
+    """The verification job and its side conditions, or Unsupported.  The
+    job asks for a point of the precondition where some case fires (earlier
+    guards false, its own true) and its equation fails or one of its
+    recursive calls leaves the precondition, or where a variable divisor of
+    a floor/ceil is below 1.  Each side condition is one of those disjuncts
+    other than a failed equation, paired with the Unsupported label of a
+    model that satisfies it."""
     f = system.entry_func
     params = tuple(f.params)
-    entails = _make_entailment_checker(params, solver, solver.debug_dir)
     lhs_raw = inline_candidate(cand, tuple(Var(p) for p in params), params)
-    case_eqs = []
+    refutations: list[BoolExpr] = []
+    side_conditions: list[tuple[str, BoolExpr]] = []
     prev_ctx: BoolExpr = TRUE
     for case in f.cases:
-        # calls are replaced under the sequential case context: earlier
-        # guards are known false when this case fires
         ctx = case.guard if isinstance(prev_ctx, TrueExpr) else And(prev_ctx, case.guard)
-        rhs_raw = replace_calls(case.body, f, cand, f.precondition, ctx, entails)
         prev_ctx = (
             Not(case.guard)
             if isinstance(prev_ctx, TrueExpr)
             else And(prev_ctx, Not(case.guard))
         )
-        if contains_calls(rhs_raw, f.name):
-            # an unexpressible candidate blocks even the side conditions;
-            # report the construct rather than the consequence
-            bad: list[str] = []
-            for piece in cand.pieces:
-                bad.extend(contains_unsupported(simplify(piece.body)))
-            return Unsupported(tuple(sorted(set(bad))) if bad else ("unresolved-call",))
+        obligations: list[BoolExpr] = []
+        rhs_raw = replace_calls(case.body, f, cand, obligations)
         bindings = _guard_bindings(case.guard)
         lhs_case = substitute(lhs_raw, bindings) if bindings else lhs_raw
         rhs_case = substitute(rhs_raw, bindings) if bindings else rhs_raw
@@ -730,24 +688,28 @@ def _encode_only(system, cand, solver):
         bad = sorted(set(contains_unsupported(eq.lhs) + contains_unsupported(eq.rhs)))
         if bad:
             return Unsupported(tuple(bad))
-        case_eqs.append((case.guard, eq))
-    positive = _positive_divisors(f, [eq for _, eq in case_eqs], entails)
-    disjuncts = []
-    prev = None
-    for guard, eq in case_eqs:
-        body = And(guard, Not(eq))
-        if prev is not None:
-            body = And(prev, body)
-        disjuncts.append(body)
-        neg = Not(guard)
-        prev = neg if prev is None else And(prev, neg)
-    negformula = disjuncts[0]
-    for d in disjuncts[1:]:
+        refutations.append(And(ctx, Not(eq)))
+        side_conditions.extend(
+            ("unresolved-call", And(ctx, Not(o)))
+            for o in dict.fromkeys(obligations)
+            if not isinstance(o, TrueExpr)
+        )
+    divisors = dict.fromkeys(
+        node.arg.rhs
+        for b in refutations + [c for _, c in side_conditions]
+        for node in walk(b)
+        if isinstance(node, (Floor, Ceil))
+        and isinstance(node.arg, Div)
+        and not isinstance(node.arg.rhs, Const)
+    )
+    side_conditions.extend(
+        ("variable-division", Not(Cmp(">=", d, Const(Fraction(1))))) for d in divisors
+    )
+    negformula = refutations[0]
+    for d in refutations[1:] + [c for _, c in side_conditions]:
         negformula = Or(negformula, d)
     try:
-        return build_job(
-            params, And(f.precondition, negformula), solver, positive,
-            name=f"verify-{f.name}",
-        )
+        job = build_job(params, And(f.precondition, negformula), solver, name=f"verify-{f.name}")
     except EncodingError as exc:
         return Unsupported((exc.offending,))
+    return job, side_conditions

@@ -363,6 +363,8 @@ def evolve(
 def optimize_constants_tree(
     tree: Expr, cols: dict[str, np.ndarray], y: np.ndarray, max_evals: int = 200
 ) -> Expr:
+    """Simplex search over the numeric leaves minimizing the training loss on
+    the columns `cols`; the result is never worse than `tree`."""
     x0 = np.asarray([float(n.value) for n in tree_nodes(tree) if isinstance(n, Const)])
     if not len(x0):
         return tree
@@ -394,14 +396,6 @@ def _set_consts(tree: Expr, vals) -> Expr:
     if not kids:
         return tree
     return _BUILD[tag](*(_set_consts(k, vals) for k in kids))
-
-
-def optimize_constants(expr: Expr, inputs, targets, params: tuple[str, ...]) -> Expr:
-    """Simplex search over the numeric leaves minimizing train MSE; the
-    result is never worse than the input on the training rows."""
-    cols = {p: np.asarray([t[i] for t in inputs], dtype=float) for i, p in enumerate(params)}
-    y = np.asarray(targets, dtype=float)
-    return optimize_constants_tree(expr, cols, y)
 
 
 # ---------------------------------------------------------------------------

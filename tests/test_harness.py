@@ -132,6 +132,10 @@ def test_log_eval_matches_guarded_evaluation():
         "3^n * floor(n/2) + ceil(log2(n + 1))",
         "floor(log2(n + 2)) * ceil(n/3) - 2^n",
         "2^n / (n - 1) + (n + 1) / (n - 4)",
+        "max(2^n, 3^n) - min(2^n, 3^n)",
+        "max(3^n, 2^n) - min(3^n, 2^n)",
+        "max(0, 7 - n) + min(n - 7, 0)",
+        "max(7 - n, 0) + min(0, n - 7)",
     ]
     for text in exprs:
         e = parse_expr(text)
@@ -176,6 +180,21 @@ def test_log_eval_matches_guarded_evaluation():
                 got,
                 want,
             )
+
+
+@pytest.mark.parametrize("text,base", [
+    ("max(2^n, 3^n)", 3), ("max(3^n, 2^n)", 3), ("min(2^n, 3^n)", 2), ("min(3^n, 2^n)", 2),
+    ("-min(-(2^n), -(3^n))", 3), ("-max(-(3^n), -(2^n))", 2),
+])
+def test_log_eval_orders_max_min_past_the_float_range(text, base):
+    import math
+
+    from recsolve.dsl import parse_expr
+    from recsolve.harness import _log_eval
+
+    n = 2**15  # base^n is far above e^700
+    sign, log = _log_eval(parse_expr(text), {"n": n})
+    assert sign == 1 and math.isclose(log, n * math.log(base), rel_tol=1e-12)
 
 
 def test_classify_expect_overflowing_on_grid_does_not_raise():
@@ -381,6 +400,17 @@ def test_cli_usage_error_exit_one():
     assert p.returncode == 1
     p2 = _cli("solve", "x.rec", "--method", "nonsense")
     assert p2.returncode == 1
+
+
+@pytest.mark.parametrize("option", [
+    ("--bound", "abc"), ("--bound", "0"), ("--lambda-grid", "1:2"),
+    ("--samples", "1"), ("--folds", "1"),
+])
+def test_cli_bad_option_value_exit_one(option):
+    p = _cli("solve", "corpus/succ.rec", "--repeat", "1", *option)
+    assert p.returncode == 1, p.stderr
+    assert "bad option value" in p.stderr
+    assert p.stdout == ""
 
 
 def test_cli_internal_error_exit_two(tmp_path):

@@ -1,12 +1,13 @@
 import itertools
 import random
+import sys
 
 import pytest
 
-from recsolve import dsl
-from recsolve.dsl import parse, parse_bool, parse_candidate, parse_expr, print_expr
+from recsolve import dsl, smt
+from recsolve.dsl import parse, parse_bool, parse_candidate, parse_expr, print_bool, print_expr
 from recsolve.evaluator import Evaluator
-from recsolve.model import Var, eval_bool
+from recsolve.model import Var, contains_call, eval_bool
 from recsolve.rewrite import simplify
 from recsolve.smt import (
     Disproved,
@@ -18,7 +19,6 @@ from recsolve.smt import (
     Unknown,
     Unsupported,
     check,
-    contains_calls,
     encode,
     eval_piecewise,
     inline_candidate,
@@ -29,45 +29,69 @@ from recsolve.smt import (
 from conftest import EQ1, MAXVAR, MERGE, MINVAR, SUCC, corpus_files
 
 
-def _always(hyp, concl):
-    return True
-
-
 def test_replace_calls_worked_example(eq1):
     f = eq1.system.entry_func
-    cand = parse_candidate("x")
-    out = replace_calls(
-        f.cases[1].body, f, cand, f.precondition, f.cases[1].guard, _always
-    )
-    assert not contains_calls(out, "f")
+    obligations = []
+    out = replace_calls(f.cases[1].body, f, parse_candidate("x"), obligations)
+    assert not contains_call(out)
     assert simplify(out) == parse_expr("x")
     assert print_expr(out) == "x - 1 + 1"
+    # innermost first: f(x - 1), then f applied to the candidate's x - 1
+    assert [print_bool(o) for o in obligations] == ["x - 1 >= 0", "x - 1 >= 0"]
 
 
 def test_replace_calls_callfree_unchanged(eq1):
     f = eq1.system.entry_func
     e = parse_expr("x + 2")
-    assert replace_calls(e, f, parse_candidate("x"), f.precondition, f.cases[0].guard, _always) == e
+    obligations = []
+    assert replace_calls(e, f, parse_candidate("x"), obligations) == e
+    assert obligations == []
 
 
-def test_replace_calls_entailment_gates_substitution():
-    bf = parse("def f(x) pre x>=0 { case x=0 -> 0 case x>0 -> f(x+1) - 1 } entry f")
-    f = bf.system.entry_func
-    # entailment holds: the call goes away
-    out = replace_calls(f.cases[1].body, f, parse_candidate("x"), f.precondition, f.cases[1].guard, _always)
-    assert not contains_calls(out, "f")
-    # entailment refused: the call survives
-    out2 = replace_calls(
-        f.cases[1].body, f, parse_candidate("x"), f.precondition, f.cases[1].guard,
-        lambda hyp, concl: False,
-    )
-    assert contains_calls(out2, "f")
+def test_verify_rejects_calls_outside_the_precondition():
+    # f(x - 2) leaves the domain at x = 1, where no equation is violated
+    bf = parse("def f(x) pre x >= 0 { case x = 0 -> 0 case x > 0 -> f(x - 2) + 2 } entry f")
+    res = verify(bf.system, parse_candidate("x"))
+    assert not isinstance(res, Proved)
+    assert res == Unsupported(("unresolved-call",))
 
 
-def test_contains_calls():
-    assert contains_calls(parse_expr("f(x-1)"), "f")
-    assert not contains_calls(parse_expr("(x-1)+1"), "f")
-    assert contains_calls(parse_expr("max(3, f(0))"), "f")
+def test_verify_refutes_nested_x_minus_one(eq1):
+    res = verify(eq1.system, parse_candidate("x - 1"))
+    assert isinstance(res, Disproved) and res.confirmed, res
+    assert res.counterexample == {"x": 0}
+
+
+@pytest.mark.parametrize("name,wrong", [
+    ("nested", "x + 1"), ("merge", "x + y - 1"), ("mccarthy91", "91"),
+    ("highdim1", "x1"), ("div", "x"),
+])
+def test_verify_sends_one_solver_query(corpus, monkeypatch, name, wrong):
+    real = smt.check
+    calls = []
+    monkeypatch.setattr(smt, "check", lambda job, *a, **kw: calls.append(job.name) or real(job, *a, **kw))
+    bf = corpus[name]
+    for cand in (bf.expect, parse_candidate(wrong)):
+        calls.clear()
+        verify(bf.system, cand)
+        assert calls == ["verify-f"], (name, calls)
+
+
+def test_variable_divisor_is_a_side_condition_of_the_query(corpus):
+    job = encode(corpus["div"].system.entry_func, corpus["div"].expect)
+    # the quotient's bounds hold only where the divisor is positive, and a
+    # divisor below 1 is itself a refutation
+    assert "(=> (>= y 1) (and (<= (* .q1 y) x) (< x (+ (* .q1 y) y))))" in job.script
+    assert "(not (>= y 1))" in job.script
+
+
+def test_unconfirmed_model_below_a_divisor_is_unsupported():
+    bf = parse("def f(x, y) pre x >= 0 and y >= 0 { case true -> floor(x/y) } entry f")
+    # a stand-in solver answering sat at y = 0, where the recurrence divides by zero
+    model = "print('sat'); print('(model (define-fun x () Int 3) (define-fun y () Int 0))')"
+    res = verify(bf.system, parse_candidate("floor(x/y) + 1"),
+                 SolverConfig(command=(sys.executable, "-c", model)))
+    assert res == Unsupported(("variable-division",))
 
 
 def test_inline_piecewise_candidate():
@@ -136,12 +160,12 @@ def test_verify_worked_example(eq1):
     assert isinstance(verify(eq1.system, parse_candidate("x")), Proved)
 
 
-def test_debug_dir_keeps_entailment_and_verify_scripts(eq1, tmp_path):
-    res = verify(eq1.system, parse_candidate("x"), SolverConfig(debug_dir=str(tmp_path)))
-    assert isinstance(res, Proved)
-    names = [p.name for p in tmp_path.iterdir()]
-    assert any(n.startswith("entail-") and n.endswith(".smt2") for n in names), names
-    assert any(n.startswith("verify-f-") and n.endswith(".smt2") for n in names), names
+def test_debug_dir_keeps_one_verify_script_per_verify(eq1, tmp_path):
+    solver = SolverConfig(debug_dir=str(tmp_path))
+    assert isinstance(verify(eq1.system, parse_candidate("x"), solver), Proved)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["verify-f-001.smt2"]
+    assert isinstance(verify(eq1.system, parse_candidate("x + 1"), solver), Disproved)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["verify-f-001.smt2", "verify-f-002.smt2"]
 
 
 def test_verify_succ():

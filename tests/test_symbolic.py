@@ -16,7 +16,7 @@ from recsolve.symbolic import (
     complexity,
     evolve,
     guess_symbolic,
-    optimize_constants,
+    optimize_constants_tree,
     replace_at,
     tree_loss,
     tree_nodes,
@@ -54,24 +54,21 @@ def test_exp_sum_found_with_restricted_operators():
 
 
 def test_optimize_constants_linear_scale():
-    tuned = optimize_constants(
-        parse_expr("17/10*x"), [(i,) for i in range(1, 20)],
-        [2.0 * i for i in range(1, 20)], ("x",),
-    )
+    xs = np.arange(1.0, 20.0)
+    tuned = optimize_constants_tree(parse_expr("17/10*x"), {"x": xs}, 2.0 * xs)
     v = eval_ground(tuned, {"x": 1})
     assert abs(float(v) - 2.0) < 1e-3
 
 
 def test_optimize_constants_no_constants_is_identity():
     e = parse_expr("x + y")
-    assert optimize_constants(e, [(1, 2), (2, 3)], [3.0, 5.0], ("x", "y")) == e
+    cols = {"x": np.array([1.0, 2.0]), "y": np.array([2.0, 3.0])}
+    assert optimize_constants_tree(e, cols, np.array([3.0, 5.0])) == e
 
 
 def test_optimize_constants_affine():
-    tuned = optimize_constants(
-        parse_expr("1 + 2*x"), [(i,) for i in range(12)],
-        [3.0 + 5.0 * i for i in range(12)], ("x",),
-    )
+    xs = np.arange(12.0)
+    tuned = optimize_constants_tree(parse_expr("1 + 2*x"), {"x": xs}, 3.0 + 5.0 * xs)
     a = float(eval_ground(tuned, {"x": 0}))
     b = float(eval_ground(tuned, {"x": 1})) - a
     # independent normal-equations oracle for the same data
@@ -83,13 +80,12 @@ def test_optimize_constants_affine():
 
 
 def test_optimize_constants_never_worse():
-    xs = [(i,) for i in range(1, 15)]
-    ys = [float(3 * i) for i in range(1, 15)]
+    cols = {"x": np.arange(1.0, 15.0)}
+    ys = 3.0 * cols["x"]
     before = parse_expr("3*x")  # already optimal
-    after = optimize_constants(before, xs, ys, ("x",))
-    cols = {"x": np.array([float(i) for i in range(1, 15)])}
-    la = tree_loss(after, cols, np.array(ys))
-    lb = tree_loss(before, cols, np.array(ys))
+    after = optimize_constants_tree(before, cols, ys)
+    la = tree_loss(after, cols, ys)
+    lb = tree_loss(before, cols, ys)
     assert la <= lb + 1e-12
 
 
