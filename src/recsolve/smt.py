@@ -54,6 +54,7 @@ from .model import (
     Var,
     eval_bool,
     eval_ground,
+    free_vars,
     substitute,
     walk,
 )
@@ -630,10 +631,12 @@ def encode(
     return encoded if isinstance(encoded, Unsupported) else encoded[0]
 
 
-def _guard_bindings(guard: BoolExpr) -> dict:
+def _guard_bindings(guard: BoolExpr, exprs) -> dict:
     """Variables a conjunctive guard pins to constants (x = 3 conjuncts);
     substituting them specializes base-case equations so that exponential
-    subterms constant-fold away."""
+    subterms constant-fold away.  A pin that zeroes a variable divisor in
+    `exprs` is left out: it would turn the candidate's guarded x/0 = 0 into a
+    constant division by zero, which the encoder refuses."""
     out: dict = {}
 
     def collect(b):
@@ -647,7 +650,18 @@ def _guard_bindings(guard: BoolExpr) -> dict:
                 out[b.rhs.name] = b.lhs
 
     collect(guard)
-    return out
+    if not out:
+        return out
+    zeroed = {
+        v
+        for e in exprs
+        for node in walk(e)
+        if isinstance(node, Div)
+        and not isinstance(node.rhs, Const)
+        and simplify(substitute(node.rhs, out)) == Const(Fraction(0))
+        for v in free_vars(node.rhs)
+    }
+    return {v: c for v, c in out.items() if v not in zeroed}
 
 
 def _encode_only(system, cand, solver):
@@ -673,7 +687,7 @@ def _encode_only(system, cand, solver):
         )
         obligations: list[BoolExpr] = []
         rhs_raw = replace_calls(case.body, f, cand, obligations)
-        bindings = _guard_bindings(case.guard)
+        bindings = _guard_bindings(case.guard, (lhs_raw, rhs_raw))
         lhs_case = substitute(lhs_raw, bindings) if bindings else lhs_raw
         rhs_case = substitute(rhs_raw, bindings) if bindings else rhs_raw
         lhs_s, rhs_s = simplify(lhs_case), simplify(rhs_case)

@@ -70,6 +70,14 @@ class GPConfig:
     def __post_init__(self):
         if min(self.populations, self.population_size, self.iterations) <= 0:
             raise ValueError("population/iteration counts must be positive")
+        if min(self.max_complexity, self.tournament, self.migration_interval) < 1:
+            raise ValueError("max_complexity, tournament and migration_interval must be >= 1")
+        if not (
+            0 <= self.p_crossover <= 1
+            and 0 <= self.p_mutation <= 1
+            and self.p_crossover + self.p_mutation <= 1
+        ):
+            raise ValueError("p_crossover and p_mutation must lie in [0, 1] and sum to at most 1")
 
 
 @dataclass
@@ -279,7 +287,13 @@ def evolve(
 ) -> ParetoFront:
     """Island-model GP: tournament selection, subtree crossover, mutation,
     constant perturbation and ring migration of the best individual.
-    Deterministic for a given seed."""
+    Deterministic for a given seed.
+
+    Each distinct tree is scored once per two-generation window: an
+    offspring that repeats a tree made in this generation or the last
+    reuses its individual.  The tuning of an island's best is memoized by
+    tree for the whole call.  Neither memo changes a random draw or a
+    result."""
     ops = ops or OperatorSet()
     cfg = cfg or GPConfig()
     if len(targets) < 5:
@@ -287,20 +301,28 @@ def evolve(
     cols = {p: np.asarray([t[i] for t in inputs], dtype=float) for i, p in enumerate(params)}
     y = np.asarray(targets, dtype=float)
     front = ParetoFront()
+    # tree -> individual, made in this generation (seen) or the last (older)
+    seen: dict[Expr, _Individual] = {}
+    older: dict[Expr, _Individual] = {}
+    tuned_of: dict[Expr, Expr] = {}
 
-    def make(tree: Expr) -> _Individual:
-        comp = complexity(tree, ops)
-        loss = tree_loss(tree, cols, y) if comp <= cfg.max_complexity else math.inf
-        ind = _Individual(tree, loss, comp)
-        if comp <= cfg.max_complexity:
-            front.offer(tree, loss, comp)
+    def make(tree: Expr, comp: int) -> _Individual:
+        ind = seen.get(tree)
+        if ind is None:
+            ind = older.get(tree)
+            if ind is None:
+                loss = tree_loss(tree, cols, y) if comp <= cfg.max_complexity else math.inf
+                ind = _Individual(tree, loss, comp)
+                if comp <= cfg.max_complexity:
+                    front.offer(tree, loss, comp)
+            seen[tree] = ind
         return ind
 
     rngs = [random.Random(cfg.seed * 10_007 + i) for i in range(cfg.populations)]
     islands: list[list[_Individual]] = []
     for i in range(cfg.populations):
-        pop = [make(_random_tree(rngs[i], params, ops, 3)) for _ in range(cfg.population_size)]
-        islands.append(pop)
+        trees = [_random_tree(rngs[i], params, ops, 3) for _ in range(cfg.population_size)]
+        islands.append([make(t, complexity(t, ops)) for t in trees])
 
     def tournament(rng: random.Random, pop: list[_Individual]) -> _Individual:
         best = pop[rng.randrange(len(pop))]
@@ -311,6 +333,7 @@ def evolve(
         return best
 
     for it in range(cfg.iterations):
+        older, seen = seen, {}
         for i, pop in enumerate(islands):
             rng = rngs[i]
             elite = min(pop, key=lambda d: (d.loss, d.complexity))
@@ -325,9 +348,8 @@ def evolve(
                     child = _mutate(rng, parent.tree, params, ops)
                 else:
                     child = _perturb_const(rng, parent.tree)
-                if complexity(child, ops) > cfg.max_complexity:
-                    child = parent.tree
-                newpop.append(make(child))
+                comp = complexity(child, ops)
+                newpop.append(parent if comp > cfg.max_complexity else make(child, comp))
             # short classical pass over the island's best: shapes like c^n
             # only become competitive once their constants are tuned
             bi = min(range(len(newpop)), key=lambda j: (newpop[j].loss, newpop[j].complexity))
@@ -335,9 +357,11 @@ def evolve(
             if math.isfinite(newpop[bi].loss) and any(
                 isinstance(n, Const) for n in tree_nodes(btree)
             ):
-                tuned = optimize_constants_tree(btree, cols, y, max_evals=40)
+                tuned = tuned_of.get(btree)
+                if tuned is None:
+                    tuned = tuned_of[btree] = optimize_constants_tree(btree, cols, y, max_evals=40)
                 if tuned != btree:
-                    cand = make(tuned)
+                    cand = make(tuned, complexity(tuned, ops))
                     if cand.beats(newpop[bi]):
                         newpop[bi] = cand
             islands[i] = newpop

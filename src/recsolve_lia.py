@@ -4,20 +4,27 @@ arithmetic, used when no external solver (z3, cvc5, ...) is installed.
 Reads a script from a file argument or stdin; prints "sat" (plus a model on
 get-model), "unsat", or "unknown".  Decides by Cooper quantifier elimination
 over the DNF of the assertion after term-level ite lifting; anything outside
-the fragment (non-zero-arity functions, quantifiers, reals, non-linear
-multiplication) is answered "unknown", never incorrectly.
+the fragment (non-zero-arity functions, quantifiers, reals) is answered
+"unknown", never incorrectly.  A comparison with a non-linear product is
+kept opaque: a linear branch of the DNF can still show "sat" (the model is
+checked against the whole assertion), but without one the answer is
+"unknown".
 """
 
 from __future__ import annotations
 
 import sys
-from math import gcd
+from math import gcd, prod
 
 MAX_DISJUNCTS = 20_000
 MAX_BRANCHES = 50_000
 
 
 class Unsupported(Exception):
+    pass
+
+
+class NonLinear(Unsupported):
     pass
 
 
@@ -164,7 +171,10 @@ class Builder:
         raise Unsupported(f"operator {head}")
 
     def _linear_atom(self, op, lhs, rhs, neg: bool):
-        a, b = self.term(lhs), self.term(rhs)
+        try:
+            a, b = self.term(lhs), self.term(rhs)
+        except NonLinear:
+            return ("nl", [op, lhs, rhs], neg)
         diff = lin_add(a, lin_scale(b, -1))
         if neg:
             op = {"=": "!=", "<=": ">", "<": ">=", ">=": "<", ">": "<="}[op]
@@ -249,7 +259,7 @@ class Builder:
                 elif lin is None:
                     lin = t
                 else:
-                    raise Unsupported("non-linear multiplication")
+                    raise NonLinear("non-linear multiplication")
             if lin is None:
                 return lin_const(const)
             return lin_scale(lin, const)
@@ -276,6 +286,8 @@ def dnf(t) -> list[list]:
     if head == "le":
         if set(t[1]) <= {None}:
             return [[]] if t[1].get(None, 0) <= 0 else []
+        return [[t]]
+    if head == "nl":
         return [[t]]
     if head == "and":
         out = [[]]
@@ -537,9 +549,31 @@ def _check_model(tree, model) -> bool:
         return not _check_model(tree[1], model)
     if head == "le":
         return lin_eval(tree[1], model) <= 0
+    if head == "nl":
+        (op, lhs, rhs), neg = tree[1], tree[2]
+        a, b = _eval_term(lhs, model), _eval_term(rhs, model)
+        holds = {"=": a == b, "<=": a <= b, "<": a < b, ">=": a >= b, ">": a > b}[op]
+        return holds != neg
     if head == "eq":
         return lin_eval(tree[1], model) == 0
     raise Unsupported(head)
+
+
+def _eval_term(s, model) -> int:
+    if isinstance(s, str):
+        if s.lstrip("-").isdigit():
+            return int(s)
+        if s in model:
+            return model[s]
+        raise Unsupported(f"symbol {s}")
+    args = [_eval_term(x, model) for x in s[1:]]
+    if s[0] == "+":
+        return sum(args)
+    if s[0] == "-":
+        return -args[0] if len(args) == 1 else args[0] - sum(args[1:])
+    if s[0] == "*":
+        return prod(args)
+    raise Unsupported(f"function {s[0]}")
 
 
 def run_script(text: str) -> str:
@@ -579,7 +613,11 @@ def run_script(text: str) -> str:
                 disjuncts = dnf(whole)
                 budget = Budget(MAX_BRANCHES)
                 model = None
+                opaque = False
                 for conj in disjuncts:
+                    if any(atom[0] == "nl" for atom in conj):
+                        opaque = True
+                        continue
                     m = solve_conj(conj, variables, budget)
                     if m is not None:
                         full = {v: m.get(v, 0) for v in variables}
@@ -587,6 +625,8 @@ def run_script(text: str) -> str:
                             model = full
                             break
                         raise Unsupported("witness check failed")
+                if model is None and opaque:
+                    raise Unsupported("non-linear branches left undecided")
                 status = "sat" if model is not None else "unsat"
                 out_lines.append(status)
             elif head == "get-model":

@@ -124,6 +124,18 @@ def test_unsupported_features_answer_unknown():
     )
 
 
+def test_nonlinear_atoms_leave_linear_branches_decidable():
+    head = "(declare-fun x () Int)(declare-fun y () Int)"
+    # the linear branch x = 3 is a model of the whole assertion
+    out = run_script(head + "(assert (or (= (* x y) 7) (= x 3)))(check-sat)(get-model)")
+    assert out.splitlines()[0] == "sat"
+    assert "(define-fun x () Int 3)" in out
+    # a conjunction that needs the product is not decided
+    assert run_script(head + "(assert (and (= x 3) (= (* x y) 6)))(check-sat)") == "unknown"
+    # unsat linear branches beside an undecided non-linear one: unknown
+    assert run_script(head + "(assert (or (= (* x y) 7) (< x x)))(check-sat)") == "unknown"
+
+
 def test_get_model_after_unsat_is_error_line():
     out = run_script("(declare-fun x () Int)(assert (< x x))(check-sat)(get-model)")
     lines = out.splitlines()

@@ -62,6 +62,18 @@ def test_verify_refutes_nested_x_minus_one(eq1):
     assert res.counterexample == {"x": 0}
 
 
+def test_verify_refutes_at_a_pinned_zero_divisor():
+    """The base case pins the divisor y to 0, where the candidate's guarded
+    floor(x/0) is 0, not 7."""
+    bf = parse(
+        "def f(x, y) pre x >= 0 and y >= 0"
+        " { case y = 0 -> 7 case y > 0 -> floor(x/y) } entry f"
+    )
+    res = verify(bf.system, parse_candidate("floor(x/y)"))
+    assert isinstance(res, Disproved) and res.confirmed, res
+    assert res.counterexample["y"] == 0
+
+
 @pytest.mark.parametrize("name,wrong", [
     ("nested", "x + 1"), ("merge", "x + y - 1"), ("mccarthy91", "91"),
     ("highdim1", "x1"), ("div", "x"),

@@ -187,6 +187,77 @@ def test_evolve_deterministic():
     ]
 
 
+def _front_key(front):
+    return sorted((c, e.loss, e.tree) for c, e in front.entries.items())
+
+
+def test_evolve_memo_lives_for_one_call():
+    """A tree scored on one dataset is scored again on the next: the front on
+    B after a run on A equals the front on B alone."""
+    ins = [(i,) for i in range(12)]
+    ys_a = [float(3 * i + 2) for i in range(12)]
+    ys_b = [float(i * i - i) for i in range(12)]
+    cfg = GPConfig(populations=5, population_size=14, iterations=10, seed=6)
+    alone = evolve(ins, ys_b, ("x",), cfg=cfg)
+    evolve(ins, ys_a, ("x",), cfg=cfg)
+    after_a = evolve(ins, ys_b, ("x",), cfg=cfg)
+    assert _front_key(after_a) == _front_key(alone)
+
+
+def test_evolve_scores_and_tunes_each_tree_once(monkeypatch):
+    """Offspring that repeat a recent tree are not scored again, and an
+    island's best is not tuned twice."""
+    from recsolve import symbolic
+
+    scored, tuned, tuning = [0], [], [False]
+    real_loss, real_tune = symbolic.tree_loss, symbolic.optimize_constants_tree
+
+    def counting_loss(tree, cols, y):
+        scored[0] += not tuning[0]  # Nelder-Mead's own evaluations aside
+        return real_loss(tree, cols, y)
+
+    def counting_tune(tree, cols, y, max_evals=200):
+        if max_evals == 40:
+            tuned.append(tree)
+        tuning[0] = True
+        try:
+            return real_tune(tree, cols, y, max_evals)
+        finally:
+            tuning[0] = False
+
+    monkeypatch.setattr(symbolic, "tree_loss", counting_loss)
+    monkeypatch.setattr(symbolic, "optimize_constants_tree", counting_tune)
+    cfg = GPConfig(6, 16, 12, seed=2)
+    evolve([(i,) for i in range(12)], [float(i * i + 1) for i in range(12)], ("x",), cfg=cfg)
+    made = cfg.populations * (
+        cfg.population_size + cfg.iterations * (cfg.population_size - 1)
+    )
+    assert 0 < scored[0] < made
+    assert tuned and len(tuned) == len(set(tuned))
+
+
+@pytest.mark.parametrize("bad", [
+    {"migration_interval": 0},
+    {"tournament": 0},
+    {"max_complexity": 0},
+    {"p_crossover": -0.1},
+    {"p_crossover": 1.5, "p_mutation": 0.0},
+    {"p_mutation": -0.2},
+    {"p_mutation": 1.1, "p_crossover": 0.0},
+    {"p_crossover": 0.7, "p_mutation": 0.4},
+    {"populations": 0},
+])
+def test_gpconfig_rejects_bad_values(bad):
+    with pytest.raises(ValueError):
+        GPConfig(**bad)
+
+
+def test_gpconfig_accepts_edge_values():
+    GPConfig(migration_interval=1, tournament=1, max_complexity=1)
+    GPConfig(p_crossover=1.0, p_mutation=0.0)
+    GPConfig(p_crossover=0.0, p_mutation=0.0)
+
+
 def test_guess_symbolic_eq1_split(eq1):
     out = guess_symbolic(
         eq1.system,
