@@ -48,7 +48,7 @@ from .model import (
     substitute,
 )
 from .report import emit_csv, emit_report, summarize, write_report
-from .rewrite import contains_unsupported, simplify
+from .rewrite import simplify
 from .sampler import (
     EmptyDomain,
     SampleConfig,

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .dsl import BenchmarkFile, parse, print_piecewise
-from .evaluator import EvalBudget
 from .linear import GuessOutcome, LassoConfig, guess_linear
 from .model import (
     Add,
@@ -51,9 +50,12 @@ from .smt import (
     values_agree,
     verify,
 )
-from .symbolic import GPConfig, OperatorSet, guess_symbolic
+from .symbolic import GPConfig, guess_symbolic
 
 CLASSES = ("exact", "theta", "exp-theta", "nontrivial", "none")
+
+# held-out R^2 below which `auto` also tries symreg and verification is skipped
+AUTO_THRESHOLD = 0.999999
 
 
 @dataclass
@@ -65,11 +67,8 @@ class RunConfig:
     sample: SampleConfig = field(default_factory=SampleConfig)
     lasso: LassoConfig = field(default_factory=LassoConfig)
     gp: GPConfig = field(default_factory=GPConfig)
-    ops: OperatorSet = field(default_factory=OperatorSet)
-    budget: EvalBudget = field(default_factory=EvalBudget)
     verify: bool = False
     solver: SolverConfig = field(default_factory=SolverConfig)
-    auto_threshold: float = 0.999999
     jobs: int = 1
 
     def __post_init__(self):
@@ -393,16 +392,13 @@ def _guess_once(bf: BenchmarkFile, cfg: RunConfig, method: str, attempt: int) ->
             lasso_cfg=lasso,
             sample_cfg=sample,
             domsplit=cfg.domsplit,
-            budget=cfg.budget,
         )
     gp = replace(cfg.gp, seed=seed)
     return guess_symbolic(
         bf.system,
         gp_cfg=gp,
         sample_cfg=sample,
-        ops=cfg.ops,
         domsplit=cfg.domsplit,
-        budget=cfg.budget,
     )
 
 
@@ -453,7 +449,7 @@ def run_benchmark(source, cfg: RunConfig, name: str = "") -> BenchmarkResult:
         if method == "auto":
             outcome = _best_guess(bf, cfg, "lasso")
             used = "lasso"
-            if outcome.score < cfg.auto_threshold:
+            if outcome.score < AUTO_THRESHOLD:
                 alt = _best_guess(bf, cfg, "symreg")
                 if alt.score > outcome.score:
                     outcome = alt
@@ -476,13 +472,13 @@ def run_benchmark(source, cfg: RunConfig, name: str = "") -> BenchmarkResult:
     verification: VerificationResult | None = None
     verification_str = "not-run"
     t_verify = 0.0
-    if cfg.verify and cand is not None and cand.pieces and score >= cfg.auto_threshold:
+    if cfg.verify and cand is not None and cand.pieces and score >= AUTO_THRESHOLD:
         solver = cfg.solver
         if solver.debug_dir:
             solver = replace(solver, debug_dir=os.path.join(solver.debug_dir, name))
         t0 = time.monotonic()
         try:
-            verification = verify(bf.system, cand, solver, cfg.budget)
+            verification = verify(bf.system, cand, solver)
         except Exception as exc:
             verification = None
             flags.append(f"verify-error:{type(exc).__name__}")

@@ -718,7 +718,7 @@ def _guess_domains(
     fname = func or system.entry
     f = system.functions[fname]
     evaluator = Evaluator(system, budget)
-    domains = split_domains(f) if domsplit else [Subdomain(positive_orthant(f), -1)]
+    domains = split_domains(f) if domsplit else [Subdomain(positive_orthant(f))]
 
     fits: list[DomainFit] = []
     pieces: list[Piece] = []

@@ -37,7 +37,6 @@ from .model import (
     TRUE,
     TrueExpr,
     Var,
-    walk,
 )
 
 MAX_PASSES = 20
@@ -195,11 +194,9 @@ def _simp_pow(e: Pow) -> Expr:
                 return _rebuild_term(
                     base.value**k, [Pow(base, rest)] if rest != Const(Fraction(0)) else []
                 )
-        # (c^a)^b = c^(a*b)
     if isinstance(base, Pow) and isinstance(base.base, Const):
+        # (c^a)^b = c^(a*b)
         return _simp_pow(Pow(base.base, _simp(Mul(base.exp, exp))))
-    if isinstance(base, Const) and isinstance(exp, Const):
-        return Pow(base, exp)
     return Pow(base, exp)
 
 
@@ -482,25 +479,3 @@ def _simp_junction(b: BoolExpr, junction, dual) -> BoolExpr:
     for p in parts[1:]:
         out = junction(out, p)
     return out
-
-
-# ---------------------------------------------------------------------------
-# SMT supportability
-# ---------------------------------------------------------------------------
-
-
-def contains_unsupported(e: Expr) -> list[str]:
-    """Node kinds (after simplification) with no SMT encoding."""
-    offending: list[str] = []
-    for node in walk(e):
-        if isinstance(node, Factorial):
-            offending.append("Factorial")
-        elif isinstance(node, Log2):
-            offending.append("Log2")
-        elif isinstance(node, Pow):
-            if isinstance(node.base, Const):
-                continue  # constant base: recursive power axioms
-            if isinstance(node.exp, Const) and node.exp.value.denominator == 1 and node.exp.value >= 0:
-                continue  # unrolled product
-            offending.append("Pow")
-    return sorted(set(offending))

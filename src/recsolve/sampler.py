@@ -49,7 +49,6 @@ class SampleConfig:
 @dataclass(frozen=True)
 class Subdomain:
     constraint: BoolExpr
-    case_index: int
 
 
 @dataclass
@@ -146,11 +145,11 @@ def split_domains(func: FuncDef) -> list[Subdomain]:
     everything earlier guards already claimed (purely syntactic)."""
     out: list[Subdomain] = []
     preceding: BoolExpr | None = None
-    for i, case in enumerate(func.cases):
+    for case in func.cases:
         constraint: BoolExpr = case.guard
         if preceding is not None:
             constraint = And(constraint, preceding)
-        out.append(Subdomain(simplify(constraint), i))
+        out.append(Subdomain(simplify(constraint)))
         neg = Not(case.guard)
         preceding = neg if preceding is None else And(preceding, neg)
     return out

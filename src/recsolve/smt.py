@@ -4,9 +4,9 @@ models of its negation, and interpret the answer.
 
 The solver is a separate process speaking SMT-LIB2 text (command taken from
 the --solver flag or RECSOLVE_SMT_CMD, falling back to z3 on PATH and then
-to the bundled linear-integer-arithmetic solver).  unsat means the candidate
-is an exact solution; sat yields a counterexample that is re-checked against
-the evaluator before it is trusted.
+to the bundled linear-integer-arithmetic solver, run by its file path).
+unsat means the candidate is an exact solution; sat yields a counterexample
+that is re-checked against the evaluator before it is trusted.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+import recsolve_lia
 
 from .evaluator import BudgetExceeded, EvalBudget, Evaluator, NoMatchingCase
 from .model import (
@@ -58,7 +60,7 @@ from .model import (
     substitute,
     walk,
 )
-from .rewrite import contains_unsupported, simplify
+from .rewrite import simplify
 
 
 class SolverNotFound(Exception):
@@ -118,7 +120,8 @@ def default_solver_command() -> tuple[str, ...]:
         return tuple(shlex.split(env))
     if shutil.which("z3"):
         return ("z3",)
-    return (sys.executable, "-m", "recsolve_lia")
+    # by file path: the child then needs no import path to find the module
+    return (sys.executable, os.path.abspath(recsolve_lia.__file__))
 
 
 @dataclass
@@ -465,13 +468,11 @@ def check(job: SmtJob, confirmer=None, debug_dir: str | None = None) -> Verifica
 
 
 def _parse_model(stdout: str, variables) -> dict:
-    from recsolve_lia import parse_sexprs, tokenize
-
     idx = stdout.find("sat")
     rest = stdout[idx + 3 :]
     model: dict = {}
     try:
-        forms = parse_sexprs(tokenize(rest))
+        forms = recsolve_lia.parse_sexprs(recsolve_lia.tokenize(rest))
     except Exception as exc:
         raise MalformedSolverOutput(stdout[:500]) from exc
 
@@ -517,18 +518,6 @@ def _parse_value(v):
 # ---------------------------------------------------------------------------
 
 
-def _transcendental_count(e: Expr) -> int:
-    n = 0
-    for node in walk(e):
-        if isinstance(node, (Log2, Factorial)):
-            n += 1
-        elif isinstance(node, Pow) and not (
-            isinstance(node.exp, Const) and node.exp.value.denominator == 1 and 0 <= node.exp.value <= 8
-        ):
-            n += 1
-    return n
-
-
 def verify(
     system: RecurrenceSystem,
     cand: PiecewiseClosedForm,
@@ -536,9 +525,10 @@ def verify(
     budget: EvalBudget | None = None,
 ) -> VerificationResult:
     """Check a candidate closed form against a single-equation system:
-    replace calls, simplify, refuse what the encoding cannot express, then
-    ask the solver, in one query, for a point where the equation fails, a
-    recursive call leaves the precondition, or a divisor is below 1.
+    replace calls, simplify each case's difference, then ask the solver, in
+    one query, for a point where a difference is not 0, a recursive call
+    leaves the precondition, or a divisor is below 1.  A node the encoding
+    cannot express makes the result Unsupported, naming the node.
     Counterexamples are confirmed against the evaluator before being
     trusted; an unconfirmed one that breaks a side condition is reported as
     that condition's Unsupported label."""
@@ -665,17 +655,20 @@ def _guard_bindings(guard: BoolExpr, exprs) -> dict:
 
 
 def _encode_only(system, cand, solver):
-    """The verification job and its side conditions, or Unsupported.  The
-    job asks for a point of the precondition where some case fires (earlier
-    guards false, its own true) and its equation fails or one of its
-    recursive calls leaves the precondition, or where a variable divisor of
-    a floor/ceil is below 1.  Each side condition is one of those disjuncts
-    other than a failed equation, paired with the Unsupported label of a
-    model that satisfies it."""
+    """The verification job and its side conditions, or Unsupported.  Each
+    case's equation is simplify(lhs - rhs) = 0 over its simplified sides.
+    The job asks for a point of the precondition where some case fires
+    (earlier guards false, its own true) and its equation fails or one of
+    its recursive calls leaves the precondition, or where a variable divisor
+    of a floor/ceil is below 1.  Each side condition is one of those
+    disjuncts other than a failed equation, paired with the Unsupported
+    label of a model that satisfies it.  A node the encoder refuses gives
+    Unsupported with the encoder's label."""
     f = system.entry_func
     params = tuple(f.params)
     lhs_raw = inline_candidate(cand, tuple(Var(p) for p in params), params)
     refutations: list[BoolExpr] = []
+    sides: list[Expr | BoolExpr] = []
     side_conditions: list[tuple[str, BoolExpr]] = []
     prev_ctx: BoolExpr = TRUE
     for case in f.cases:
@@ -691,26 +684,19 @@ def _encode_only(system, cand, solver):
         lhs_case = substitute(lhs_raw, bindings) if bindings else lhs_raw
         rhs_case = substitute(rhs_raw, bindings) if bindings else rhs_raw
         lhs_s, rhs_s = simplify(lhs_case), simplify(rhs_case)
-        if _transcendental_count(lhs_s) + _transcendental_count(rhs_s) > 0:
-            diff = simplify(Sub(lhs_s, rhs_s))
-            if _transcendental_count(diff) == 0:
-                eq = Cmp("=", diff, Const(Fraction(0)))
-            else:
-                eq = Cmp("=", lhs_s, rhs_s)
-        else:
-            eq = Cmp("=", lhs_s, rhs_s)
-        bad = sorted(set(contains_unsupported(eq.lhs) + contains_unsupported(eq.rhs)))
-        if bad:
-            return Unsupported(tuple(bad))
+        sides.extend((ctx, lhs_s, rhs_s))
+        eq = Cmp("=", simplify(Sub(lhs_s, rhs_s)), Const(Fraction(0)))
         refutations.append(And(ctx, Not(eq)))
         side_conditions.extend(
             ("unresolved-call", And(ctx, Not(o)))
             for o in dict.fromkeys(obligations)
             if not isinstance(o, TrueExpr)
         )
+    # from the guards and sides, not the differences: a divisor that cancels
+    # in a difference still divides where the case is evaluated
     divisors = dict.fromkeys(
         node.arg.rhs
-        for b in refutations + [c for _, c in side_conditions]
+        for b in sides + [c for _, c in side_conditions]
         for node in walk(b)
         if isinstance(node, (Floor, Ceil))
         and isinstance(node.arg, Div)

@@ -322,26 +322,6 @@ def lcm(a: int, b: int) -> int:
     return a * b // gcd(a, b)
 
 
-def _ground_ok(conj) -> bool | None:
-    """True/False when every atom is ground, None otherwise."""
-    all_ground = True
-    for atom in conj:
-        if atom[0] == "le":
-            if set(atom[1]) <= {None}:
-                if atom[1].get(None, 0) > 0:
-                    return False
-            else:
-                all_ground = False
-        else:
-            _, d, lin = atom
-            if set(lin) <= {None}:
-                if lin.get(None, 0) % d != 0:
-                    return False
-            else:
-                all_ground = False
-    return True if all_ground else None
-
-
 def _prune(conj):
     """Drop satisfied ground atoms; None signals a contradiction."""
     out = []
@@ -370,11 +350,6 @@ class Budget:
         self.left -= 1
         if self.left <= 0:
             raise Unsupported("branch budget exhausted")
-
-
-def solve_conj(conj, variables, budget: Budget):
-    """Decide one conjunction; returns a model dict or None."""
-    return _solve(conj, budget)
 
 
 def _atom_vars(atom):
@@ -443,7 +418,8 @@ def _pick_var(conj):
     return min(stats, key=lambda k: (stats[k][0], stats[k][1], k))
 
 
-def _solve(conj, budget: Budget):
+def solve_conj(conj, budget: Budget):
+    """Decide one conjunction; returns a model dict or None."""
     conj = _prune(conj)
     if conj is None:
         return None
@@ -453,7 +429,7 @@ def _solve(conj, budget: Budget):
     if not conj:
         return {}
     if not any(_atom_vars(a) for a in conj):
-        return {} if _ground_ok(conj) else None
+        return {} if _prune(conj) is not None else None
     x = _pick_var(conj)
     budget.spend()
 
@@ -503,7 +479,7 @@ def _solve(conj, budget: Budget):
     for r in lowers:
         for j in range(1, delta + 1):
             term = lin_add(r, lin_const(j - 1))
-            sub = _solve(substituted(term), budget)
+            sub = solve_conj(substituted(term), budget)
             if sub is not None:
                 yval = lin_eval(term, sub)
                 sub[x] = yval // lam
@@ -514,7 +490,7 @@ def _solve(conj, budget: Budget):
             out = list(without_x)
             for d, sign, r in divs:
                 out.append(("div", d, lin_add(r, lin_const(sign * j))))
-            sub = _solve(out, budget)
+            sub = solve_conj(out, budget)
             if sub is not None:
                 bound = None
                 for s in uppers:
@@ -618,7 +594,7 @@ def run_script(text: str) -> str:
                     if any(atom[0] == "nl" for atom in conj):
                         opaque = True
                         continue
-                    m = solve_conj(conj, variables, budget)
+                    m = solve_conj(conj, budget)
                     if m is not None:
                         full = {v: m.get(v, 0) for v in variables}
                         if _check_model(whole, full):

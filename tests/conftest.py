@@ -6,8 +6,8 @@ from recsolve import dsl
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
-# pytest puts src/ on sys.path (pyproject.toml); child processes started by
-# the tests (the CLI, the bundled solver) need it on PYTHONPATH as well.
+# pytest puts src/ on sys.path (pyproject.toml); the CLI and demo scripts
+# that the tests start as child processes need it on PYTHONPATH as well.
 _SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
 os.environ["PYTHONPATH"] = os.pathsep.join(
     [_SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from recsolve.dsl import parse_bool, parse_expr, print_bool, print_expr
 from recsolve.model import EvalError, eval_bool, eval_ground, free_vars
-from recsolve.rewrite import MAX_PASSES, contains_unsupported, simplify
+from recsolve.rewrite import MAX_PASSES, simplify
 
 from conftest import corpus_files
 
@@ -150,12 +150,3 @@ def test_pass_bound_respected():
     s = simplify(e)
     assert s == parse_expr("60*x + 60")
     assert MAX_PASSES >= 1
-
-
-def test_contains_unsupported_examples():
-    assert contains_unsupported(parse_expr("x! + 1")) == ["Factorial"]
-    assert contains_unsupported(parse_expr("3*x + 2")) == []
-    assert contains_unsupported(parse_expr("2^x")) == []
-    assert contains_unsupported(parse_expr("x^y")) == ["Pow"]
-    assert contains_unsupported(parse_expr("log2(x) + x")) == ["Log2"]
-    assert contains_unsupported(parse_expr("x^(1/2)")) == ["Pow"]

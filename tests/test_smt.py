@@ -1,13 +1,16 @@
 import itertools
 import random
 import sys
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
+import recsolve_lia
 from recsolve import dsl, smt
 from recsolve.dsl import parse, parse_bool, parse_candidate, parse_expr, print_bool, print_expr
 from recsolve.evaluator import Evaluator
-from recsolve.model import Var, contains_call, eval_bool
+from recsolve.model import Add, Const, PiecewiseClosedForm, Var, contains_call, eval_bool
 from recsolve.rewrite import simplify
 from recsolve.smt import (
     Disproved,
@@ -168,6 +171,12 @@ def test_verify_raises_on_missing_or_crashing_solver(corpus, command, error):
         verify(bf.system, bf.expect, SolverConfig(command=command))
 
 
+def test_bundled_solver_runs_without_pythonpath(corpus, monkeypatch):
+    monkeypatch.delenv("PYTHONPATH", raising=False)
+    monkeypatch.delenv("RECSOLVE_SMT_CMD", raising=False)
+    assert verify(corpus["nested"].system, parse_candidate("x")) == Proved()
+
+
 def test_verify_worked_example(eq1):
     assert isinstance(verify(eq1.system, parse_candidate("x")), Proved)
 
@@ -260,13 +269,62 @@ def test_verified_corpus_expects_and_soundness(corpus):
             assert checked > 0, name
 
 
+# verdicts of every single-equation corpus `expect` and `expect+1` (1 added
+# to every piece) with the bundled solver
+VERDICTS = {
+    "bin_search": ("unsupported:Log2", "unsupported:Log2"),
+    "div": ("unknown:solver-unknown", "unknown:solver-unknown"),
+    "exp1": ("proved", "refuted"),
+    "exp2": ("proved", "refuted"),
+    "exp3": ("proved", "refuted"),
+    "fact": ("unsupported:Factorial", "unsupported:Factorial"),
+    "highdim1": ("proved", "refuted"),
+    "incr1": ("proved", "refuted"),
+    "lba_ex_viap": ("proved", "refuted"),
+    "mccarthy91": ("proved", "refuted"),
+    "merge": ("proved", "refuted"),
+    "merge_sz": ("proved", "refuted"),
+    "nested": ("proved", "refuted"),
+    "noisy_strt1": ("proved", "refuted"),
+    "nondet_max": ("proved", "refuted"),
+    "nondet_min": ("proved", "refuted"),
+    "open_zip": ("proved", "refuted"),
+    "succ": ("proved", "refuted"),
+    "sum_osc": ("unknown:solver-unknown", "refuted"),
+}
+
+
+def _verdict(res) -> str:
+    if isinstance(res, Proved):
+        return "proved"
+    if isinstance(res, Disproved):
+        return "refuted" if res.confirmed else "disproved-unconfirmed"
+    if isinstance(res, Unknown):
+        return f"unknown:{res.reason}"
+    return "unsupported:" + ",".join(res.offending)
+
+
 def test_verify_expected_proved_set(corpus):
-    """The linear-arithmetic expected forms are actually proved with the
-    bundled solver."""
-    must_prove = ["nested", "succ", "nondet_max", "nondet_min", "merge",
-                  "merge_sz", "open_zip", "incr1", "noisy_strt1", "exp1",
-                  "exp2", "mccarthy91", "highdim1"]
-    for name in must_prove:
-        bf = corpus[name]
-        res = verify(bf.system, bf.expect)
-        assert isinstance(res, Proved), (name, res)
+    """The verdict on each corpus expected form and on that form plus 1."""
+    bundled = SolverConfig(command=(sys.executable, recsolve_lia.__file__))
+    single = {n: bf for n, bf in corpus.items() if bf.expect and bf.system.is_single_equation()}
+    assert sorted(single) == sorted(VERDICTS)
+    for name, bf in single.items():
+        plus_one = PiecewiseClosedForm(tuple(
+            replace(p, body=Add(p.body, Const(Fraction(1)))) for p in bf.expect.pieces
+        ))
+        got = tuple(_verdict(verify(bf.system, c, bundled)) for c in (bf.expect, plus_one))
+        assert got == VERDICTS[name], name
+
+
+def test_encode_refuses_what_it_cannot_express():
+    """The encoder alone names the node a query cannot express."""
+    func = parse(
+        "def f(x, y) pre x >= 0 and y >= 0"
+        " { case x = 0 -> 1 case x > 0 -> f(x - 1, y) + 1 } entry f"
+    ).system.entry_func
+    for src, label in [("x! + 1", "Factorial"), ("log2(x) + x", "Log2"), ("x^y", "Pow"),
+                       ("x^(1/2)", "Pow"), ("x^9", "Pow")]:
+        assert encode(func, parse_candidate(src)) == Unsupported((label,)), src
+    for src in ("3*x + 2", "2^x"):
+        assert isinstance(encode(func, parse_candidate(src)), SmtJob), src
