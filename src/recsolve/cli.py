@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from .dsl import parse, parse_candidate, print_piecewise
-from .harness import RunConfig, has_internal_errors, run_benchmark, run_corpus
+from .harness import RunConfig, has_internal_errors, iter_corpus, run_benchmark
 from .linear import LassoConfig
 from .report import emit_report, summarize, write_report
 from .sampler import SampleConfig
@@ -31,6 +31,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+_SMT_TIMEOUT_HELP = (
+    "seconds per query for an external solver; the bundled solver runs in"
+    " process, bounded by counted work, not by this timeout"
+)
+
+
 def _add_common(p: _Parser):
     p.add_argument("--method", choices=["lasso", "symreg", "auto"], default="lasso")
     p.add_argument("--domsplit", action="store_true")
@@ -43,7 +49,8 @@ def _add_common(p: _Parser):
     p.add_argument("--repeat", type=int, default=2)
     p.add_argument("--verify", action="store_true")
     p.add_argument("--solver", default=None, help="SMT solver command (overrides RECSOLVE_SMT_CMD)")
-    p.add_argument("--smt-timeout", type=float, default=10.0)
+    p.add_argument("--smt-timeout", type=float, default=10.0, metavar="S",
+                   help=_SMT_TIMEOUT_HELP)
     p.add_argument("--out", default=None, help="report path (.jsonl; a .csv sits beside it)")
     p.add_argument("--debug-smt", action="store_true", help="persist SMT scripts beside the report")
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
@@ -99,7 +106,8 @@ def main(argv=None) -> int:
     p_check.add_argument("file")
     p_check.add_argument("--candidate", required=True, help='e.g. "x" or "piece x>0 -> x piece x=0 -> 0"')
     p_check.add_argument("--solver", default=None)
-    p_check.add_argument("--smt-timeout", type=float, default=10.0)
+    p_check.add_argument("--smt-timeout", type=float, default=10.0, metavar="S",
+                         help=_SMT_TIMEOUT_HELP)
     p_check.add_argument("--debug-smt", action="store_true")
 
     args = parser.parse_args(argv)
@@ -149,15 +157,19 @@ def _cmd_solve(args, cfg: RunConfig) -> int:
 
 
 def _cmd_corpus(args, cfg: RunConfig) -> int:
-    results = run_corpus(args.dir, cfg)
-    for r in results:
-        print(f"{r.name:24s} {r.category:10s} {r.classification:10s} {r.verification:12s} {r.score:.4g}")
+    # each benchmark is printed, and with --out recorded, as it finishes
+    stream = (_print_row(r) for r in iter_corpus(args.dir, cfg))
+    results = write_report(stream, args.out) if args.out else list(stream)
     summary = summarize(results)
     print(f"-- {summary['benchmarks']} benchmarks: " + ", ".join(f"{k}={v}" for k, v in summary["classes"].items()))
     if args.out:
-        write_report(results, args.out)
         print(f"report: {args.out}")
     return 2 if has_internal_errors(results) else 0
+
+
+def _print_row(r):
+    print(f"{r.name:24s} {r.category:10s} {r.classification:10s} {r.verification:12s} {r.score:.4g}")
+    return r
 
 
 def _cmd_check(args) -> int:

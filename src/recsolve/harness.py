@@ -9,6 +9,7 @@ import os
 import random
 import time
 import traceback
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -542,19 +543,23 @@ def _corpus_entry(args) -> BenchmarkResult:
 def run_corpus(directory: str, cfg: RunConfig) -> list[BenchmarkResult]:
     """Run every .rec file (sorted by name); entries are isolated, failures
     are recorded per file, and result order is stable by file name."""
+    return list(iter_corpus(directory, cfg))
+
+
+def iter_corpus(directory: str, cfg: RunConfig) -> Iterator[BenchmarkResult]:
+    """run_corpus's results, each yielded as soon as it and every file
+    before it have finished."""
     files = sorted(
         os.path.join(directory, f)
         for f in os.listdir(directory)
         if f.endswith(".rec")
     )
-    if not files:
-        return []
-    if cfg.jobs > 1:
+    if cfg.jobs > 1 and files:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(_corpus_entry, [(f, cfg) for f in files]))
+            yield from pool.map(_corpus_entry, [(f, cfg) for f in files])
     else:
-        results = [_corpus_entry((f, cfg)) for f in files]
-    return results
+        for f in files:
+            yield _corpus_entry((f, cfg))
 
 
 def has_internal_errors(results) -> bool:

@@ -7,6 +7,7 @@ import csv
 import io
 import json
 from collections import Counter
+from collections.abc import Iterable
 
 from .harness import CLASSES, BenchmarkResult
 
@@ -74,11 +75,20 @@ def _has_error(r: BenchmarkResult) -> bool:
 
 def emit_report(results: list[BenchmarkResult]) -> str:
     """Line-delimited records with a version header and a trailing summary."""
-    lines = [json.dumps({"format-version": FORMAT_VERSION, "kind": "recsolve-report"})]
-    for r in results:
-        lines.append(json.dumps(result_record(r), sort_keys=True))
-    lines.append(json.dumps({"summary": summarize(results)}, sort_keys=True))
+    lines = [_header_line(), *map(_record_line, results), _summary_line(results)]
     return "\n".join(lines) + "\n"
+
+
+def _header_line() -> str:
+    return json.dumps({"format-version": FORMAT_VERSION, "kind": "recsolve-report"})
+
+
+def _record_line(r: BenchmarkResult) -> str:
+    return json.dumps(result_record(r), sort_keys=True)
+
+
+def _summary_line(results: list[BenchmarkResult]) -> str:
+    return json.dumps({"summary": summarize(results)}, sort_keys=True)
 
 
 def emit_csv(results: list[BenchmarkResult]) -> str:
@@ -105,12 +115,23 @@ def emit_csv(results: list[BenchmarkResult]) -> str:
     return buf.getvalue()
 
 
-def write_report(results: list[BenchmarkResult], path: str) -> None:
+def write_report(results: Iterable[BenchmarkResult], path: str) -> list[BenchmarkResult]:
+    """Write emit_report's text to `path` and emit_csv's beside it (.csv in
+    place of .jsonl).  Each record is written and flushed as its result
+    arrives, so a run that dies keeps the records already made; the summary
+    and the CSV follow the last one.  Returns the results."""
+    done: list[BenchmarkResult] = []
     with open(path, "w") as fh:
-        fh.write(emit_report(results))
+        fh.write(_header_line() + "\n")
+        for r in results:
+            fh.write(_record_line(r) + "\n")
+            fh.flush()
+            done.append(r)
+        fh.write(_summary_line(done) + "\n")
     base = path[:-6] if path.endswith(".jsonl") else path
     with open(base + ".csv", "w", newline="") as fh:
-        fh.write(emit_csv(results))
+        fh.write(emit_csv(done))
+    return done
 
 
 def strip_timings(report_text: str) -> str:

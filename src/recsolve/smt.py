@@ -1,12 +1,16 @@
 """The check stage: encode the recurrence with the candidate substituted in
-as a first-order formula over the integers, ask an external SMT solver for
-models of its negation, and interpret the answer.
+as a first-order formula over the integers, ask an SMT solver for models of
+its negation, and interpret the answer.
 
-The solver is a separate process speaking SMT-LIB2 text (command taken from
-the --solver flag or RECSOLVE_SMT_CMD, falling back to z3 on PATH and then
-to the bundled linear-integer-arithmetic solver, run by its file path).
-unsat means the candidate is an exact solution; sat yields a counterexample
-that is re-checked against the evaluator before it is trusted.
+The solver speaks SMT-LIB2 text.  Its command is taken from the --solver
+flag or RECSOLVE_SMT_CMD, falling back to z3 on PATH and then to the bundled
+linear-integer-arithmetic solver.  An external solver runs as a separate
+process under the per-query timeout (--smt-timeout).  The bundled solver,
+when it is the command, runs in this process through
+`recsolve_lia.run_script`; it is bounded by counted work, not by the clock.
+Both answers go through the same verdict and model parsing.  unsat means
+the candidate is an exact solution; sat yields a counterexample that is
+re-checked against the evaluator before it is trusted.
 """
 
 from __future__ import annotations
@@ -68,7 +72,8 @@ class SolverNotFound(Exception):
 
 
 class SolverCrashed(Exception):
-    """The solver exited non-zero without printing a verdict."""
+    """The solver exited non-zero without printing a verdict, or the bundled
+    solver raised."""
 
 
 class MalformedSolverOutput(Exception):
@@ -114,14 +119,25 @@ class SolverConfig:
         return default_solver_command()
 
 
+# The command that runs the bundled solver as a process, by file path so
+# that the child needs no import path; `check` runs it in process instead.
+_BUNDLED_COMMAND = (sys.executable, os.path.abspath(recsolve_lia.__file__))
+
+
 def default_solver_command() -> tuple[str, ...]:
     env = os.environ.get("RECSOLVE_SMT_CMD")
     if env:
         return tuple(shlex.split(env))
     if shutil.which("z3"):
         return ("z3",)
-    # by file path: the child then needs no import path to find the module
-    return (sys.executable, os.path.abspath(recsolve_lia.__file__))
+    return _BUNDLED_COMMAND
+
+
+def _is_bundled(command: tuple[str, ...]) -> bool:
+    return len(command) == 2 and all(
+        os.path.abspath(given) == os.path.abspath(bundled)
+        for given, bundled in zip(command, _BUNDLED_COMMAND)
+    )
 
 
 @dataclass
@@ -415,9 +431,11 @@ def build_job(
 def check(job: SmtJob, confirmer=None, debug_dir: str | None = None) -> VerificationResult:
     """Run one batch solver query: unsat proves the candidate; sat yields a
     counterexample (confirmed through `confirmer` when given); unknown or a
-    timeout is Unknown.  A missing solver raises SolverNotFound and one that
-    exits non-zero without a verdict raises SolverCrashed.  With `debug_dir`
-    the script is kept there, numbered after the scripts already in it."""
+    timeout is Unknown.  The bundled solver runs in process, any other
+    command as a process under `job.timeout`.  A missing solver raises
+    SolverNotFound; one that exits non-zero without a verdict, or a bundled
+    solver that raises, raises SolverCrashed.  With `debug_dir` the script
+    is kept there, numbered after the scripts already in it."""
     script = job.script
     if debug_dir:
         os.makedirs(debug_dir, exist_ok=True)
@@ -425,49 +443,66 @@ def check(job: SmtJob, confirmer=None, debug_dir: str | None = None) -> Verifica
         path = os.path.join(debug_dir, f"{job.name}-{seq:03d}.smt2")
         with open(path, "w") as fh:
             fh.write(script)
+    if _is_bundled(job.command):
+        try:
+            stdout = recsolve_lia.run_script(script)
+        except Exception as exc:
+            raise SolverCrashed(f"bundled solver: {type(exc).__name__}: {exc}") from exc
+    else:
+        proc = _run_process(job, script)
+        if proc is None:
+            return Unknown("timeout")
+        stdout = proc.stdout
+        if proc.returncode != 0 and _verdict(stdout) is None:
+            raise SolverCrashed(f"{' '.join(job.command)} exited {proc.returncode}: {proc.stderr[-300:]}")
+    verdict = _verdict(stdout)
+    if verdict is None:
+        raise MalformedSolverOutput(stdout[:500])
+    if verdict == "unsat":
+        return Proved()
+    if verdict == "unknown":
+        return Unknown("solver-unknown")
+    model = _parse_model(stdout)
+    point = {v: model.get(v, 0) for v in job.variables}
+    confirmed = bool(confirmer(point)) if confirmer is not None else False
+    return Disproved(point, confirmed)
+
+
+def _run_process(job: SmtJob, script: str) -> subprocess.CompletedProcess | None:
+    """The external solver run on the script in a temporary file; None when
+    it outlives `job.timeout`."""
     with tempfile.NamedTemporaryFile(
         "w", suffix=".smt2", prefix="recsolve-", delete=False
     ) as fh:
         fh.write(script)
         tmp = fh.name
     try:
-        try:
-            proc = subprocess.run(
-                list(job.command) + [tmp],
-                capture_output=True,
-                text=True,
-                timeout=job.timeout,
-            )
-        except FileNotFoundError as exc:
-            raise SolverNotFound(" ".join(job.command)) from exc
-        except subprocess.TimeoutExpired:
-            return Unknown("timeout")
+        return subprocess.run(
+            list(job.command) + [tmp],
+            capture_output=True,
+            text=True,
+            timeout=job.timeout,
+        )
+    except FileNotFoundError as exc:
+        raise SolverNotFound(" ".join(job.command)) from exc
+    except subprocess.TimeoutExpired:
+        return None
     finally:
         try:
             os.unlink(tmp)
         except OSError:
             pass
-    verdict = None
-    for line in proc.stdout.splitlines():
+
+
+def _verdict(stdout: str) -> str | None:
+    for line in stdout.splitlines():
         line = line.strip()
         if line in ("sat", "unsat", "unknown"):
-            verdict = line
-            break
-    if verdict is None:
-        if proc.returncode != 0:
-            raise SolverCrashed(f"{' '.join(job.command)} exited {proc.returncode}: {proc.stderr[-300:]}")
-        raise MalformedSolverOutput(proc.stdout[:500])
-    if verdict == "unsat":
-        return Proved()
-    if verdict == "unknown":
-        return Unknown("solver-unknown")
-    model = _parse_model(proc.stdout, job.variables)
-    point = {v: model.get(v, 0) for v in job.variables}
-    confirmed = bool(confirmer(point)) if confirmer is not None else False
-    return Disproved(point, confirmed)
+            return line
+    return None
 
 
-def _parse_model(stdout: str, variables) -> dict:
+def _parse_model(stdout: str) -> dict:
     idx = stdout.find("sat")
     rest = stdout[idx + 3 :]
     model: dict = {}

@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from recsolve import dsl
+import recsolve_lia
+from recsolve import cli, dsl, harness
 from recsolve.dsl import parse, parse_candidate
 from recsolve.harness import (
     BenchmarkResult,
@@ -277,9 +278,10 @@ def test_csv_projection():
 
 def test_write_report_writes_both(tmp_path):
     out = tmp_path / "r.jsonl"
-    write_report([_result()], str(out))
-    assert out.exists()
-    assert (tmp_path / "r.csv").exists()
+    rs = [_result(name="a"), _result(name="b", classification="theta")]
+    assert write_report(iter(rs), str(out)) == rs
+    assert out.read_bytes() == emit_report(rs).encode()
+    assert (tmp_path / "r.csv").read_bytes() == emit_csv(rs).encode()
 
 
 def test_strip_timings():
@@ -353,6 +355,17 @@ def test_run_benchmark_flags_solver_errors(corpus_dir, command, error):
     assert summarize([res])["errors"] == 1
 
 
+def test_run_benchmark_flags_a_raising_bundled_solver(corpus_dir, monkeypatch):
+    def boom(script):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(recsolve_lia, "run_script", boom)
+    cfg = _fast_cfg(solver=SolverConfig(command=(sys.executable, recsolve_lia.__file__)))
+    res = run_benchmark(os.path.join(corpus_dir, "nested.rec"), cfg)
+    assert "verify-error:SolverCrashed" in res.flags
+    assert res.verification == "error"
+
+
 def test_run_benchmark_never_raises_on_bad_input(tmp_path):
     bad = tmp_path / "bad.rec"
     bad.write_text("def f(x) pre x>=0 { case x=0 -> 0 case x>0 -> f(x-1)+ } entry f")
@@ -375,6 +388,24 @@ def test_run_corpus_worked_examples(tmp_path):
         (r.name, r.classification, r.verification) for r in results
     ]
     assert all(r.verification == "proved" for r in results)
+
+
+def test_cli_corpus_keeps_earlier_records_when_a_later_benchmark_crashes(tmp_path, monkeypatch):
+    corpus = _corpus_subset(tmp_path, ["nested", "succ"])
+    run_entry = harness._corpus_entry
+
+    def entry(args):
+        if args[0].endswith("succ.rec"):
+            raise MemoryError("late crash")
+        return run_entry(args)
+
+    monkeypatch.setattr(harness, "_corpus_entry", entry)
+    out = tmp_path / "r.jsonl"
+    assert cli.main(["corpus", corpus, "--seed", "7", "--repeat", "1", "--jobs", "1",
+                     "--out", str(out)]) == 2
+    lines = out.read_text().splitlines()
+    assert json.loads(lines[0])["kind"] == "recsolve-report"
+    assert [json.loads(line)["name"] for line in lines[1:]] == ["nested"]
 
 
 # -- CLI ----------------------------------------------------------------------

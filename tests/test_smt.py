@@ -1,5 +1,7 @@
 import itertools
+import os
 import random
+import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -175,6 +177,35 @@ def test_bundled_solver_runs_without_pythonpath(corpus, monkeypatch):
     monkeypatch.delenv("PYTHONPATH", raising=False)
     monkeypatch.delenv("RECSOLVE_SMT_CMD", raising=False)
     assert verify(corpus["nested"].system, parse_candidate("x")) == Proved()
+
+
+def test_verify_with_the_default_solver_starts_no_process(corpus, monkeypatch):
+    def no_process(*args, **kwargs):
+        raise AssertionError("a solver process was started")
+
+    monkeypatch.delenv("RECSOLVE_SMT_CMD", raising=False)
+    monkeypatch.setattr(smt.shutil, "which", lambda name: None)
+    monkeypatch.setattr(smt.subprocess, "run", no_process)
+    bf = corpus["nested"]
+    assert verify(bf.system, bf.expect) == Proved()
+    assert verify(bf.system, parse_candidate("x + 1")).confirmed
+
+
+@pytest.mark.parametrize("assertion,verdict", [
+    ("(and (> x 0) (< x 0))", "unsat"),
+    ("(> x 5)", "sat"),
+])
+def test_bundled_solver_file_entry_point(tmp_path, assertion, verdict):
+    script = tmp_path / "q.smt2"
+    script.write_text(f"(declare-fun x () Int)(assert {assertion})(check-sat)(get-model)")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, recsolve_lia.__file__, str(script)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == verdict
+    if verdict == "sat":
+        assert smt._parse_model(proc.stdout)["x"] > 5
 
 
 def test_verify_worked_example(eq1):
