@@ -1,7 +1,7 @@
 """The check stage: from candidate to proof or counterexample.
 
-The candidate replaces every recursive call (innermost first), and the
-equation per case is simplified. One query goes to an SMT solver over the
+The candidate replaces every recursive call (innermost first), one branch
+per choice of candidate piece, and the equation per branch is simplified. One query goes to an SMT solver over the
 integers: is there a point where some case's equation fails, or where one
 of its recursive calls leaves the precondition? unsat means the candidate
 solves the equation exactly and every substitution stayed inside the
@@ -33,7 +33,13 @@ exp1 = dsl.parse(
 print("\nexponential closed form 2^(x+1) - 1:")
 print("verdict:", verify(exp1.system, parse_candidate("2^(x+1) - 1")))
 
-# Piecewise candidates inline as nested conditionals.
+# A piecewise candidate is checked one branch at a time: each choice of
+# piece for the left side and for each call is simplified on its own, under
+# the conditions of the pieces it chose. In exp1's split form the call
+# f(x - 1) at x = 1 takes the x = 0 piece, and the pin x = 1 folds 2^x away.
+print("\nsplit form of exp1:")
+print("verdict:", verify(exp1.system, parse_candidate("piece x = 0 -> 1 piece x > 0 -> 2*2^x - 1")))
+
 merge = dsl.parse(
     "def f(x, y) pre x >= 0 and y >= 0 {"
     " case x > 0 and y > 0 -> 1 + max(f(x - 1, y), f(x, y - 1))"

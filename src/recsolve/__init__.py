@@ -66,7 +66,6 @@ from .smt import (
     Unsupported,
     check,
     encode,
-    replace_calls,
     verify,
 )
 from .symbolic import (

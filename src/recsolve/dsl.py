@@ -34,7 +34,6 @@ from .model import (
     Expr,
     Factorial,
     Floor,
-    Ite,
     FuncDef,
     Log2,
     Max,
@@ -523,8 +522,6 @@ def _pe(e: Expr, minlevel: int) -> str:
         return f"min({_pe(e.lhs, 0)}, {_pe(e.rhs, 0)})"
     if isinstance(e, Call):
         return f"{e.func}({', '.join(_pe(a, 0) for a in e.args)})"
-    if isinstance(e, Ite):  # internal node; printed for diagnostics only
-        return f"ite({print_bool(e.cond)}, {_pe(e.then, 0)}, {_pe(e.orelse, 0)})"
     raise TypeError(f"cannot print {type(e).__name__}")
 
 

@@ -26,7 +26,6 @@ from .model import (
     Factorial,
     Floor,
     FuncDef,
-    Ite,
     Log2,
     Max,
     Min,
@@ -215,8 +214,6 @@ def _log_eval(e: Expr, env) -> tuple[int, float] | tuple[str] | None:
             if isinstance(node, Max):
                 return a if ka >= kb else b
             return a if ka <= kb else b
-        if isinstance(node, Ite):
-            return go(node.then) if eval_bool(node.cond, env) else go(node.orelse)
         return None
 
     return go(e)

@@ -129,18 +129,8 @@ class Call:
         object.__setattr__(self, "args", tuple(self.args))
 
 
-@dataclass(frozen=True)
-class Ite:
-    """Internal conditional used when verification inlines piecewise
-    candidates; the parser never produces it."""
-
-    cond: "BoolExpr"
-    then: "Expr"
-    orelse: "Expr"
-
-
 Expr = Union[
-    Const, Var, Add, Sub, Mul, Div, Pow, Floor, Ceil, Log2, Factorial, Max, Min, Call, Ite
+    Const, Var, Add, Sub, Mul, Div, Pow, Floor, Ceil, Log2, Factorial, Max, Min, Call
 ]
 
 _BINOPS = (Add, Sub, Mul, Div, Pow, Max, Min)
@@ -351,10 +341,6 @@ def walk(e: Expr | BoolExpr) -> Iterator[Expr | BoolExpr]:
             stack.append(node.arg)
         elif isinstance(node, Call):
             stack.extend(node.args)
-        elif isinstance(node, Ite):
-            stack.append(node.cond)
-            stack.append(node.then)
-            stack.append(node.orelse)
         elif isinstance(node, Cmp):
             stack.append(node.lhs)
             stack.append(node.rhs)
@@ -385,12 +371,6 @@ def substitute(e, bindings: Mapping[str, Expr]):
         return type(e)(substitute(e.arg, bindings))
     if isinstance(e, Call):
         return Call(e.func, tuple(substitute(a, bindings) for a in e.args))
-    if isinstance(e, Ite):
-        return Ite(
-            substitute(e.cond, bindings),
-            substitute(e.then, bindings),
-            substitute(e.orelse, bindings),
-        )
     if isinstance(e, Cmp):
         return Cmp(e.op, substitute(e.lhs, bindings), substitute(e.rhs, bindings))
     if isinstance(e, (And, Or)):
@@ -503,10 +483,6 @@ def _eval(e: Expr, env: Mapping[str, int], g: bool, cb=None) -> Number:
         if cb is None:
             raise EvalError("call-in-ground", e.func)
         return cb(e, env)
-    if isinstance(e, Ite):
-        if eval_bool(e.cond, env, guarded=g, on_call=cb):
-            return _eval(e.then, env, g, cb)
-        return _eval(e.orelse, env, g, cb)
     raise TypeError(f"cannot evaluate {type(e).__name__}")
 
 

@@ -25,7 +25,6 @@ from .model import (
     Expr,
     Factorial,
     Floor,
-    Ite,
     Log2,
     Max,
     Min,
@@ -148,13 +147,6 @@ def _simp(e: Expr) -> Expr:
         return Min(a, b)
     if isinstance(e, Call):
         return Call(e.func, tuple(_simp(a) for a in e.args))
-    if isinstance(e, Ite):
-        cond = _simp_bool(e.cond)
-        if isinstance(cond, TrueExpr):
-            return _simp(e.then)
-        if cond == FALSE:
-            return _simp(e.orelse)
-        return Ite(cond, _simp(e.then), _simp(e.orelse))
     raise TypeError(f"cannot simplify {type(e).__name__}")
 
 

@@ -2,6 +2,12 @@
 as a first-order formula over the integers, ask an SMT solver for models of
 its negation, and interpret the answer.
 
+A piecewise candidate is substituted one branch at a time: each choice of
+piece for a case's left side and for each of its recursive calls gives a
+branch, with the chosen pieces' domains as its conditions.  Each branch's
+difference is simplified on its own, with the variables its context pins
+to constants substituted, so the rewriter sees only the chosen bodies.
+
 The solver speaks SMT-LIB2 text.  Its command is taken from the --solver
 flag or RECSOLVE_SMT_CMD, falling back to z3 on PATH and then to the bundled
 linear-integer-arithmetic solver.  An external solver runs as a separate
@@ -15,9 +21,10 @@ re-checked against the evaluator before it is trusted.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import os
-import re
 import shlex
 import shutil
 import subprocess
@@ -25,6 +32,7 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterator
 
 import recsolve_lia
 
@@ -43,7 +51,6 @@ from .model import (
     Factorial,
     Floor,
     FuncDef,
-    Ite,
     Log2,
     Max,
     Min,
@@ -55,16 +62,18 @@ from .model import (
     Pow,
     RecurrenceSystem,
     Sub,
-    TRUE,
     TrueExpr,
     Var,
     eval_bool,
     eval_ground,
-    free_vars,
     substitute,
     walk,
 )
-from .rewrite import simplify
+from .rewrite import FALSE, _collect_terms, _flatten, simplify
+
+
+_ZERO = Const(Fraction(0))
+_ONE = Const(Fraction(1))
 
 
 class SolverNotFound(Exception):
@@ -163,52 +172,87 @@ class SmtJob:
 
 
 # ---------------------------------------------------------------------------
-# Candidate inlining and call replacement
+# Branches: the candidate's piece chosen at each side and at each call
 # ---------------------------------------------------------------------------
 
 
-def inline_candidate(cand: PiecewiseClosedForm, args: tuple[Expr, ...], params) -> Expr:
-    """The candidate applied to argument expressions; multiple pieces become
-    a nested conditional over their subdomains."""
-    bindings = dict(zip(params, args))
-    pieces = cand.pieces
-    out = substitute(pieces[-1].body, bindings)
-    for p in reversed(pieces[:-1]):
-        out = Ite(substitute(p.domain, bindings), substitute(p.body, bindings), out)
-    return out
+@dataclass(frozen=True)
+class Branch:
+    """One way through a case with the candidate in place of `f`: a piece
+    chosen for the left side and for each recursive call.  `conditions` say
+    where those choices hold (each earlier piece's domain false, the chosen
+    piece's own true; the last piece is the default), and `obligations` are
+    the precondition at each call's arguments.  `choice` holds the piece
+    indices, left side first, then the calls innermost first."""
+
+    lhs: Expr
+    rhs: Expr
+    conditions: tuple[BoolExpr, ...]
+    obligations: tuple[BoolExpr, ...]
+    choice: tuple[int, ...]
 
 
-def replace_calls(
-    e: Expr, func: FuncDef, cand: PiecewiseClosedForm, obligations: list[BoolExpr]
-) -> Expr:
-    """Innermost-first replacement of every call to `func` by the candidate.
-    The replacement is sound only where the call stays inside the
-    precondition, so each call with arguments a appends pre(a) to
-    `obligations` for the verification query to check."""
+def _recursive_calls(func: FuncDef, body: Expr) -> int:
+    return sum(isinstance(n, Call) and n.func == func.name for n in walk(body))
+
+
+def branches(func: FuncDef, cand: PiecewiseClosedForm, body: Expr) -> Iterator[Branch]:
+    """Every branch of a case body of `func` under a non-empty candidate,
+    trying the pieces in piece_at order: the left side's choice outermost,
+    then each recursive call's, innermost first."""
+    calls = _recursive_calls(func, body)
+    for choice in itertools.product(range(len(cand.pieces)), repeat=calls + 1):
+        yield _branch(func, cand, body, choice)
+
+
+def _branch(func, cand, body, choice, pins=None) -> Branch:
+    """The branch `choice` names.  With `pins` (variable to constant), they
+    are substituted into the parameters and the body first, so that a
+    candidate's divisor they zero folds away."""
+    pins = pins or {}
+    params = func.params
+    conditions: list[BoolExpr] = []
+    obligations: list[BoolExpr] = []
+    picks = iter(choice)
+
+    def instance(args: tuple[Expr, ...]) -> Expr:
+        bindings = dict(zip(params, args))
+        i = next(picks)
+        pieces = cand.pieces
+        conditions.extend(Not(substitute(p.domain, bindings)) for p in pieces[:i])
+        if i < len(pieces) - 1:
+            conditions.append(substitute(pieces[i].domain, bindings))
+        return _guarded(substitute(pieces[i].body, bindings))
 
     def go(node: Expr) -> Expr:
         if isinstance(node, (Const, Var)):
             return node
-        if isinstance(node, (Add, Sub, Mul, Div, Pow, Max, Min)):
-            pair = (
-                (go(node.base), go(node.exp))
-                if isinstance(node, Pow)
-                else (go(node.lhs), go(node.rhs))
-            )
-            return type(node)(*pair)
-        if isinstance(node, (Floor, Ceil, Log2, Factorial)):
-            return type(node)(go(node.arg))
-        if isinstance(node, Ite):
-            return Ite(node.cond, go(node.then), go(node.orelse))
         if isinstance(node, Call):
             args = tuple(go(a) for a in node.args)
             if node.func != func.name:
                 return Call(node.func, args)
-            obligations.append(substitute(func.precondition, dict(zip(func.params, args))))
-            return inline_candidate(cand, args, func.params)
-        raise TypeError(f"cannot replace calls in {type(node).__name__}")
+            obligations.append(substitute(func.precondition, dict(zip(params, args))))
+            return instance(args)
+        if isinstance(node, (Floor, Ceil, Log2, Factorial)):
+            return type(node)(go(node.arg))
+        return type(node)(go(node.lhs), go(node.rhs))
 
-    return go(e)
+    lhs = instance(tuple(pins.get(p, Var(p)) for p in params))
+    rhs = go(substitute(body, pins) if pins else body)
+    return Branch(lhs, rhs, tuple(conditions), tuple(obligations), tuple(choice))
+
+
+def _guarded(e: Expr) -> Expr:
+    """A candidate instance with each division by a divisor that simplifies
+    to 0 replaced by 0: the guarded x/0 = 0 candidates are evaluated under.
+    A recurrence body's own division is never passed here."""
+    if isinstance(e, (Const, Var)):
+        return e
+    if isinstance(e, Div) and simplify(e.rhs) == _ZERO:
+        return _ZERO
+    if isinstance(e, (Floor, Ceil, Log2, Factorial)):
+        return type(e)(_guarded(e.arg))
+    return type(e)(_guarded(e.lhs), _guarded(e.rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -289,13 +333,6 @@ class _Encoder:
             tb = _scaled(tb, L // db)
             rel = ">=" if isinstance(e, Max) else "<="
             return f"(ite ({rel} {ta} {tb}) {ta} {tb})", L
-        if isinstance(e, Ite):
-            cond = self.boolean(e.cond)
-            (ta, da), (tb, db) = self.term(e.then), self.term(e.orelse)
-            L = _lcm(da, db)
-            ta = _scaled(ta, L // da)
-            tb = _scaled(tb, L // db)
-            return f"(ite {cond} {ta} {tb})", L
         if isinstance(e, Log2):
             raise EncodingError("Log2")
         if isinstance(e, Factorial):
@@ -560,18 +597,18 @@ def verify(
     budget: EvalBudget | None = None,
 ) -> VerificationResult:
     """Check a candidate closed form against a single-equation system:
-    replace calls, simplify each case's difference, then ask the solver, in
-    one query, for a point where a difference is not 0, a recursive call
-    leaves the precondition, or a divisor is below 1.  A node the encoding
-    cannot express makes the result Unsupported, naming the node.
+    split each case into branches (see `branches`), simplify each branch's
+    difference, then ask the solver, in one query, for a point where a
+    difference is not 0, a recursive call leaves the precondition, or a
+    divisor is below 1.  A node the encoding cannot express makes the
+    result Unsupported, naming the node; more branches than
+    recsolve_lia.MAX_DISJUNCTS make it Unknown("branch-limit").
     Counterexamples are confirmed against the evaluator before being
     trusted; an unconfirmed one that breaks a side condition is reported as
     that condition's Unsupported label."""
     solver = solver or SolverConfig()
     if not system.is_single_equation():
         return Unsupported(("system-of-equations",))
-    if not cand.pieces:
-        return Unsupported(("empty-candidate",))
     if not cand.exact_coeffs:
         return Unsupported(("non-rational-coefficients",))
     f = system.entry_func
@@ -579,7 +616,7 @@ def verify(
     pre = f.precondition
 
     encoded = _encode_only(system, cand, solver)
-    if isinstance(encoded, Unsupported):
+    if isinstance(encoded, (Unsupported, Unknown)):
         return encoded
     job, side_conditions = encoded
 
@@ -625,10 +662,10 @@ def values_agree(a, b) -> bool:
 
 def piece_at(cand: PiecewiseClosedForm, env: dict) -> Piece:
     """The piece that applies at a point of a non-empty candidate.  Pieces
-    are tried in order and the last one is the default branch, mirroring the
-    nested-conditional inlining used for verification (a single-piece
-    candidate is a global expression; its recorded domain only documents
-    where it was fitted)."""
+    are tried in order and the last one is the default branch, as in the
+    branches that verification enumerates (a single-piece candidate is a
+    global expression; its recorded domain only documents where it was
+    fitted)."""
     for p in cand.pieces[:-1]:
         if eval_bool(p.domain, env):
             return p
@@ -648,101 +685,90 @@ def encode(
     func: FuncDef,
     cand: PiecewiseClosedForm,
     solver: SolverConfig | None = None,
-) -> SmtJob | Unsupported:
+) -> SmtJob | Unsupported | Unknown:
     """Build the solver job for a single function definition and candidate
-    (the full replace/simplify/encode pipeline, without running the check)."""
+    (the full branch/simplify/encode pipeline, without running the check)."""
     system = RecurrenceSystem({func.name: func}, func.name)
     encoded = _encode_only(system, cand, solver or SolverConfig())
-    return encoded if isinstance(encoded, Unsupported) else encoded[0]
+    return encoded if isinstance(encoded, (Unsupported, Unknown)) else encoded[0]
 
 
-def _guard_bindings(guard: BoolExpr, exprs) -> dict:
-    """Variables a conjunctive guard pins to constants (x = 3 conjuncts);
-    substituting them specializes base-case equations so that exponential
-    subterms constant-fold away.  A pin that zeroes a variable divisor in
-    `exprs` is left out: it would turn the candidate's guarded x/0 = 0 into a
-    constant division by zero, which the encoder refuses."""
+def _guard_bindings(ctx: BoolExpr) -> dict:
+    """Variables a simplified context pins to integers: its top-level
+    equalities in one variable, a*x + b = 0 (x = 3, x - 1 = 0).
+    Substituting them specializes a branch's sides so that exponential
+    subterms constant-fold away."""
     out: dict = {}
-
-    def collect(b):
-        if isinstance(b, And):
-            collect(b.lhs)
-            collect(b.rhs)
-        elif isinstance(b, Cmp) and b.op == "=":
-            if isinstance(b.lhs, Var) and isinstance(b.rhs, Const):
-                out[b.lhs.name] = b.rhs
-            elif isinstance(b.rhs, Var) and isinstance(b.lhs, Const):
-                out[b.rhs.name] = b.lhs
-
-    collect(guard)
-    if not out:
-        return out
-    zeroed = {
-        v
-        for e in exprs
-        for node in walk(e)
-        if isinstance(node, Div)
-        and not isinstance(node.rhs, Const)
-        and simplify(substitute(node.rhs, out)) == Const(Fraction(0))
-        for v in free_vars(node.rhs)
-    }
-    return {v: c for v, c in out.items() if v not in zeroed}
+    for b in _flatten(ctx, And):
+        if not (isinstance(b, Cmp) and b.op == "="):
+            continue
+        terms = _collect_terms(Sub(b.lhs, b.rhs))
+        shift = terms.pop((), Fraction(0))
+        if len(terms) == 1:
+            (factors, coef), = terms.items()
+            root = -shift / coef
+            if len(factors) == 1 and isinstance(factors[0], Var) and root.denominator == 1:
+                out[factors[0].name] = Const(root)
+    return out
 
 
 def _encode_only(system, cand, solver):
-    """The verification job and its side conditions, or Unsupported.  Each
-    case's equation is simplify(lhs - rhs) = 0 over its simplified sides.
-    The job asks for a point of the precondition where some case fires
-    (earlier guards false, its own true) and its equation fails or one of
-    its recursive calls leaves the precondition, or where a variable divisor
-    of a floor/ceil is below 1.  Each side condition is one of those
-    disjuncts other than a failed equation, paired with the Unsupported
-    label of a model that satisfies it.  A node the encoder refuses gives
-    Unsupported with the encoder's label."""
+    """The verification job and its side conditions, Unsupported, or
+    Unknown("branch-limit") when the cases have more branches than
+    recsolve_lia.MAX_DISJUNCTS.  A branch (see `branches`) holds under its
+    context: earlier guards false, its case's guard true, and its piece
+    conditions.  A branch whose simplified context is false is dropped.
+    The job asks for a point of the precondition where some branch's
+    context holds and its difference, simplified with the context's pins
+    substituted, is not 0, or one of its recursive calls leaves the
+    precondition, or a floor/ceil variable divisor in its context or sides
+    is below 1.  Each side condition is one of those disjuncts other than a
+    failed equation, paired with the Unsupported label of a model that
+    satisfies it.  A node the encoder refuses gives Unsupported with the
+    encoder's label."""
+    if not cand.pieces:
+        return Unsupported(("empty-candidate",))
     f = system.entry_func
     params = tuple(f.params)
-    lhs_raw = inline_candidate(cand, tuple(Var(p) for p in params), params)
+    total = sum(len(cand.pieces) ** (1 + _recursive_calls(f, c.body)) for c in f.cases)
+    if total > recsolve_lia.MAX_DISJUNCTS:
+        return Unknown("branch-limit")
     refutations: list[BoolExpr] = []
-    sides: list[Expr | BoolExpr] = []
-    side_conditions: list[tuple[str, BoolExpr]] = []
-    prev_ctx: BoolExpr = TRUE
+    calls: dict = {}
+    divisions: dict = {}
+    earlier: list[BoolExpr] = []
     for case in f.cases:
-        ctx = case.guard if isinstance(prev_ctx, TrueExpr) else And(prev_ctx, case.guard)
-        prev_ctx = (
-            Not(case.guard)
-            if isinstance(prev_ctx, TrueExpr)
-            else And(prev_ctx, Not(case.guard))
-        )
-        obligations: list[BoolExpr] = []
-        rhs_raw = replace_calls(case.body, f, cand, obligations)
-        bindings = _guard_bindings(case.guard, (lhs_raw, rhs_raw))
-        lhs_case = substitute(lhs_raw, bindings) if bindings else lhs_raw
-        rhs_case = substitute(rhs_raw, bindings) if bindings else rhs_raw
-        lhs_s, rhs_s = simplify(lhs_case), simplify(rhs_case)
-        sides.extend((ctx, lhs_s, rhs_s))
-        eq = Cmp("=", simplify(Sub(lhs_s, rhs_s)), Const(Fraction(0)))
-        refutations.append(And(ctx, Not(eq)))
-        side_conditions.extend(
-            ("unresolved-call", And(ctx, Not(o)))
-            for o in dict.fromkeys(obligations)
-            if not isinstance(o, TrueExpr)
-        )
-    # from the guards and sides, not the differences: a divisor that cancels
-    # in a difference still divides where the case is evaluated
-    divisors = dict.fromkeys(
-        node.arg.rhs
-        for b in sides + [c for _, c in side_conditions]
-        for node in walk(b)
-        if isinstance(node, (Floor, Ceil))
-        and isinstance(node.arg, Div)
-        and not isinstance(node.arg.rhs, Const)
-    )
-    side_conditions.extend(
-        ("variable-division", Not(Cmp(">=", d, Const(Fraction(1))))) for d in divisors
-    )
-    negformula = refutations[0]
-    for d in refutations[1:] + [c for _, c in side_conditions]:
-        negformula = Or(negformula, d)
+        for branch in branches(f, cand, case.body):
+            ctx = simplify(functools.reduce(And, earlier + [case.guard, *branch.conditions]))
+            if ctx == FALSE:
+                continue
+            pins = _guard_bindings(ctx)
+            sides = _branch(f, cand, case.body, branch.choice, pins) if pins else branch
+            lhs, rhs = simplify(sides.lhs), simplify(sides.rhs)
+            diff = simplify(Sub(lhs, rhs))
+            if diff != _ZERO:
+                refutations.append(And(ctx, Not(Cmp("=", diff, _ZERO))))
+            obligations = [
+                And(ctx, Not(o))
+                for o in dict.fromkeys(branch.obligations)
+                if not isinstance(o, TrueExpr)
+            ]
+            calls.update(dict.fromkeys(obligations))
+            # from the context and sides, not the difference: a divisor that
+            # cancels in a difference still divides where the case is evaluated
+            divisions.update(dict.fromkeys(
+                And(ctx, Not(Cmp(">=", node.arg.rhs, _ONE)))
+                for b in [ctx, lhs, rhs] + obligations
+                for node in walk(b)
+                if isinstance(node, (Floor, Ceil))
+                and isinstance(node.arg, Div)
+                and not isinstance(node.arg.rhs, Const)
+            ))
+        earlier.append(Not(case.guard))
+    side_conditions = [("unresolved-call", c) for c in calls]
+    side_conditions += [("variable-division", c) for c in divisions]
+    disjuncts = refutations + [c for _, c in side_conditions]
+    negformula = functools.reduce(Or, disjuncts) if disjuncts else FALSE
     try:
         job = build_job(params, And(f.precondition, negformula), solver, name=f"verify-{f.name}")
     except EncodingError as exc:

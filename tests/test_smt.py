@@ -10,9 +10,11 @@ import pytest
 
 import recsolve_lia
 from recsolve import dsl, smt
-from recsolve.dsl import parse, parse_bool, parse_candidate, parse_expr, print_bool, print_expr
+from recsolve.dsl import parse, parse_candidate, parse_expr, print_bool, print_expr
 from recsolve.evaluator import Evaluator
-from recsolve.model import Add, Const, PiecewiseClosedForm, Var, contains_call, eval_bool
+from recsolve.model import (
+    Add, Const, PiecewiseClosedForm, Var, contains_call, eval_bool, eval_ground,
+)
 from recsolve.rewrite import simplify
 from recsolve.smt import (
     Disproved,
@@ -23,34 +25,91 @@ from recsolve.smt import (
     SolverNotFound,
     Unknown,
     Unsupported,
+    branches,
     check,
     encode,
     eval_piecewise,
-    inline_candidate,
-    replace_calls,
     verify,
 )
 
 from conftest import EQ1, MAXVAR, MERGE, MINVAR, SUCC, corpus_files
 
 
-def test_replace_calls_worked_example(eq1):
+def test_branches_worked_example(eq1):
     f = eq1.system.entry_func
-    obligations = []
-    out = replace_calls(f.cases[1].body, f, parse_candidate("x"), obligations)
-    assert not contains_call(out)
-    assert simplify(out) == parse_expr("x")
-    assert print_expr(out) == "x - 1 + 1"
+    (branch,) = branches(f, parse_candidate("x"), f.cases[1].body)
+    assert not contains_call(branch.rhs)
+    assert branch.lhs == parse_expr("x")
+    assert simplify(branch.rhs) == parse_expr("x")
+    assert print_expr(branch.rhs) == "x - 1 + 1"
+    assert branch.conditions == ()
     # innermost first: f(x - 1), then f applied to the candidate's x - 1
-    assert [print_bool(o) for o in obligations] == ["x - 1 >= 0", "x - 1 >= 0"]
+    assert [print_bool(o) for o in branch.obligations] == ["x - 1 >= 0", "x - 1 >= 0"]
 
 
-def test_replace_calls_callfree_unchanged(eq1):
+def test_branches_of_a_callfree_body(eq1):
     f = eq1.system.entry_func
     e = parse_expr("x + 2")
-    obligations = []
-    assert replace_calls(e, f, parse_candidate("x"), obligations) == e
-    assert obligations == []
+    (branch,) = branches(f, parse_candidate("x"), e)
+    assert branch.rhs == e
+    assert branch.obligations == ()
+
+
+def test_branches_of_a_piecewise_candidate(eq1):
+    """One branch per choice of piece, the left side's outermost; the last
+    piece is the default, so its condition only negates the earlier ones."""
+    f = eq1.system.entry_func
+    cand = parse_candidate("piece x>0 -> x piece x=0 -> 0")
+    got = [
+        (b.choice, [print_bool(c) for c in b.conditions], print_expr(b.lhs), print_expr(b.rhs))
+        for b in branches(f, cand, parse_expr("f(x - 1) + 1"))
+    ]
+    assert got == [
+        ((0, 0), ["x > 0", "x - 1 > 0"], "x", "x - 1 + 1"),
+        ((0, 1), ["x > 0", "not x - 1 > 0"], "x", "0 + 1"),
+        ((1, 0), ["not x > 0", "x - 1 > 0"], "0", "x - 1 + 1"),
+        ((1, 1), ["not x > 0", "not x - 1 > 0"], "0", "0 + 1"),
+    ]
+
+
+@pytest.mark.parametrize("name,grid", [
+    ("mccarthy91", [(x,) for x in range(0, 115)]),
+    ("merge", list(itertools.product(range(6), repeat=2))),
+    ("incr1", [(x,) for x in range(0, 15)]),
+])
+def test_exactly_one_branch_holds_at_each_point(corpus, name, grid):
+    """In the case that fires at a point, exactly one branch's conditions
+    hold there; its left side is the candidate's value, and its right side
+    is the case body with the candidate's value at each call."""
+    bf = corpus[name]
+    f, cand = bf.system.entry_func, bf.expect
+
+    def call(node, env):
+        args = [eval_ground(a, env, on_call=call) for a in node.args]
+        return eval_piecewise(cand, dict(zip(f.params, args)))
+
+    for point in grid:
+        env = dict(zip(f.params, point))
+        if not eval_bool(f.precondition, env):
+            continue
+        case = next(c for c in f.cases if eval_bool(c.guard, env))
+        held = [
+            b for b in branches(f, cand, case.body)
+            if all(eval_bool(c, env, guarded=True) for c in b.conditions)
+        ]
+        assert len(held) == 1, (name, point)
+        (b,) = held
+        assert eval_ground(b.lhs, env, guarded=True) == eval_piecewise(cand, env)
+        assert eval_ground(b.rhs, env, guarded=True) == eval_ground(case.body, env, on_call=call)
+
+
+def test_too_many_branches_is_unknown(eq1):
+    # f(f(x - 1)) has n^3 branches under an n-piece candidate
+    n = round(recsolve_lia.MAX_DISJUNCTS ** (1 / 3)) + 1
+    cand = parse_candidate(
+        " ".join(f"piece x = {k} -> {k}" for k in range(n - 1)) + f" piece x >= {n - 1} -> x"
+    )
+    assert verify(eq1.system, cand) == Unknown("branch-limit")
 
 
 def test_verify_rejects_calls_outside_the_precondition():
@@ -77,6 +136,16 @@ def test_verify_refutes_at_a_pinned_zero_divisor():
     res = verify(bf.system, parse_candidate("floor(x/y)"))
     assert isinstance(res, Disproved) and res.confirmed, res
     assert res.counterexample["y"] == 0
+
+
+def test_a_body_dividing_by_a_pinned_zero_is_refused():
+    """Only the candidate's own x/0 folds to 0; the recurrence's stays a
+    division by zero that the encoder refuses."""
+    bf = parse(
+        "def f(x, y) pre x >= 0 and y >= 0"
+        " { case y = 0 -> floor(x/y) case y > 0 -> 0 } entry f"
+    )
+    assert verify(bf.system, parse_candidate("0")) == Unsupported(("division-by-zero",))
 
 
 @pytest.mark.parametrize("name,wrong", [
@@ -109,15 +178,6 @@ def test_unconfirmed_model_below_a_divisor_is_unsupported():
     res = verify(bf.system, parse_candidate("floor(x/y) + 1"),
                  SolverConfig(command=(sys.executable, "-c", model)))
     assert res == Unsupported(("variable-division",))
-
-
-def test_inline_piecewise_candidate():
-    cand = parse_candidate("piece x>0 -> x piece x=0 -> 0")
-    e = inline_candidate(cand, (parse_expr("y+1"),), ("x",))
-    assert eval_bool(parse_bool("true"), {}) is not None
-    from recsolve.model import Ite
-
-    assert isinstance(e, Ite)
 
 
 def test_encode_worked_example(eq1):
@@ -325,6 +385,24 @@ VERDICTS = {
 }
 
 
+# split forms and a divisor system, each with its verdict and the verdict of
+# its form plus 1; a corpus name stands for that file's system
+MORE_VERDICTS = [
+    ("exp1", "piece x = 0 -> 1 piece x > 0 -> 2*2^x - 1", ("proved", "refuted")),
+    ("exp2", "piece x = 0 -> 3 piece x > 0 -> 4*2^x - 1", ("proved", "refuted")),
+    ("merge_sz", "piece x = 0 -> y piece y = 0 and x != 0 -> x piece x > 0 and y > 0 -> x + y",
+     ("proved", "refuted")),
+    ("def f(x, y) pre x >= 0 and y >= 0 { case y = 0 -> 0 case y > 0 -> floor(x/y) } entry f",
+     "floor(x/y)", ("proved", "refuted")),
+]
+
+
+def _plus_one(cand: PiecewiseClosedForm) -> PiecewiseClosedForm:
+    return PiecewiseClosedForm(tuple(
+        replace(p, body=Add(p.body, Const(Fraction(1)))) for p in cand.pieces
+    ))
+
+
 def _verdict(res) -> str:
     if isinstance(res, Proved):
         return "proved"
@@ -341,11 +419,13 @@ def test_verify_expected_proved_set(corpus):
     single = {n: bf for n, bf in corpus.items() if bf.expect and bf.system.is_single_equation()}
     assert sorted(single) == sorted(VERDICTS)
     for name, bf in single.items():
-        plus_one = PiecewiseClosedForm(tuple(
-            replace(p, body=Add(p.body, Const(Fraction(1)))) for p in bf.expect.pieces
-        ))
-        got = tuple(_verdict(verify(bf.system, c, bundled)) for c in (bf.expect, plus_one))
+        got = tuple(_verdict(verify(bf.system, c, bundled)) for c in (bf.expect, _plus_one(bf.expect)))
         assert got == VERDICTS[name], name
+    for source, text, verdicts in MORE_VERDICTS:
+        system = (corpus[source] if source in corpus else parse(source)).system
+        cand = parse_candidate(text)
+        got = tuple(_verdict(verify(system, c, bundled)) for c in (cand, _plus_one(cand)))
+        assert got == verdicts, (source, text)
 
 
 def test_encode_refuses_what_it_cannot_express():
@@ -359,3 +439,4 @@ def test_encode_refuses_what_it_cannot_express():
         assert encode(func, parse_candidate(src)) == Unsupported((label,)), src
     for src in ("3*x + 2", "2^x"):
         assert isinstance(encode(func, parse_candidate(src)), SmtJob), src
+    assert encode(func, PiecewiseClosedForm()) == Unsupported(("empty-candidate",))
