@@ -54,7 +54,7 @@ from .symbolic import GPConfig, guess_symbolic
 
 CLASSES = ("exact", "theta", "exp-theta", "nontrivial", "none")
 
-# held-out R^2 below which `auto` also tries symreg and verification is skipped
+# held-out R^2 below which `auto` also tries symreg
 AUTO_THRESHOLD = 0.999999
 
 
@@ -411,7 +411,9 @@ def _best_guess(bf: BenchmarkFile, cfg: RunConfig, method: str) -> GuessOutcome:
 
 def run_benchmark(source, cfg: RunConfig, name: str = "") -> BenchmarkResult:
     """Sample, guess (best of `repeat` runs by test R^2), optionally verify,
-    classify; per-stage failures are recorded in the result, never raised."""
+    classify; per-stage failures are recorded in the result, never raised.
+    With `verify` on, every candidate with at least one piece is checked,
+    whatever its R^2."""
     try:
         if isinstance(source, BenchmarkFile):
             bf = source
@@ -470,7 +472,7 @@ def run_benchmark(source, cfg: RunConfig, name: str = "") -> BenchmarkResult:
     verification: VerificationResult | None = None
     verification_str = "not-run"
     t_verify = 0.0
-    if cfg.verify and cand is not None and cand.pieces and score >= AUTO_THRESHOLD:
+    if cfg.verify and cand is not None and cand.pieces:
         solver = cfg.solver
         if solver.debug_dir:
             solver = replace(solver, debug_dir=os.path.join(solver.debug_dir, name))

@@ -1,7 +1,11 @@
 """Sparse linear guessing: fit an affine combination of base functions to
 sampled recurrence values, select features by l1 regularization with
 cross-validated penalty choice, epsilon-prune, then refit by plain least
-squares and rationalize the surviving coefficients.
+squares and rationalize the surviving coefficients.  Each fit domain is
+fitted once, on the largest catalog tier that can be fitted there; the
+lasso path itself runs from sparse supports to dense ones, so the smaller
+tiers are not fitted again.  A piece's score is the held-out R^2 of the
+body it ships; whether the piece holds is for the check to decide.
 """
 
 from __future__ import annotations
@@ -111,7 +115,6 @@ class LinearModel:
     coefficients: np.ndarray
     selected: tuple[Expr, ...]
     score: float
-    tier: str = ""
 
     def predict_rows(self, X: np.ndarray) -> np.ndarray:
         if len(self.selected) == 0:
@@ -647,52 +650,43 @@ class GuessOutcome:
         return self.candidate.score
 
 
-def _fit_tiers(
+def _fit_largest_tier(
     params: tuple[str, ...], data: DomainData, cfg: LassoConfig
 ) -> tuple[LinearModel | None, tuple[str, ...]]:
+    """One lasso fit on the largest tier that can be fitted.  The fit walks
+    down a tier only where the catalog is too large or no row is usable,
+    and flags each tier skipped that way; a fit pruned to nothing stays an
+    intercept-only model."""
     flags: list[str] = []
-    best: LinearModel | None = None
-    best_key = None
-    for tier_ix, tier in enumerate(TIERS):
+    for tier in reversed(TIERS):
         try:
             fs = catalog_tier(params, tier)
+            T = build_training_set(fs, params, data.train_inputs, data.train_values)
+            res = cv_lasso(T, cfg)
         except CatalogTooLarge:
             flags.append(f"{tier}:catalog-too-large")
             continue
-        try:
-            T = build_training_set(fs, params, data.train_inputs, data.train_values)
-            Ttest = build_training_set(fs, params, data.test_inputs, data.test_values) if data.test_inputs else None
-            res = cv_lasso(T, cfg)
-            try:
-                fs2, T2 = prune(fs, T, res.beta, res.beta0, cfg.epsilon)
-            except AllPruned:
-                flags.append(f"{tier}:all-pruned")
-                fs2 = FeatureSet(fs.tier, ())
-                T2 = TrainingSet((), T.X[:, :0], T.y, T.inputs, T.dropped_rows)
-            T2test = None
-            if Ttest is not None:
-                keep = [fs.base_functions.index(t) for t in fs2.base_functions]
-                T2test = TrainingSet(
-                    fs2.base_functions, Ttest.X[:, keep], Ttest.y, Ttest.inputs
-                )
-            model = ols_refit(T2, T2test)
-            model.tier = tier
         except EmptyTrainingSet:
             flags.append(f"{tier}:empty-training-set")
             continue
-        key = (round(model.score, 9), -len(model.selected), -tier_ix)
-        if best is None or key > best_key:
-            best, best_key = model, key
-    return best, tuple(flags)
+        try:
+            _, T = prune(fs, T, res.beta, res.beta0, cfg.epsilon)
+        except AllPruned:
+            flags.append(f"{tier}:all-pruned")
+            T = TrainingSet((), T.X[:, :0], T.y, T.inputs, T.dropped_rows)
+        return ols_refit(T, None), tuple(flags)
+    return None, tuple(flags)
 
 
 def held_out_r2(e: Expr, params: tuple[str, ...], data: DomainData) -> float:
     """R^2 of `e` on the domain's test rows, or on its training rows when it
-    has no test rows; -inf where `e` is not finite at some row."""
+    has no test rows, evaluated under the guarded conventions candidates are
+    checked under (log2 below 1 is 0, x/0 is 0); -inf where `e` is not
+    finite at some row."""
     inputs = data.test_inputs or data.train_inputs
     values = data.test_values if data.test_inputs else data.train_values
     cols = {p: np.asarray([t[i] for t in inputs], dtype=float) for i, p in enumerate(params)}
-    pred = eval_array(e, cols)
+    pred = eval_array(e, cols, guarded=True)
     if not np.all(np.isfinite(pred)):
         return -math.inf
     return r2_score(np.asarray([float(v) for v in values]), pred)
@@ -711,8 +705,9 @@ def _guess_domains(
     subdomains, or else the strictly positive orthant) is sampled with its
     own seed.  A domain with fewer than `min_rows` training rows takes the
     median as a constant; any other goes to `fit(params, data, index)`, which
-    returns (expression or None, score, model or None, flags).  The
-    expression is simplified, rationalized and simplified again."""
+    returns (expression or None, model or None, flags).  The expression is
+    simplified, rationalized and simplified again, and the piece's score is
+    the held-out R^2 of that final body."""
     sample_cfg = sample_cfg or SampleConfig()
     budget = budget or EvalBudget()
     fname = func or system.entry
@@ -740,16 +735,17 @@ def _guess_domains(
         if len(data.train_inputs) < min_rows:
             # tiny subdomains (down to a single point) take the constant fit
             c = Const(Fraction(float(np.median([float(v) for v in data.train_values]))))
-            expr, score, model, flags = c, held_out_r2(c, f.params, data), None, ("constant-fit",)
+            expr, model, flags = c, None, ("constant-fit",)
         else:
-            expr, score, model, flags = fit(f.params, data, di)
+            expr, model, flags = fit(f.params, data, di)
         fit_s += time.monotonic() - t0
         if expr is None:
             fits.append(DomainFit(dom, None, None, bound=data.bound, error="no-fit", flags=flags))
             failed += 1
             continue
         body, exact = rationalize(simplify(expr))
-        piece = Piece(domain=dom.constraint, body=simplify(body), score=score, exact_coeffs=exact)
+        body = simplify(body)
+        piece = Piece(dom.constraint, body, held_out_r2(body, f.params, data), exact)
         pieces.append(piece)
         fits.append(DomainFit(dom, piece, model, bound=data.bound, flags=flags))
     return GuessOutcome(
@@ -767,14 +763,12 @@ def guess_linear(
     budget: EvalBudget | None = None,
 ) -> GuessOutcome:
     """Run the full lasso pipeline for the entry function: per-subdomain when
-    splitting, otherwise once on the strictly positive orthant.  The best
-    tier wins on test R^2 with ties toward sparser models and smaller tiers."""
+    splitting, otherwise once on the strictly positive orthant; each domain
+    is fitted once (see _fit_largest_tier)."""
     lasso_cfg = lasso_cfg or LassoConfig()
 
     def fit(params, data, index):
-        model, flags = _fit_tiers(params, data, lasso_cfg)
-        if model is None:
-            return None, 0.0, None, flags
-        return model.expr(), model.score, model, flags
+        model, flags = _fit_largest_tier(params, data, lasso_cfg)
+        return (model.expr() if model else None), model, flags
 
     return _guess_domains(system, fit, 2 * lasso_cfg.folds, func, sample_cfg, domsplit, budget)

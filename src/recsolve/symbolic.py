@@ -451,19 +451,13 @@ def guess_symbolic(
         )
         entries = front.pareto()
         if not entries:
-            return None, 0.0, None, ()
-        tree, score = _select_entry(entries, params, data)
-        return tree, score, None, ()
+            return None, None, ()
+        return _select_entry(entries, params, data), None, ()
 
     return _guess_domains(system, fit, 5, func, sample_cfg, domsplit, budget)
 
 
-def _select_entry(entries: list[FrontEntry], params, data) -> tuple[Expr, float]:
-    """The entry with the best held-out R^2, and that R^2."""
-    best, best_key = None, None
-    for e in entries:
-        r2 = held_out_r2(e.tree, params, data)
-        key = (round(r2, 9), -e.complexity)
-        if best is None or key > best_key:
-            best, best_key = (e.tree, r2), key
-    return best
+def _select_entry(entries: list[FrontEntry], params, data) -> Expr:
+    """The entry with the best held-out R^2 (lower complexity breaks ties)."""
+    best = max(entries, key=lambda e: (round(held_out_r2(e.tree, params, data), 9), -e.complexity))
+    return best.tree

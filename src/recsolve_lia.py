@@ -17,6 +17,7 @@ import sys
 from math import gcd, prod
 
 MAX_DISJUNCTS = 20_000
+# solve_conj calls per check-sat, over all disjuncts; past it: "unknown"
 MAX_BRANCHES = 50_000
 
 
@@ -343,6 +344,8 @@ def _prune(conj):
 
 
 class Budget:
+    """solve_conj calls left to one check-sat; spending the last raises."""
+
     def __init__(self, n):
         self.left = n
 
@@ -419,7 +422,9 @@ def _pick_var(conj):
 
 
 def solve_conj(conj, budget: Budget):
-    """Decide one conjunction; returns a model dict or None."""
+    """Decide one conjunction; returns a model dict or None.  Each call,
+    also one refuted at once, spends one unit of the budget."""
+    budget.spend()
     conj = _prune(conj)
     if conj is None:
         return None
@@ -431,7 +436,6 @@ def solve_conj(conj, budget: Budget):
     if not any(_atom_vars(a) for a in conj):
         return {} if _prune(conj) is not None else None
     x = _pick_var(conj)
-    budget.spend()
 
     with_x = [a for a in conj if x in (a[1] if a[0] == "le" else a[2])]
     without_x = [a for a in conj if x not in (a[1] if a[0] == "le" else a[2])]
@@ -521,8 +525,6 @@ def _check_model(tree, model) -> bool:
         return all(_check_model(x, model) for x in tree[1])
     if head == "or":
         return any(_check_model(x, model) for x in tree[1])
-    if head == "not":
-        return not _check_model(tree[1], model)
     if head == "le":
         return lin_eval(tree[1], model) <= 0
     if head == "nl":
@@ -530,8 +532,6 @@ def _check_model(tree, model) -> bool:
         a, b = _eval_term(lhs, model), _eval_term(rhs, model)
         holds = {"=": a == b, "<=": a <= b, "<": a < b, ">=": a >= b, ">": a > b}[op]
         return holds != neg
-    if head == "eq":
-        return lin_eval(tree[1], model) == 0
     raise Unsupported(head)
 
 

@@ -29,6 +29,21 @@ def corpus_files():
     return out
 
 
+def spy(monkeypatch, module, name) -> list:
+    """Wrap module.name so that each call appends (args, result) to the
+    returned list."""
+    calls = []
+    inner = getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        result = inner(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def corpus():
     return corpus_files()

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import recsolve_lia
-from recsolve import cli, dsl, harness
+from recsolve import cli, dsl, harness, linear
 from recsolve.dsl import parse, parse_candidate
 from recsolve.harness import (
     BenchmarkResult,
@@ -19,7 +19,7 @@ from recsolve.report import emit_csv, emit_report, strip_timings, summarize, wri
 from recsolve.sampler import SampleConfig
 from recsolve.smt import Disproved, Proved, SolverConfig
 
-from conftest import MERGE
+from conftest import MERGE, spy
 
 
 def _func(src):
@@ -338,9 +338,19 @@ _SUM5 = (
 )
 
 
-def test_run_benchmark_reports_tier_flags():
+def test_run_benchmark_reports_tier_flags(monkeypatch):
+    """The 5-ary large catalog is too large: one fit, on the medium tier."""
+    calls = spy(monkeypatch, linear, "cv_lasso")
     res = run_benchmark(_SUM5, _fast_cfg(verify=False))
     assert "large:catalog-too-large" in res.flags
+    medium = linear.catalog_tier(tuple("abcde"), "medium").count
+    assert [len(args[0].features) for args, _ in calls] == [medium]
+
+
+def test_verify_checks_a_candidate_below_the_auto_threshold(corpus_dir):
+    res = run_benchmark(os.path.join(corpus_dir, "fib.rec"), RunConfig(seed=7, repeat=1, verify=True))
+    assert res.score < harness.AUTO_THRESHOLD
+    assert res.verification == "unsupported:non-rational-coefficients"
 
 
 @pytest.mark.parametrize("command,error", [

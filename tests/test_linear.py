@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from recsolve import dsl
+from recsolve import dsl, linear
 from recsolve.dsl import parse, parse_expr, print_expr, print_piecewise
 from recsolve.linear import (
     TIERS,
@@ -21,6 +21,7 @@ from recsolve.linear import (
     catalog_tier,
     cv_lasso,
     guess_linear,
+    held_out_r2,
     ols_refit,
     prune,
     r2_score,
@@ -31,8 +32,9 @@ from recsolve.linear import (
 from recsolve.model import eval_ground
 from recsolve.rewrite import simplify
 from recsolve.evaluator import Evaluator
+from recsolve.sampler import SampleConfig
 
-from conftest import EQ1, MAXVAR, MERGE, MINVAR
+from conftest import EQ1, MAXVAR, MERGE, MINVAR, spy
 
 
 # -- catalogs -----------------------------------------------------------------
@@ -504,6 +506,35 @@ def test_guess_linear_deterministic(eq1):
     b = guess_linear(eq1.system)
     assert print_piecewise(a.candidate) == print_piecewise(b.candidate)
     assert a.score == b.score
+
+
+def test_guess_linear_fits_each_domain_once(eq1, monkeypatch):
+    calls = spy(monkeypatch, linear, "cv_lasso")
+    out = guess_linear(eq1.system)
+    assert [len(args[0].features) for args, _ in calls] == [catalog_tier(("x",), "large").count]
+    assert out.fits[0].flags == ()
+
+
+def test_guess_linear_walks_past_rows_that_all_overflow():
+    """On x in [300, 340] every large-tier row overflows (5^x, x!), so the
+    fit falls to the medium tier."""
+    src = (
+        "def f(x) pre x >= 300 and x <= 340"
+        " { case x = 300 -> 901 case x > 300 -> f(x - 1) + 3 } entry f"
+    )
+    out = guess_linear(parse(src).system, sample_cfg=SampleConfig(bound_ladder=(340,)))
+    assert out.fits[0].flags == ("large:empty-training-set",)
+    assert print_expr(out.candidate.pieces[0].body) == "3*x + 1"
+
+
+@pytest.mark.parametrize("name", ["incr1", "qsort_best", "fib", "noisy_strt1"])
+def test_piece_score_is_held_out_r2_of_its_body(corpus, name, monkeypatch):
+    calls = spy(monkeypatch, linear, "collect_domain_data")
+    system = corpus[name].system
+    out = guess_linear(system, lasso_cfg=LassoConfig(seed=7), sample_cfg=SampleConfig(seed=7))
+    (piece,) = out.candidate.pieces
+    ((_, data),) = calls
+    assert piece.score == held_out_r2(piece.body, system.entry_func.params, data)
 
 
 def test_r2_one_implies_pointwise_agreement(eq1):

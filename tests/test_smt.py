@@ -428,6 +428,51 @@ def test_verify_expected_proved_set(corpus):
         assert got == verdicts, (source, text)
 
 
+def _count_solve_conj(monkeypatch, limit: int) -> list[int]:
+    """Count the bundled solver's solve_conj calls (recursive ones too) in
+    calls[0]; fail the test at call number `limit`."""
+    calls = [0]
+    inner = recsolve_lia.solve_conj
+
+    def counted(conj, budget):
+        calls[0] += 1
+        if calls[0] >= limit:
+            pytest.fail(f"solve_conj ran {limit} times")
+        return inner(conj, budget)
+
+    monkeypatch.setattr(recsolve_lia, "solve_conj", counted)
+    return calls
+
+
+def test_solver_budget_bounds_every_solve_conj_call(corpus, monkeypatch):
+    """Conjunctions refuted at once spend the budget too, so a query whose
+    substitutions are all rejected still ends at MAX_BRANCHES calls."""
+    calls = _count_solve_conj(monkeypatch, 2 * recsolve_lia.MAX_BRANCHES)
+    bundled = SolverConfig(command=(sys.executable, recsolve_lia.__file__))
+    cand = parse_candidate("floor(288/55*(52/53*x3 + x4 + x5 + 52/53*x6))")
+    assert verify(corpus["highdim1"].system, cand, bundled) == Unknown("solver-unknown")
+    assert calls[0] == recsolve_lia.MAX_BRANCHES
+
+
+def test_corpus_checks_stay_far_below_the_solver_budget(corpus, monkeypatch):
+    """Each corpus `expect` and `expect+1` query makes fewer than a tenth of
+    MAX_BRANCHES solve_conj calls, so a solver change that drifts toward the
+    budget fails here before verdicts turn unknown."""
+    limit = recsolve_lia.MAX_BRANCHES // 10
+    calls = _count_solve_conj(monkeypatch, 2 * recsolve_lia.MAX_BRANCHES)
+    bundled = SolverConfig(command=(sys.executable, recsolve_lia.__file__))
+    checked = 0
+    for name, bf in corpus.items():
+        if bf.expect is None:
+            continue
+        for cand in (bf.expect, _plus_one(bf.expect)):
+            calls[0] = 0
+            verify(bf.system, cand, bundled)
+            assert calls[0] < limit, name
+            checked += 1
+    assert checked == 50
+
+
 def test_encode_refuses_what_it_cannot_express():
     """The encoder alone names the node a query cannot express."""
     func = parse(
