@@ -7,7 +7,7 @@ into a flagged sample instead of a hang.
 """
 
 from recsolve import dsl
-from recsolve.evaluator import EvalBudget, Evaluator
+from recsolve.evaluator import Evaluator
 
 nested = dsl.parse(
     """
@@ -32,11 +32,12 @@ print("\nFibonacci with memoization:")
 print("  f(90) =", ev.eval_fun("f", (90,)))
 
 # A recurrence whose argument climbs away from the base case: every positive
-# input exhausts the depth budget, and the batch records that per sample.
+# input exhausts the depth budget (evaluator.MAX_DEPTH), and the batch
+# records that per sample.
 runaway = dsl.parse(
     "def q(x) pre x >= 0 { case x = 0 -> 1 case x > 0 -> 1 + q(x + 1) } entry q"
 )
-ev = Evaluator(runaway.system, EvalBudget(max_depth=10_000))
+ev = Evaluator(runaway.system)
 print("\nnon-terminating cost recurrence:")
 for r in ev.batch_eval("q", [(0,), (1,), (2,)]):
     print(f"  q{r.input} ->", r.value if r.error is None else r.error)

@@ -18,7 +18,7 @@ from .dsl import (
     print_expr,
     print_piecewise,
 )
-from .evaluator import BatchResult, BudgetExceeded, EvalBudget, Evaluator, NoMatchingCase
+from .evaluator import BatchResult, BudgetExceeded, Evaluator, NoMatchingCase
 from .harness import BenchmarkResult, RunConfig, classify, run_benchmark, run_corpus
 from .linear import (
     FeatureSet,

@@ -31,10 +31,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-_SMT_TIMEOUT_HELP = (
-    "seconds per query for an external solver; the bundled solver runs in"
-    " process, bounded by counted work, not by this timeout"
-)
+def _add_solver_options(p: _Parser):
+    p.add_argument("--solver", default=None, help="SMT solver command (overrides RECSOLVE_SMT_CMD)")
+    p.add_argument("--smt-timeout", type=float, default=10.0, metavar="S",
+                   help="seconds per query for an external solver; the bundled solver runs in"
+                   " process, bounded by counted work, not by this timeout")
+    p.add_argument("--debug-smt", action="store_true",
+                   help="persist SMT scripts (beside --out, else in the working directory)")
+
+
+def _solver_config(args, debug_dir: str) -> SolverConfig:
+    return SolverConfig(
+        command=tuple(shlex.split(args.solver)) if args.solver else None,
+        timeout=args.smt_timeout,
+        debug_dir=debug_dir if args.debug_smt else None,
+    )
 
 
 def _add_common(p: _Parser):
@@ -48,11 +59,8 @@ def _add_common(p: _Parser):
     p.add_argument("--lambda-grid", default="0.001:1:100", metavar="LO:HI:COUNT")
     p.add_argument("--repeat", type=int, default=2)
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--solver", default=None, help="SMT solver command (overrides RECSOLVE_SMT_CMD)")
-    p.add_argument("--smt-timeout", type=float, default=10.0, metavar="S",
-                   help=_SMT_TIMEOUT_HELP)
+    _add_solver_options(p)
     p.add_argument("--out", default=None, help="report path (.jsonl; a .csv sits beside it)")
-    p.add_argument("--debug-smt", action="store_true", help="persist SMT scripts beside the report")
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.add_argument("--gp-populations", type=int, default=45)
     p.add_argument("--gp-size", type=int, default=33)
@@ -63,14 +71,6 @@ def _config(args) -> RunConfig:
     lo, hi, count = args.lambda_grid.split(":")
     grid = tuple(np.geomspace(float(lo), float(hi), int(count)))
     ladder = (20, 10, 5, 3) if args.bound == "auto" else (int(args.bound),)
-    debug_dir = None
-    if args.debug_smt:
-        debug_dir = (os.path.dirname(args.out) or ".") if args.out else "."
-    solver = SolverConfig(
-        command=tuple(shlex.split(args.solver)) if args.solver else None,
-        timeout=args.smt_timeout,
-        debug_dir=debug_dir,
-    )
     return RunConfig(
         method=args.method,
         domsplit=args.domsplit,
@@ -85,7 +85,7 @@ def _config(args) -> RunConfig:
             seed=args.seed,
         ),
         verify=args.verify,
-        solver=solver,
+        solver=_solver_config(args, os.path.dirname(args.out or "") or "."),
         jobs=args.jobs,
     )
 
@@ -105,10 +105,7 @@ def main(argv=None) -> int:
     p_check = sub.add_parser("check", help="verify a hand-written closed form")
     p_check.add_argument("file")
     p_check.add_argument("--candidate", required=True, help='e.g. "x" or "piece x>0 -> x piece x=0 -> 0"')
-    p_check.add_argument("--solver", default=None)
-    p_check.add_argument("--smt-timeout", type=float, default=10.0, metavar="S",
-                         help=_SMT_TIMEOUT_HELP)
-    p_check.add_argument("--debug-smt", action="store_true")
+    _add_solver_options(p_check)
 
     args = parser.parse_args(argv)
     cfg = None
@@ -176,12 +173,7 @@ def _cmd_check(args) -> int:
     with open(args.file) as fh:
         bf = parse(fh.read())
     cand = parse_candidate(args.candidate)
-    solver = SolverConfig(
-        command=tuple(shlex.split(args.solver)) if args.solver else None,
-        timeout=args.smt_timeout,
-        debug_dir="." if args.debug_smt else None,
-    )
-    result = verify(bf.system, cand, solver)
+    result = verify(bf.system, cand, _solver_config(args, "."))
     print(f"candidate: {print_piecewise(cand)}")
     print(f"result:    {result}")
     return 0

@@ -2,8 +2,9 @@
 
 Cases are scanned in order and the first matching guard wins; inner calls
 (including nested ones like f(f(x-1))) are evaluated innermost-first under
-a shared budget.  Memoization is essential: naive evaluation of non-linear
-recursion is exponential.
+a shared budget: at most MAX_CALLS distinct calls per evaluator and a call
+depth of at most MAX_DEPTH.  Memoization is essential: naive evaluation of
+non-linear recursion is exponential.
 """
 
 from __future__ import annotations
@@ -29,15 +30,10 @@ from .model import (
 _STACK_BYTES = 512 * 1024 * 1024
 _RECURSION_LIMIT = 400_000
 
-
-@dataclass(frozen=True)
-class EvalBudget:
-    max_calls: int = 10**6
-    max_depth: int = 10**4
-
-    def __post_init__(self):
-        if self.max_calls <= 0 or self.max_depth <= 0:
-            raise ValueError("budget components must be positive")
+# The budget counts work, not time: calls that miss one Evaluator's memo,
+# and the nesting depth of one evaluation.
+MAX_CALLS = 10**6
+MAX_DEPTH = 10**4
 
 
 class NoMatchingCase(Exception):
@@ -65,9 +61,8 @@ class Evaluator:
     across batches; concurrent use needs separate instances.
     """
 
-    def __init__(self, system: RecurrenceSystem, budget: EvalBudget | None = None):
+    def __init__(self, system: RecurrenceSystem):
         self.system = system
-        self.budget = budget or EvalBudget()
         self.memo: dict[tuple[str, tuple[int, ...]], Number | EvalError | NoMatchingCase] = {}
         self._calls_done = 0
         self._warned = False
@@ -111,9 +106,9 @@ class Evaluator:
             if isinstance(hit, Exception):
                 raise hit
             return hit
-        if depth > self.budget.max_depth:
+        if depth > MAX_DEPTH:
             raise BudgetExceeded("depth")
-        if self._calls_done >= self.budget.max_calls:
+        if self._calls_done >= MAX_CALLS:
             raise BudgetExceeded("calls")
         self._calls_done += 1
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
-from .evaluator import EvalBudget, Evaluator
+from .evaluator import Evaluator
 from .model import (
     Add,
     BoolExpr,
@@ -412,12 +412,7 @@ def _lasso_path(G, c, alphas, deadline: float | None = None) -> np.ndarray:
     return out
 
 
-def cv_lasso(
-    T: TrainingSet,
-    cfg: LassoConfig,
-    folds: list[list[int]] | None = None,
-    deadline: float | None = None,
-) -> LassoResult:
+def cv_lasso(T: TrainingSet, cfg: LassoConfig, deadline: float | None = None) -> LassoResult:
     """Pick the penalty by k-fold cross-validation (ties toward the sparser,
     larger penalty), then fit on all rows at the chosen value.
 
@@ -433,10 +428,9 @@ def cv_lasso(
     X = T.X[:, keep]
     p_eff = X.shape[1]
 
-    if folds is None:
-        order = list(range(n))
-        random.Random(cfg.seed).shuffle(order)
-        folds = [order[i :: cfg.folds] for i in range(cfg.folds)]
+    order = list(range(n))
+    random.Random(cfg.seed).shuffle(order)
+    folds = [order[i :: cfg.folds] for i in range(cfg.folds)]
 
     def standardized(rows: np.ndarray, y: np.ndarray):
         mu, s = rows.mean(axis=0), rows.std(axis=0)
@@ -533,31 +527,38 @@ def ols_refit(T: TrainingSet, test: TrainingSet | None) -> LinearModel:
 # ---------------------------------------------------------------------------
 
 
-def rationalize_value(v: float, tol: float = 1e-4, max_den: int = 64):
+# A fitted constant becomes the nearest fraction with a denominator of at
+# most MAX_DENOMINATOR when that fraction lies within RATIONAL_TOL of it
+# (relative, or absolute below 1).
+RATIONAL_TOL = 1e-4
+MAX_DENOMINATOR = 64
+
+
+def rationalize_value(v: float):
     """Nearest rational with a small denominator via continued-fraction
     convergents, or None when no convergent is close enough."""
     if not math.isfinite(v):
         return None
-    f = Fraction(v).limit_denominator(max_den)
+    f = Fraction(v).limit_denominator(MAX_DENOMINATOR)
     err = abs(float(f) - v)
-    if err <= tol * max(1.0, abs(v)):
+    if err <= RATIONAL_TOL * max(1.0, abs(v)):
         return f
     return None
 
 
-def rationalize(e: Expr, tol: float = 1e-4) -> tuple[Expr, bool]:
-    """Replace each constant by the nearest rational with a denominator of at
-    most 64, so a constant within `tol` of zero becomes 0.  A constant with no
-    such rational stays a float, and the flag returned with the expression is
-    then False: the piece is not exactly verifiable."""
+def rationalize(e: Expr) -> tuple[Expr, bool]:
+    """Replace each constant by its rationalize_value, so a constant within
+    RATIONAL_TOL of zero becomes 0.  A constant with no such rational stays
+    a float, and the flag returned with the expression is then False: the
+    piece is not exactly verifiable."""
     exact = True
 
     def go(node: Expr) -> Expr:
         nonlocal exact
         if isinstance(node, Const):
-            if node.value.denominator <= 64:
+            if node.value.denominator <= MAX_DENOMINATOR:
                 return node
-            f = rationalize_value(float(node.value), tol)
+            f = rationalize_value(float(node.value))
             if f is None:
                 exact = False
                 return node
@@ -595,37 +596,37 @@ class DomainData:
     test_values: list[float]
 
 
+TEST_SIZE = 30
+
+
 def collect_domain_data(
     system: RecurrenceSystem,
     fname: str,
     constraint: BoolExpr,
     sample_cfg: SampleConfig,
-    budget: EvalBudget,
     evaluator: Evaluator,
     seed: int,
 ) -> DomainData | str:
-    """Bound selection, training samples and a fresh test set for one fit
-    domain; returns an error string when the domain yields no usable data."""
+    """Bound selection, training samples and up to TEST_SIZE test samples
+    for one fit domain; returns an error string when the domain yields no
+    usable data.  The test samples continue the training draw at the chosen
+    bound, so none of them is a training sample, and a box with no point
+    beyond the training samples gives none."""
     f = system.functions[fname]
     try:
-        bc = choose_bound(
-            system, fname, sample_cfg, budget,
-            constraint=constraint, evaluator=evaluator, seed=seed,
-        )
+        bc = choose_bound(system, fname, sample_cfg, constraint=constraint, evaluator=evaluator, seed=seed)
     except EmptyDomain:
         return "empty-domain"
     ok_rows = [(r.input, r.value) for r in bc.results if r.error is None]
     if not ok_rows:
         return "all-samples-failed"
-    try:
-        test_ss = sample_for_function(
-            f, sample_cfg, bc.bound, constraint=constraint,
-            seed=seed + 1, n=sample_cfg.test_size,
-        )
-        test_results = evaluator.batch_eval(fname, test_ss.tuples)
-        test_rows = [(r.input, r.value) for r in test_results if r.error is None]
-    except EmptyDomain:
-        test_rows = []
+    # the draw stops only on count, cap or a drawn-out box, so a longer
+    # draw with the same seed starts with the training samples
+    drawn = sample_for_function(
+        f, sample_cfg, bc.bound, constraint=constraint, seed=seed, n=sample_cfg.n + TEST_SIZE
+    ).tuples
+    test_results = evaluator.batch_eval(fname, drawn[len(bc.samples.tuples) :])
+    test_rows = [(r.input, r.value) for r in test_results if r.error is None]
     return DomainData(
         bound=bc.bound,
         train_inputs=[t for t, _ in ok_rows],
@@ -679,10 +680,10 @@ def _fit_largest_tier(
 
 
 def held_out_r2(e: Expr, params: tuple[str, ...], data: DomainData) -> float:
-    """R^2 of `e` on the domain's test rows, or on its training rows when it
-    has no test rows, evaluated under the guarded conventions candidates are
-    checked under (log2 below 1 is 0, x/0 is 0); -inf where `e` is not
-    finite at some row."""
+    """R^2 of `e` on the domain's test rows, which the fit never saw, or on
+    its training rows when it has no test rows, evaluated under the guarded
+    conventions candidates are checked under (log2 below 1 is 0, x/0 is 0);
+    -inf where `e` is not finite at some row."""
     inputs = data.test_inputs or data.train_inputs
     values = data.test_values if data.test_inputs else data.train_values
     cols = {p: np.asarray([t[i] for t in inputs], dtype=float) for i, p in enumerate(params)}
@@ -699,7 +700,6 @@ def _guess_domains(
     func: str | None,
     sample_cfg: SampleConfig | None,
     domsplit: bool,
-    budget: EvalBudget | None,
 ) -> GuessOutcome:
     """The guessing loop both regressors share.  Each fit domain (the split
     subdomains, or else the strictly positive orthant) is sampled with its
@@ -709,10 +709,9 @@ def _guess_domains(
     simplified, rationalized and simplified again, and the piece's score is
     the held-out R^2 of that final body."""
     sample_cfg = sample_cfg or SampleConfig()
-    budget = budget or EvalBudget()
     fname = func or system.entry
     f = system.functions[fname]
-    evaluator = Evaluator(system, budget)
+    evaluator = Evaluator(system)
     domains = split_domains(f) if domsplit else [Subdomain(positive_orthant(f))]
 
     fits: list[DomainFit] = []
@@ -723,9 +722,7 @@ def _guess_domains(
     for di, dom in enumerate(domains):
         seed = sample_cfg.seed * 7919 + di
         t0 = time.monotonic()
-        data = collect_domain_data(
-            system, fname, dom.constraint, sample_cfg, budget, evaluator, seed
-        )
+        data = collect_domain_data(system, fname, dom.constraint, sample_cfg, evaluator, seed)
         sample_s += time.monotonic() - t0
         if isinstance(data, str):
             fits.append(DomainFit(dom, None, None, error=data))
@@ -760,7 +757,6 @@ def guess_linear(
     lasso_cfg: LassoConfig | None = None,
     sample_cfg: SampleConfig | None = None,
     domsplit: bool = False,
-    budget: EvalBudget | None = None,
 ) -> GuessOutcome:
     """Run the full lasso pipeline for the entry function: per-subdomain when
     splitting, otherwise once on the strictly positive orthant; each domain
@@ -771,4 +767,4 @@ def guess_linear(
         model, flags = _fit_largest_tier(params, data, lasso_cfg)
         return (model.expr() if model else None), model, flags
 
-    return _guess_domains(system, fit, 2 * lasso_cfg.folds, func, sample_cfg, domsplit, budget)
+    return _guess_domains(system, fit, 2 * lasso_cfg.folds, func, sample_cfg, domsplit)

@@ -604,25 +604,20 @@ def _eval_array(e: Expr, cols, g: bool):
     raise TypeError(f"cannot evaluate {type(e).__name__} on arrays")
 
 
-def eval_bool(
-    c: BoolExpr, env: Mapping[str, int], *, guarded: bool = False, on_call=None
-) -> bool:
-    """Standard boolean semantics; comparisons are exact on the exact path."""
+def eval_bool(c: BoolExpr, env: Mapping[str, int], *, guarded: bool = False) -> bool:
+    """Standard boolean semantics; comparisons are exact on the exact path.
+    Guards and preconditions are call-free (CaseDef and FuncDef check)."""
     if isinstance(c, TrueExpr):
         return True
     if isinstance(c, Not):
-        return not eval_bool(c.arg, env, guarded=guarded, on_call=on_call)
+        return not eval_bool(c.arg, env, guarded=guarded)
     if isinstance(c, And):
-        return eval_bool(c.lhs, env, guarded=guarded, on_call=on_call) and eval_bool(
-            c.rhs, env, guarded=guarded, on_call=on_call
-        )
+        return eval_bool(c.lhs, env, guarded=guarded) and eval_bool(c.rhs, env, guarded=guarded)
     if isinstance(c, Or):
-        return eval_bool(c.lhs, env, guarded=guarded, on_call=on_call) or eval_bool(
-            c.rhs, env, guarded=guarded, on_call=on_call
-        )
+        return eval_bool(c.lhs, env, guarded=guarded) or eval_bool(c.rhs, env, guarded=guarded)
     if isinstance(c, Cmp):
-        a = eval_ground(c.lhs, env, guarded=guarded, on_call=on_call)
-        b = eval_ground(c.rhs, env, guarded=guarded, on_call=on_call)
+        a = eval_ground(c.lhs, env, guarded=guarded)
+        b = eval_ground(c.rhs, env, guarded=guarded)
         if c.op == "=":
             return a == b
         if c.op == "!=":

@@ -1,12 +1,15 @@
-"""Random input generation, bound selection and domain partitioning."""
+"""Random input generation, bound selection and domain partitioning.
+
+Inputs are drawn by rejection sampling of at most REJECTION_CAP draws per
+sample set."""
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .evaluator import BatchResult, EvalBudget, Evaluator
+from .evaluator import BatchResult, Evaluator
 from .model import (
     And,
     BoolExpr,
@@ -21,6 +24,8 @@ from .model import (
 )
 from .rewrite import simplify
 
+REJECTION_CAP = 10**5
+
 
 class EmptyDomain(Exception):
     """No satisfying tuple was found within the rejection cap."""
@@ -31,8 +36,6 @@ class SampleConfig:
     n: int = 100
     bound_ladder: tuple[int, ...] = (20, 10, 5, 3)
     seed: int = 0
-    rejection_cap: int = 10**5
-    test_size: int = 30
     folds: int = 2
 
     def __post_init__(self):
@@ -77,7 +80,7 @@ def sample_for_function(
     seen: set[tuple[int, ...]] = set()
     box = (b + 1) ** func.arity
     attempts = 0
-    while len(found) < want and attempts < cfg.rejection_cap and len(seen) < box:
+    while len(found) < want and attempts < REJECTION_CAP and len(seen) < box:
         attempts += 1
         tup = tuple(rng.randint(0, b) for _ in range(func.arity))
         if tup in seen:
@@ -108,17 +111,17 @@ def choose_bound(
     system: RecurrenceSystem,
     func: str,
     cfg: SampleConfig,
-    budget: EvalBudget | None = None,
     constraint: BoolExpr = TRUE,
     evaluator: Evaluator | None = None,
     seed: int | None = None,
 ) -> BoundChoice:
     """Largest ladder bound whose sample batch evaluates without exceeding
-    the evaluator's budget; a budget failure pushes down the ladder, and the
-    smallest bound is always accepted (flagged).  Every rung but the last
-    stops evaluating at its first budget failure, which already rejects it."""
+    the evaluation budget (evaluator.MAX_CALLS and MAX_DEPTH); a budget
+    failure pushes down the ladder, and the smallest bound is always
+    accepted (flagged).  Every rung but the last stops evaluating at its
+    first budget failure, which already rejects it."""
     f = system.functions[func]
-    ev = evaluator or Evaluator(system, budget or EvalBudget())
+    ev = evaluator or Evaluator(system)
     last: BoundChoice | None = None
     for i, b in enumerate(cfg.bound_ladder):
         is_last = i == len(cfg.bound_ladder) - 1

@@ -36,7 +36,7 @@ from typing import Iterator
 
 import recsolve_lia
 
-from .evaluator import BudgetExceeded, EvalBudget, Evaluator, NoMatchingCase
+from .evaluator import BudgetExceeded, Evaluator, NoMatchingCase
 from .model import (
     Add,
     And,
@@ -594,7 +594,6 @@ def verify(
     system: RecurrenceSystem,
     cand: PiecewiseClosedForm,
     solver: SolverConfig | None = None,
-    budget: EvalBudget | None = None,
 ) -> VerificationResult:
     """Check a candidate closed form against a single-equation system:
     split each case into branches (see `branches`), simplify each branch's
@@ -603,9 +602,10 @@ def verify(
     divisor is below 1.  A node the encoding cannot express makes the
     result Unsupported, naming the node; more branches than
     recsolve_lia.MAX_DISJUNCTS make it Unknown("branch-limit").
-    Counterexamples are confirmed against the evaluator before being
-    trusted; an unconfirmed one that breaks a side condition is reported as
-    that condition's Unsupported label."""
+    Counterexamples are confirmed against the evaluator, within its budget
+    (evaluator.MAX_CALLS and MAX_DEPTH), before being trusted; an
+    unconfirmed one that breaks a side condition is reported as that
+    condition's Unsupported label."""
     solver = solver or SolverConfig()
     if not system.is_single_equation():
         return Unsupported(("system-of-equations",))
@@ -621,7 +621,7 @@ def verify(
     job, side_conditions = encoded
 
     def confirmer(point: dict) -> bool:
-        ev = Evaluator(system, budget or EvalBudget())
+        ev = Evaluator(system)
         args = tuple(point[p] for p in params)
         if not eval_bool(pre, dict(zip(params, args))):
             return False

@@ -2,7 +2,9 @@
 trees with node-cost complexity penalties and simplex-based constant tuning.
 
 Trees are model expressions, evaluated by model.eval_array.  The search sees
-x^2, x^3 and 2^e as the single unary nodes square, cube and pow2.
+x^2, x^3 and 2^e as the single unary nodes square, cube and pow2.  The
+search's shape is fixed by the constants below; GPConfig sets only its size
+and seed.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import minimize
 
-from .evaluator import EvalBudget
 from .linear import GuessOutcome, _guess_domains, held_out_r2
 from .model import (
     Add,
@@ -38,21 +39,22 @@ from .sampler import SampleConfig
 
 BINARY = ("add", "sub", "max", "mul", "div", "pow")
 UNARY = ("floor", "ceil", "square", "cube", "log2", "pow2", "fact")
+# Node cost of each operator in a tree's complexity; the rest cost 1.
+COSTS = {"floor": 2, "ceil": 2, "pow": 3}
+
+MAX_COMPLEXITY = 30  # a tree above it is never scored
+TOURNAMENT = 3  # entrants per selection
+# An offspring is a crossover with probability P_CROSSOVER, a mutation with
+# P_MUTATION, and otherwise a constant perturbation.
+P_CROSSOVER = 0.6
+P_MUTATION = 0.3
+MIGRATION_INTERVAL = 5  # generations between ring migrations
 
 
 @dataclass(frozen=True)
 class OperatorSet:
     binary: tuple[str, ...] = BINARY
     unary: tuple[str, ...] = UNARY
-    costs: dict = field(
-        default_factory=lambda: {"floor": 2, "ceil": 2, "pow": 3}
-    )
-
-    def cost(self, tag: str) -> int:
-        c = self.costs.get(tag, 1)
-        if c <= 0:
-            raise ValueError("node costs must be positive")
-        return c
 
 
 @dataclass(frozen=True)
@@ -61,23 +63,10 @@ class GPConfig:
     population_size: int = 33
     iterations: int = 40
     seed: int = 0
-    max_complexity: int = 30
-    tournament: int = 3
-    p_crossover: float = 0.6
-    p_mutation: float = 0.3  # the rest, 1 - p_crossover - p_mutation, perturbs a constant
-    migration_interval: int = 5
 
     def __post_init__(self):
         if min(self.populations, self.population_size, self.iterations) <= 0:
             raise ValueError("population/iteration counts must be positive")
-        if min(self.max_complexity, self.tournament, self.migration_interval) < 1:
-            raise ValueError("max_complexity, tournament and migration_interval must be >= 1")
-        if not (
-            0 <= self.p_crossover <= 1
-            and 0 <= self.p_mutation <= 1
-            and self.p_crossover + self.p_mutation <= 1
-        ):
-            raise ValueError("p_crossover and p_mutation must lie in [0, 1] and sum to at most 1")
 
 
 @dataclass
@@ -164,11 +153,11 @@ def _node(e: Expr) -> tuple[str, tuple[Expr, ...]]:
     return tag, (e.arg,) if arity else ()
 
 
-def complexity(tree: Expr, ops: OperatorSet) -> int:
+def complexity(tree: Expr) -> int:
     tag, kids = _node(tree)
     if not kids:
         return 1
-    return ops.cost(tag) + sum(complexity(c, ops) for c in kids)
+    return COSTS.get(tag, 1) + sum(complexity(c) for c in kids)
 
 
 def tree_nodes(tree: Expr) -> list[Expr]:
@@ -286,8 +275,9 @@ def evolve(
     cfg: GPConfig | None = None,
 ) -> ParetoFront:
     """Island-model GP: tournament selection, subtree crossover, mutation,
-    constant perturbation and ring migration of the best individual.
-    Deterministic for a given seed.
+    constant perturbation and ring migration of the best individual, in the
+    proportions of the module constants; `ops` restricts the operators
+    that random trees and mutations draw.  Deterministic for a given seed.
 
     Each distinct tree is scored once per two-generation window: an
     offspring that repeats a tree made in this generation or the last
@@ -311,9 +301,9 @@ def evolve(
         if ind is None:
             ind = older.get(tree)
             if ind is None:
-                loss = tree_loss(tree, cols, y) if comp <= cfg.max_complexity else math.inf
+                loss = tree_loss(tree, cols, y) if comp <= MAX_COMPLEXITY else math.inf
                 ind = _Individual(tree, loss, comp)
-                if comp <= cfg.max_complexity:
+                if comp <= MAX_COMPLEXITY:
                     front.offer(tree, loss, comp)
             seen[tree] = ind
         return ind
@@ -322,11 +312,11 @@ def evolve(
     islands: list[list[_Individual]] = []
     for i in range(cfg.populations):
         trees = [_random_tree(rngs[i], params, ops, 3) for _ in range(cfg.population_size)]
-        islands.append([make(t, complexity(t, ops)) for t in trees])
+        islands.append([make(t, complexity(t)) for t in trees])
 
     def tournament(rng: random.Random, pop: list[_Individual]) -> _Individual:
         best = pop[rng.randrange(len(pop))]
-        for _ in range(cfg.tournament - 1):
+        for _ in range(TOURNAMENT - 1):
             ch = pop[rng.randrange(len(pop))]
             if ch.beats(best):
                 best = ch
@@ -341,15 +331,15 @@ def evolve(
             while len(newpop) < cfg.population_size:
                 r = rng.random()
                 parent = tournament(rng, pop)
-                if r < cfg.p_crossover:
+                if r < P_CROSSOVER:
                     other = tournament(rng, pop)
                     child = _crossover(rng, parent.tree, other.tree)
-                elif r < cfg.p_crossover + cfg.p_mutation:
+                elif r < P_CROSSOVER + P_MUTATION:
                     child = _mutate(rng, parent.tree, params, ops)
                 else:
                     child = _perturb_const(rng, parent.tree)
-                comp = complexity(child, ops)
-                newpop.append(parent if comp > cfg.max_complexity else make(child, comp))
+                comp = complexity(child)
+                newpop.append(parent if comp > MAX_COMPLEXITY else make(child, comp))
             # short classical pass over the island's best: shapes like c^n
             # only become competitive once their constants are tuned
             bi = min(range(len(newpop)), key=lambda j: (newpop[j].loss, newpop[j].complexity))
@@ -361,11 +351,11 @@ def evolve(
                 if tuned is None:
                     tuned = tuned_of[btree] = optimize_constants_tree(btree, cols, y, max_evals=40)
                 if tuned != btree:
-                    cand = make(tuned, complexity(tuned, ops))
+                    cand = make(tuned, complexity(tuned))
                     if cand.beats(newpop[bi]):
                         newpop[bi] = cand
             islands[i] = newpop
-        if (it + 1) % cfg.migration_interval == 0:
+        if (it + 1) % MIGRATION_INTERVAL == 0:
             bests = [min(pop, key=lambda d: (d.loss, d.complexity)) for pop in islands]
             for i in range(len(islands)):
                 dst = islands[(i + 1) % len(islands)]
@@ -375,7 +365,7 @@ def evolve(
     # local constant tuning on the front survivors
     for entry in list(front.pareto()):
         tuned = optimize_constants_tree(entry.tree, cols, y)
-        front.offer(tuned, tree_loss(tuned, cols, y), complexity(tuned, ops))
+        front.offer(tuned, tree_loss(tuned, cols, y), complexity(tuned))
     return front
 
 
@@ -432,9 +422,7 @@ def guess_symbolic(
     func: str | None = None,
     gp_cfg: GPConfig | None = None,
     sample_cfg: SampleConfig | None = None,
-    ops: OperatorSet | None = None,
     domsplit: bool = False,
-    budget: EvalBudget | None = None,
 ) -> GuessOutcome:
     """Evolve candidates in each fit domain (see linear._guess_domains) and
     pick from each front the entry with the best test-set R^2 (complexity
@@ -446,15 +434,14 @@ def guess_symbolic(
             data.train_inputs,
             [float(v) for v in data.train_values],
             params,
-            ops,
-            replace(gp_cfg, seed=gp_cfg.seed * 977 + index),
+            cfg=replace(gp_cfg, seed=gp_cfg.seed * 977 + index),
         )
         entries = front.pareto()
         if not entries:
             return None, None, ()
         return _select_entry(entries, params, data), None, ()
 
-    return _guess_domains(system, fit, 5, func, sample_cfg, domsplit, budget)
+    return _guess_domains(system, fit, 5, func, sample_cfg, domsplit)
 
 
 def _select_entry(entries: list[FrontEntry], params, data) -> Expr:

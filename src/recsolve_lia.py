@@ -355,11 +355,6 @@ class Budget:
             raise Unsupported("branch budget exhausted")
 
 
-def _atom_vars(atom):
-    lin = atom[1] if atom[0] == "le" else atom[2]
-    return [k for k in lin if k is not None]
-
-
 def _tighten(conj):
     """Divide atoms by the gcd of their variable coefficients (rounding the
     le constant soundly over the integers) and deduplicate; None on a
@@ -433,8 +428,6 @@ def solve_conj(conj, budget: Budget):
         return None
     if not conj:
         return {}
-    if not any(_atom_vars(a) for a in conj):
-        return {} if _prune(conj) is not None else None
     x = _pick_var(conj)
 
     with_x = [a for a in conj if x in (a[1] if a[0] == "le" else a[2])]

@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from recsolve import dsl
-from recsolve.evaluator import BudgetExceeded, EvalBudget, Evaluator, NoMatchingCase
+from recsolve import dsl, evaluator
+from recsolve.evaluator import BudgetExceeded, Evaluator, NoMatchingCase
 from recsolve.model import Call, eval_bool, eval_ground
 
 from conftest import NONTERM, corpus_files
@@ -96,8 +96,9 @@ def test_error_kinds_stable_on_repeat():
     assert r1.error == r2.error
 
 
-def test_memo_shared_across_batch(fib):
-    ev = Evaluator(fib.system, EvalBudget(max_calls=60))
+def test_memo_shared_across_batch(fib, monkeypatch):
+    monkeypatch.setattr(evaluator, "MAX_CALLS", 60)
+    ev = Evaluator(fib.system)
     # 21 distinct subproblems; without sharing the budget would blow
     rs = ev.batch_eval("f", [(i,) for i in range(20)])
     assert all(r.error is None for r in rs)
@@ -149,7 +150,3 @@ def test_memoized_matches_naive_recursion_on_corpus():
             got = ev.eval_fun(bf.system.entry, tup)
             assert got == expected, (name, tup, got, expected)
 
-
-def test_budget_validation():
-    with pytest.raises(ValueError):
-        EvalBudget(max_calls=0)

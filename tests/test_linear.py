@@ -537,6 +537,22 @@ def test_piece_score_is_held_out_r2_of_its_body(corpus, name, monkeypatch):
     assert piece.score == held_out_r2(piece.body, system.entry_func.params, data)
 
 
+def test_test_rows_are_never_training_rows(corpus, monkeypatch):
+    """merge's orthant [1, 20]^2 holds 400 points, so its test rows are
+    TEST_SIZE points the fit never saw; nested's [1, 20] is drawn out by its
+    training rows, so it has none and the piece is scored on the training
+    rows."""
+    calls = spy(monkeypatch, linear, "collect_domain_data")
+    guess_linear(corpus["merge"].system)
+    (piece,) = guess_linear(corpus["nested"].system).candidate.pieces
+    (_, merge_data), (_, nested_data) = calls
+    assert len(merge_data.test_inputs) == linear.TEST_SIZE
+    assert not set(merge_data.test_inputs) & set(merge_data.train_inputs)
+    assert nested_data.test_inputs == []
+    pred = [float(eval_ground(piece.body, {"x": x}, guarded=True)) for (x,) in nested_data.train_inputs]
+    assert piece.score == r2_score(np.asarray(nested_data.train_values, dtype=float), np.asarray(pred))
+
+
 def test_r2_one_implies_pointwise_agreement(eq1):
     """Test-set R^2 of 1 transfers to fresh in-domain points."""
     out = guess_linear(eq1.system)

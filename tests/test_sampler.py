@@ -31,7 +31,7 @@ def test_box_sampling_in_bounds():
 
 
 def test_unsatisfiable_precondition_raises():
-    cfg = SampleConfig(n=5, seed=1, rejection_cap=2000)
+    cfg = SampleConfig(n=5, seed=1)
     with pytest.raises(EmptyDomain):
         sample_for_function(_func("x > 0 and x < 0", "x"), cfg, bound=3)
 
@@ -57,7 +57,7 @@ def _draw_to_cap(func, cfg, bound):
     early stop of sample_for_function must reproduce."""
     rng = random.Random(cfg.seed)
     found = {}
-    for _ in range(cfg.rejection_cap):
+    for _ in range(sampler.REJECTION_CAP):
         if len(found) == cfg.n:
             break
         tup = tuple(rng.randint(0, bound) for _ in range(func.arity))
@@ -73,10 +73,11 @@ def _draw_to_cap(func, cfg, bound):
     ("x > y and y >= 2", "x, y", 10),
     ("x >= 0 and y >= 0", "x, y", 20),
 ])
-def test_early_stop_keeps_the_samples_of_a_full_draw(pre, params, bound):
+def test_early_stop_keeps_the_samples_of_a_full_draw(pre, params, bound, monkeypatch):
+    monkeypatch.setattr(sampler, "REJECTION_CAP", 20_000)
     func = _func(pre, params)
     for seed in (0, 7):
-        cfg = SampleConfig(n=100, seed=seed, rejection_cap=20_000)
+        cfg = SampleConfig(n=100, seed=seed)
         assert sample_for_function(func, cfg, bound).tuples == _draw_to_cap(func, cfg, bound)
 
 

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from recsolve import dsl
+from recsolve import dsl, symbolic
 from recsolve.dsl import parse_expr, print_expr
 from recsolve.evaluator import Evaluator
 from recsolve.linear import guess_linear
@@ -89,14 +89,15 @@ def test_optimize_constants_never_worse():
     assert la <= lb + 1e-12
 
 
-def test_front_respects_complexity_cap_and_operator_set():
+def test_front_respects_complexity_cap_and_operator_set(monkeypatch):
+    monkeypatch.setattr(symbolic, "MAX_COMPLEXITY", 12)
     ops = OperatorSet(binary=("add", "mul"), unary=("square",))
     front = evolve(
         [(i,) for i in range(12)],
         [float(i * i + 1) for i in range(12)],
         ("x",),
         ops,
-        GPConfig(populations=6, population_size=16, iterations=12, seed=2, max_complexity=12),
+        GPConfig(populations=6, population_size=16, iterations=12, seed=2),
     )
     allowed = {"add", "mul", "square", "var", "const"}
     for entry in front.pareto():
@@ -125,11 +126,10 @@ def test_front_is_pareto():
 
 
 def test_node_costs():
-    ops = OperatorSet()
-    assert complexity(Var("x"), ops) == 1
-    assert complexity(parse_expr("floor(x)"), ops) == 3  # floor costs 2
-    assert complexity(parse_expr("x^4"), ops) == 5  # pow costs 3
-    assert complexity(parse_expr("2^(x + y)"), ops) == 4
+    assert complexity(Var("x")) == 1
+    assert complexity(parse_expr("floor(x)")) == 3  # floor costs 2
+    assert complexity(parse_expr("x^4")) == 5  # pow costs 3
+    assert complexity(parse_expr("2^(x + y)")) == 4
 
 
 def test_fitness_matches_tree_walking_oracle():
@@ -237,14 +237,14 @@ def test_evolve_scores_and_tunes_each_tree_once(monkeypatch):
 
 
 @pytest.mark.parametrize("bad", [
-    {"migration_interval": 0},
-    {"tournament": 0},
-    {"max_complexity": 0},
-    {"p_crossover": -0.1},
-    {"p_crossover": 1.5, "p_mutation": 0.0},
-    {"p_mutation": -0.2},
-    {"p_mutation": 1.1, "p_crossover": 0.0},
-    {"p_crossover": 0.7, "p_mutation": 0.4},
+    {"population_size": 0},
+    {"iterations": 0},
+    {"populations": -1},
+    {"population_size": -1},
+    {"iterations": -1},
+    {"populations": 0, "population_size": 0},
+    {"population_size": 0, "iterations": 0},
+    {"populations": 3, "population_size": 8, "iterations": -5},
     {"populations": 0},
 ])
 def test_gpconfig_rejects_bad_values(bad):
@@ -253,9 +253,8 @@ def test_gpconfig_rejects_bad_values(bad):
 
 
 def test_gpconfig_accepts_edge_values():
-    GPConfig(migration_interval=1, tournament=1, max_complexity=1)
-    GPConfig(p_crossover=1.0, p_mutation=0.0)
-    GPConfig(p_crossover=0.0, p_mutation=0.0)
+    GPConfig(populations=1, population_size=1, iterations=1)
+    GPConfig(populations=1, population_size=1, iterations=1, seed=-1)
 
 
 def test_guess_symbolic_eq1_split(eq1):
