@@ -11,14 +11,13 @@ import argparse
 import os
 import shlex
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from .dsl import parse, parse_candidate, print_piecewise
 from .harness import RunConfig, has_internal_errors, iter_corpus, run_benchmark
 from .linear import LassoConfig
-from .report import emit_report, summarize, write_report
+from .report import summarize, write_report
 from .sampler import SampleConfig
 from .smt import SolverConfig, verify
 from .symbolic import GPConfig

@@ -5,30 +5,27 @@ Cases are scanned in order and the first matching guard wins; inner calls
 a shared budget: at most MAX_CALLS distinct calls per evaluator and a call
 depth of at most MAX_DEPTH.  Memoization is essential: naive evaluation of
 non-linear recursion is exponential.
+
+Evaluation keeps its pending calls on an explicit stack, not on Python's:
+a case body that meets a call not yet in the memo stops, the callee is
+evaluated, and the body is evaluated again, now finding the callee's value
+in the memo.  So only the MAX_DEPTH count bounds the depth.
 """
 
 from __future__ import annotations
 
 import math
-import sys
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import (
     Call,
     EvalError,
-    Expr,
     Number,
     RecurrenceSystem,
     eval_bool,
     eval_ground,
 )
-
-# Deep linear recursions (the non-terminating budget probe in particular)
-# need far more interpreter frames than CPython's default allows.
-_STACK_BYTES = 512 * 1024 * 1024
-_RECURSION_LIMIT = 400_000
 
 # The budget counts work, not time: calls that miss one Evaluator's memo,
 # and the nesting depth of one evaluation.
@@ -38,6 +35,13 @@ MAX_DEPTH = 10**4
 
 class NoMatchingCase(Exception):
     """No guard matched: the system violates totality at this point."""
+
+
+class _Pending(Exception):
+    """A case body needs the value of a call that is not in the memo."""
+
+    def __init__(self, key: tuple[str, tuple[int, ...]]):
+        self.key = key
 
 
 class BudgetExceeded(Exception):
@@ -70,72 +74,83 @@ class Evaluator:
     # -- public API ---------------------------------------------------------
 
     def eval_fun(self, func: str, args: tuple[int, ...]) -> Number:
-        return _run_deep(lambda: self._eval_top(func, tuple(args)))
+        return self._call(func, tuple(args))
 
     def batch_eval(self, func: str, inputs, stop_at_budget_failure: bool = False) -> list[BatchResult]:
         """One result per input, in order.  With `stop_at_budget_failure`
         the batch ends after the first input that exceeds the budget, so the
         result list can be shorter than `inputs`."""
-
-        def job():
-            out = []
-            for inp in inputs:
-                inp = tuple(inp)
-                self._warned = False
-                try:
-                    v = self._call(func, inp, 0)
-                    out.append(BatchResult(inp, value=v, warned=self._warned))
-                except (EvalError, NoMatchingCase, BudgetExceeded) as exc:
-                    out.append(BatchResult(inp, error=_error_kind(exc), warned=self._warned))
-                    if stop_at_budget_failure and isinstance(exc, BudgetExceeded):
-                        break
-            return out
-
-        return _run_deep(job)
+        out = []
+        for inp in inputs:
+            inp = tuple(inp)
+            try:
+                v = self._call(func, inp)
+                out.append(BatchResult(inp, value=v, warned=self._warned))
+            except (EvalError, NoMatchingCase, BudgetExceeded) as exc:
+                out.append(BatchResult(inp, error=_error_kind(exc), warned=self._warned))
+                if stop_at_budget_failure and isinstance(exc, BudgetExceeded):
+                    break
+        return out
 
     # -- internals ------------------------------------------------------------
 
-    def _eval_top(self, func: str, args: tuple[int, ...]) -> Number:
+    def _call(self, func: str, args: tuple[int, ...]) -> Number:
+        """Value of one top-level call.  `stack` holds the calls under
+        evaluation, each caller below its callee.  The top call's case body
+        either gives its value, which is memoized and popped, or meets a
+        call not in the memo (_Pending), which is pushed.  An EvalError or
+        NoMatchingCase is memoized for every call on the stack; an exceeded
+        budget is memoized for none."""
         self._warned = False
-        return self._call(func, args, 0)
+        stack: list[tuple[str, tuple[int, ...]]] = []
 
-    def _call(self, func: str, args: tuple[int, ...], depth: int) -> Number:
-        key = (func, args)
-        hit = self.memo.get(key)
-        if hit is not None:
-            if isinstance(hit, Exception):
-                raise hit
-            return hit
-        if depth > MAX_DEPTH:
-            raise BudgetExceeded("depth")
-        if self._calls_done >= MAX_CALLS:
-            raise BudgetExceeded("calls")
-        self._calls_done += 1
-
-        f = self.system.functions[func]
-        env = dict(zip(f.params, args))
-
-        def on_call(node: Call, call_env) -> Number:
-            inner_args = []
-            for a in node.args:
-                v = eval_ground(a, call_env, on_call=on_call)
-                inner_args.append(self._coerce_arg(v))
-            return self._call(node.func, tuple(inner_args), depth + 1)
+        def push(key):
+            if len(stack) > MAX_DEPTH:
+                raise BudgetExceeded("depth")
+            if self._calls_done >= MAX_CALLS:
+                raise BudgetExceeded("calls")
+            self._calls_done += 1
+            stack.append(key)
 
         try:
-            for case in f.cases:
-                if eval_bool(case.guard, env):
-                    value = eval_ground(case.body, env, on_call=on_call)
-                    self.memo[key] = value
-                    return value
-        except RecursionError:
-            raise BudgetExceeded("depth") from None
-        except (EvalError, NoMatchingCase) as exc:
-            self.memo[key] = exc
-            raise
-        err = NoMatchingCase(f"{func}{args}")
-        self.memo[key] = err
-        raise err
+            return self._lookup((func, args))
+        except _Pending as p:
+            push(p.key)
+        while True:
+            try:
+                value = self._eval_cases(*stack[-1])
+            except _Pending as p:
+                push(p.key)
+                continue
+            except (EvalError, NoMatchingCase) as exc:
+                for key in stack:
+                    self.memo[key] = exc
+                raise
+            self.memo[stack.pop()] = value
+            if not stack:
+                return value
+
+    def _eval_cases(self, func: str, args: tuple[int, ...]) -> Number:
+        f = self.system.functions[func]
+        env = dict(zip(f.params, args))
+        for case in f.cases:
+            if eval_bool(case.guard, env):
+                return eval_ground(case.body, env, on_call=self._on_call)
+        raise NoMatchingCase(f"{func}{args}")
+
+    def _on_call(self, node: Call, env) -> Number:
+        args = tuple(self._coerce_arg(eval_ground(a, env, on_call=self._on_call)) for a in node.args)
+        return self._lookup((node.func, args))
+
+    def _lookup(self, key: tuple[str, tuple[int, ...]]) -> Number:
+        """The memoized value of `key`; raises its memoized error, or
+        _Pending when it has not been evaluated."""
+        hit = self.memo.get(key)
+        if hit is None:
+            raise _Pending(key)
+        if isinstance(hit, Exception):
+            raise hit
+        return hit
 
     def _coerce_arg(self, v: Number) -> int:
         if isinstance(v, int):
@@ -154,31 +169,3 @@ def _error_kind(exc: Exception) -> str:
     if isinstance(exc, EvalError):
         return exc.kind
     return type(exc).__name__
-
-
-def _run_deep(job):
-    """Run `job` on a thread with a large stack so deep recursion only ever
-    surfaces as BudgetExceeded, never as a hard interpreter crash."""
-    result: list = [None]
-    error: list = [None]
-
-    def wrapper():
-        old = sys.getrecursionlimit()
-        sys.setrecursionlimit(_RECURSION_LIMIT)
-        try:
-            result[0] = job()
-        except BaseException as exc:  # re-raised on the caller's thread
-            error[0] = exc
-        finally:
-            sys.setrecursionlimit(old)
-
-    old_size = threading.stack_size(_STACK_BYTES)
-    try:
-        t = threading.Thread(target=wrapper, daemon=True)
-        t.start()
-    finally:
-        threading.stack_size(old_size)
-    t.join()
-    if error[0] is not None:
-        raise error[0]
-    return result[0]

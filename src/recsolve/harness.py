@@ -400,18 +400,20 @@ def _guess_once(bf: BenchmarkFile, cfg: RunConfig, method: str, attempt: int) ->
     )
 
 
-def _best_guess(bf: BenchmarkFile, cfg: RunConfig, method: str) -> GuessOutcome:
-    best: GuessOutcome | None = None
-    for attempt in range(max(cfg.repeat, 1)):
-        out = _guess_once(bf, cfg, method, attempt)
-        if best is None or out.score > best.score:
-            best = out
-    return best
+def _best_guess(
+    bf: BenchmarkFile, cfg: RunConfig, method: str, attempts: list[GuessOutcome]
+) -> GuessOutcome:
+    """The best-scoring of `repeat` guesses, the first of them on a tie.
+    Every guess is appended to `attempts`, so that its time is counted."""
+    outs = [_guess_once(bf, cfg, method, attempt) for attempt in range(max(cfg.repeat, 1))]
+    attempts += outs
+    return max(outs, key=lambda o: o.score)
 
 
 def run_benchmark(source, cfg: RunConfig, name: str = "") -> BenchmarkResult:
     """Sample, guess (best of `repeat` runs by test R^2), optionally verify,
     classify; per-stage failures are recorded in the result, never raised.
+    The sample and fit times sum over every guess run, kept or not.
     With `verify` on, every candidate with at least one piece is checked,
     whatever its R^2."""
     try:
@@ -443,19 +445,20 @@ def run_benchmark(source, cfg: RunConfig, name: str = "") -> BenchmarkResult:
 
     method = cfg.method
     outcome: GuessOutcome | None = None
+    attempts: list[GuessOutcome] = []
     used = method
     t0 = time.monotonic()
     try:
         if method == "auto":
-            outcome = _best_guess(bf, cfg, "lasso")
+            outcome = _best_guess(bf, cfg, "lasso", attempts)
             used = "lasso"
             if outcome.score < AUTO_THRESHOLD:
-                alt = _best_guess(bf, cfg, "symreg")
+                alt = _best_guess(bf, cfg, "symreg", attempts)
                 if alt.score > outcome.score:
                     outcome = alt
                     used = "symreg"
         else:
-            outcome = _best_guess(bf, cfg, method)
+            outcome = _best_guess(bf, cfg, method, attempts)
         guess_error = ""
     except Exception as exc:  # recorded, not raised: corpus keeps going
         guess_error = f"{type(exc).__name__}: {exc}"
@@ -499,8 +502,8 @@ def run_benchmark(source, cfg: RunConfig, name: str = "") -> BenchmarkResult:
         score=score,
         verification=verification_str,
         classification=classification,
-        time_sample=outcome.sample_seconds if outcome else 0.0,
-        time_fit=outcome.fit_seconds if outcome else elapsed,
+        time_sample=sum(o.sample_seconds for o in attempts) if outcome else 0.0,
+        time_fit=sum(o.fit_seconds for o in attempts) if outcome else elapsed,
         time_verify=t_verify,
         seed=cfg.seed,
         flags=tuple(flags),

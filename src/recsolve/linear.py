@@ -10,7 +10,6 @@ body it ships; whether the piece holds is for the check to decide.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 import time
@@ -49,9 +48,9 @@ from .sampler import (
     Subdomain,
     choose_bound,
     positive_orthant,
-    sample_for_function,
     split_domains,
 )
+from .sampler import TEST_SIZE as TEST_SIZE  # re-exported: linear.TEST_SIZE
 
 TIERS = ("small", "medium", "large")
 
@@ -596,9 +595,6 @@ class DomainData:
     test_values: list[float]
 
 
-TEST_SIZE = 30
-
-
 def collect_domain_data(
     system: RecurrenceSystem,
     fname: str,
@@ -609,10 +605,10 @@ def collect_domain_data(
 ) -> DomainData | str:
     """Bound selection, training samples and up to TEST_SIZE test samples
     for one fit domain; returns an error string when the domain yields no
-    usable data.  The test samples continue the training draw at the chosen
-    bound, so none of them is a training sample, and a box with no point
-    beyond the training samples gives none."""
-    f = system.functions[fname]
+    usable data.  The test samples are the held-out tuples that
+    choose_bound drew after the training samples at the chosen bound, so
+    none of them is a training sample, and a box with no point beyond the
+    training samples gives none."""
     try:
         bc = choose_bound(system, fname, sample_cfg, constraint=constraint, evaluator=evaluator, seed=seed)
     except EmptyDomain:
@@ -620,12 +616,7 @@ def collect_domain_data(
     ok_rows = [(r.input, r.value) for r in bc.results if r.error is None]
     if not ok_rows:
         return "all-samples-failed"
-    # the draw stops only on count, cap or a drawn-out box, so a longer
-    # draw with the same seed starts with the training samples
-    drawn = sample_for_function(
-        f, sample_cfg, bc.bound, constraint=constraint, seed=seed, n=sample_cfg.n + TEST_SIZE
-    ).tuples
-    test_results = evaluator.batch_eval(fname, drawn[len(bc.samples.tuples) :])
+    test_results = evaluator.batch_eval(fname, bc.held_out)
     test_rows = [(r.input, r.value) for r in test_results if r.error is None]
     return DomainData(
         bound=bc.bound,

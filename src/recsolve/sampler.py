@@ -26,6 +26,9 @@ from .rewrite import simplify
 
 REJECTION_CAP = 10**5
 
+# held-out tuples drawn per fit domain after its SampleConfig.n training tuples
+TEST_SIZE = 30
+
 
 class EmptyDomain(Exception):
     """No satisfying tuple was found within the rejection cap."""
@@ -100,6 +103,7 @@ class BoundChoice:
     bound: int
     samples: SampleSet
     results: list[BatchResult]
+    held_out: list[tuple[int, ...]]  # drawn after the samples, not evaluated
     fell_through: bool = False  # even the smallest bound misbehaved
 
     @property
@@ -119,19 +123,28 @@ def choose_bound(
     the evaluation budget (evaluator.MAX_CALLS and MAX_DEPTH); a budget
     failure pushes down the ladder, and the smallest bound is always
     accepted (flagged).  Every rung but the last stops evaluating at its
-    first budget failure, which already rejects it."""
+    first budget failure, which already rejects it.
+
+    Each rung draws cfg.n + TEST_SIZE tuples once and evaluates the first
+    cfg.n.  The draw stops only on count, cap or a drawn-out box, so its
+    first cfg.n tuples are those a draw of cfg.n would give, and the rest
+    are held-out tuples that no training tuple repeats."""
     f = system.functions[func]
     ev = evaluator or Evaluator(system)
     last: BoundChoice | None = None
     for i, b in enumerate(cfg.bound_ladder):
         is_last = i == len(cfg.bound_ladder) - 1
         try:
-            ss = sample_for_function(f, cfg, b, constraint=constraint, seed=seed)
+            drawn = sample_for_function(
+                f, cfg, b, constraint=constraint, seed=seed, n=cfg.n + TEST_SIZE
+            ).tuples
         except EmptyDomain:
             if is_last and last is None:
                 raise
             continue
-        choice = BoundChoice(b, ss, ev.batch_eval(func, ss.tuples, stop_at_budget_failure=not is_last))
+        ss = SampleSet(drawn[: cfg.n], shortfall=len(drawn) < cfg.n)
+        results = ev.batch_eval(func, ss.tuples, stop_at_budget_failure=not is_last)
+        choice = BoundChoice(b, ss, results, held_out=drawn[cfg.n :])
         if not choice.any_budget_failure:
             return choice
         last = choice

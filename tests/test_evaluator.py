@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 
@@ -109,7 +111,30 @@ def test_no_matching_case_reported():
     # bypass the parser's totality check by constructing a bad argument path
     ev = Evaluator(bf.system)
     with pytest.raises(NoMatchingCase):
-        ev._eval_top("f", (-1,))
+        ev.eval_fun("f", (-1,))
+
+
+def test_evaluation_starts_no_thread_and_keeps_the_recursion_limit(fib, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("evaluation must run on the caller's stack")
+
+    monkeypatch.setattr(threading.Thread, "start", forbidden)
+    monkeypatch.setattr(threading, "stack_size", forbidden)
+    monkeypatch.setattr(sys, "setrecursionlimit", forbidden)
+    ev = Evaluator(fib.system)
+    assert ev.eval_fun("f", (30,)) == 1346269
+    assert ev.batch_eval("f", [(5,)])[0].value == 8
+
+
+def test_depth_limit_is_exact(succ):
+    """f(n) calls f(n-1) down to f(0): the innermost call of f(MAX_DEPTH)
+    is MAX_DEPTH calls deep, the most the budget allows."""
+    n = evaluator.MAX_DEPTH
+    assert Evaluator(succ.system).eval_fun("f", (n,)) == n + 1
+    ev = Evaluator(succ.system)
+    (r,) = ev.batch_eval("f", [(n + 1,)])
+    assert r.error == "budget-exceeded:depth"
+    assert not ev.memo  # an exceeded budget is memoized for no call
 
 
 def test_nested_noninteger_inner_value_floors_with_warning():

@@ -15,6 +15,8 @@ from recsolve.harness import (
     run_benchmark,
     run_corpus,
 )
+from recsolve.linear import GuessOutcome
+from recsolve.model import PiecewiseClosedForm
 from recsolve.report import emit_csv, emit_report, strip_timings, summarize, write_report
 from recsolve.sampler import SampleConfig
 from recsolve.smt import Disproved, Proved, SolverConfig
@@ -345,6 +347,22 @@ def test_run_benchmark_reports_tier_flags(monkeypatch):
     assert "large:catalog-too-large" in res.flags
     medium = linear.catalog_tier(tuple("abcde"), "medium").count
     assert [len(args[0].features) for args, _ in calls] == [medium]
+
+
+def test_run_benchmark_times_every_guess_attempt(monkeypatch):
+    """The report's sample and fit times sum over every guess run, not only
+    the kept one: both lasso runs, and under `auto` the symreg runs too."""
+
+    def guess_once(bf, cfg, method, attempt):
+        sample = {"lasso": 1.0, "symreg": 4.0}[method] * (attempt + 1)
+        return GuessOutcome(PiecewiseClosedForm(), sample_seconds=sample, fit_seconds=10 * sample)
+
+    monkeypatch.setattr(harness, "_guess_once", guess_once)
+    res = run_benchmark(MERGE, _fast_cfg(verify=False, repeat=2))
+    assert (res.time_sample, res.time_fit) == (1.0 + 2.0, 10.0 + 20.0)
+    res = run_benchmark(MERGE, _fast_cfg(method="auto", verify=False, repeat=2))
+    assert res.method == "lasso"
+    assert (res.time_sample, res.time_fit) == (1.0 + 2.0 + 4.0 + 8.0, 10.0 + 20.0 + 40.0 + 80.0)
 
 
 def test_verify_checks_a_candidate_below_the_auto_threshold(corpus_dir):

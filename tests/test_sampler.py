@@ -4,18 +4,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recsolve import dsl, sampler
+from recsolve import dsl, evaluator, linear, sampler
 from recsolve.dsl import parse, parse_bool, print_bool
-from recsolve.model import eval_bool
+from recsolve.evaluator import Evaluator
+from recsolve.model import TRUE, eval_bool
 from recsolve.sampler import (
+    TEST_SIZE,
     EmptyDomain,
     SampleConfig,
     choose_bound,
+    positive_orthant,
     sample_for_function,
     split_domains,
 )
 
-from conftest import EQ1, FIB, MERGE, NONTERM, SUCC
+from conftest import EQ1, FIB, MERGE, NONTERM, SUCC, spy
 
 
 def _func(pre: str, params: str = "x, y"):
@@ -176,3 +179,35 @@ def test_config_validation():
         SampleConfig(bound_ladder=(5, 10))
     with pytest.raises(ValueError):
         SampleConfig(bound_ladder=())
+
+
+def test_held_out_tuples_continue_the_training_draw():
+    """merge's orthant [1, 20]^2 has room for TEST_SIZE held-out tuples
+    after the training tuples; succ's [1, 20] is drawn out by them."""
+    cfg = SampleConfig(seed=3)
+    for src, held in ((MERGE, TEST_SIZE), (SUCC, 0)):
+        system = parse(src).system
+        f = system.entry_func
+        bc = choose_bound(system, "f", cfg, constraint=positive_orthant(f), seed=11)
+        longer = sample_for_function(
+            f, cfg, bc.bound, constraint=positive_orthant(f), seed=11, n=cfg.n + TEST_SIZE
+        ).tuples
+        assert bc.samples.tuples + bc.held_out == longer
+        assert len(bc.held_out) == held
+        assert not set(bc.held_out) & set(bc.samples.tuples)
+
+
+def test_collect_domain_data_draws_once_per_rung(monkeypatch):
+    """merge keeps the first rung; nonterm's first rung exceeds the budget,
+    so the second is taken.  Each rung's draw holds its held-out tuples."""
+    monkeypatch.setattr(evaluator, "MAX_DEPTH", 50)
+    draws = spy(monkeypatch, sampler, "sample_for_function")
+    # a module that binds the sampler's function itself draws through the spy too
+    monkeypatch.setattr(linear, "sample_for_function", sampler.sample_for_function, raising=False)
+    cfg = SampleConfig(n=10, bound_ladder=(8, 3), seed=1)
+    for src, rungs in ((MERGE, 1), (NONTERM, 2)):
+        system = parse(src).system
+        draws.clear()
+        data = linear.collect_domain_data(system, system.entry, TRUE, cfg, Evaluator(system), seed=5)
+        assert data.bound == cfg.bound_ladder[rungs - 1]
+        assert len(draws) == rungs
