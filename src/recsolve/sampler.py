@@ -60,7 +60,6 @@ class Subdomain:
 @dataclass
 class SampleSet:
     tuples: list[tuple[int, ...]]
-    shortfall: bool = False
 
 
 def sample_for_function(
@@ -73,8 +72,8 @@ def sample_for_function(
 ) -> SampleSet:
     """Distinct tuples drawn uniformly from [0, bound]^arity, rejection-filtered
     by the function's precondition and `constraint`.  Drawing stops once every
-    tuple of the box has been drawn.  Deterministic for a given seed; short
-    domains are reported via the shortfall flag rather than padded."""
+    tuple of the box has been drawn.  Deterministic for a given seed; a short
+    domain gives fewer tuples than asked for, never padded ones."""
     b = bound
     want = n if n is not None else cfg.n
     rng = random.Random(cfg.seed if seed is None else seed)
@@ -95,7 +94,7 @@ def sample_for_function(
         raise EmptyDomain(
             f"{func.name}: no point of [0,{b}]^{func.arity} satisfies the constraint"
         )
-    return SampleSet(list(found), shortfall=len(found) < want)
+    return SampleSet(list(found))
 
 
 @dataclass
@@ -142,7 +141,7 @@ def choose_bound(
             if is_last and last is None:
                 raise
             continue
-        ss = SampleSet(drawn[: cfg.n], shortfall=len(drawn) < cfg.n)
+        ss = SampleSet(drawn[: cfg.n])
         results = ev.batch_eval(func, ss.tuples, stop_at_budget_failure=not is_last)
         choice = BoundChoice(b, ss, results, held_out=drawn[cfg.n :])
         if not choice.any_budget_failure:

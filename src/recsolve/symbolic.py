@@ -2,15 +2,18 @@
 trees with node-cost complexity penalties and simplex-based constant tuning.
 
 Trees are model expressions, evaluated by model.eval_array.  The search sees
-x^2, x^3 and 2^e as the single unary nodes square, cube and pow2.  The
-search's shape is fixed by the constants below; GPConfig sets only its size
-and seed.
+x^2, x^3 and 2^e as the single unary nodes square, cube and pow2.  Inside the
+search each GP node (`_Tree`) carries its size, complexity and hash, computed
+once when it is built, so that variation rebuilds only the path to the node
+it changes and a memo lookup reads a cached hash.  The search's shape is
+fixed by the constants below; GPConfig sets only its size and seed.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -153,38 +156,96 @@ def _node(e: Expr) -> tuple[str, tuple[Expr, ...]]:
     return tag, (e.arg,) if arity else ()
 
 
+class _Tree:
+    """A GP node: its model expression `expr`, its GP operator `tag` and
+    operand nodes `kids` (from `_node`), and, computed once when it is
+    built, its size in GP nodes, its complexity, its count of tunable
+    constants and a structural hash.  Operands of `expr` that are the
+    expression of a node in `known` reuse that node; the others are built.
+    Nodes are equal when their expressions are."""
+
+    __slots__ = ("expr", "tag", "kids", "size", "complexity", "consts", "_hash")
+
+    def __init__(self, expr: Expr, known: Sequence[_Tree] = ()):
+        tag, operands = _node(expr)
+        kids = []
+        size, comp, consts, hashes = 1, COSTS.get(tag, 1), int(tag == "const"), [tag]
+        for o in operands:
+            for k in known:
+                if k.expr is o:
+                    break
+            else:
+                k = _Tree(o)
+            kids.append(k)
+            size += k.size
+            comp += k.complexity
+            consts += k.consts
+            hashes.append(k._hash)
+        self.expr, self.tag, self.kids = expr, tag, tuple(kids)
+        self.size, self.complexity, self.consts = size, comp, consts
+        self._hash = hash(tuple(hashes)) if kids else hash(expr)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return self is other or (self._hash == other._hash and self.expr == other.expr)
+
+
+def _at(t: _Tree, index: int) -> _Tree:
+    """The preorder-index-th GP node of `t`."""
+    while index:
+        index -= 1
+        for k in t.kids:
+            if index < k.size:
+                t = k
+                break
+            index -= k.size
+    return t
+
+
+def _replace(t: _Tree, index: int, repl: _Tree) -> _Tree:
+    """`t` with its preorder-index-th GP node replaced by `repl`; only the
+    nodes on the path to it are rebuilt."""
+    if index == 0:
+        return repl
+    index -= 1
+    kids = list(t.kids)
+    for j, k in enumerate(kids):
+        if index < k.size:
+            kids[j] = _replace(k, index, repl)
+            return _Tree(_BUILD[t.tag](*(c.expr for c in kids)), kids)
+        index -= k.size
+    raise IndexError("GP node index out of range")
+
+
+def _const_index(t: _Tree, k: int) -> int:
+    """Preorder index of the k-th tunable constant of `t`."""
+    index = 0
+    while t.tag != "const":
+        index += 1
+        for c in t.kids:
+            if k < c.consts:
+                t = c
+                break
+            k -= c.consts
+            index += c.size
+    return index
+
+
 def complexity(tree: Expr) -> int:
-    tag, kids = _node(tree)
-    if not kids:
-        return 1
-    return COSTS.get(tag, 1) + sum(complexity(c) for c in kids)
+    return _Tree(tree).complexity
 
 
 def tree_nodes(tree: Expr) -> list[Expr]:
     """GP nodes in preorder."""
-    out = [tree]
-    for c in _node(tree)[1]:
-        out.extend(tree_nodes(c))
-    return out
+    t = _Tree(tree)
+    return [_at(t, i).expr for i in range(t.size)]
 
 
 def replace_at(tree: Expr, index: int, repl: Expr) -> Expr:
     """Replace the preorder-index-th GP node."""
-
-    def go(node: Expr, i: int) -> tuple[Expr, int]:
-        # (new node, preorder index after it), or index -1 once replaced
-        if i == index:
-            return repl, -1
-        tag, kids = _node(node)
-        i += 1
-        new = list(kids)
-        for k, kid in enumerate(kids):
-            new[k], i = go(kid, i)
-            if i < 0:
-                return _BUILD[tag](*new), -1
-        return node, i
-
-    return go(tree, 0)[0]
+    return _replace(_Tree(tree), index, _Tree(repl)).expr
 
 
 # ---------------------------------------------------------------------------
@@ -193,12 +254,13 @@ def replace_at(tree: Expr, index: int, repl: Expr) -> Expr:
 
 
 def tree_loss(tree: Expr, cols: dict[str, np.ndarray], targets: np.ndarray) -> float:
-    """Mean squared error; invalid points (nan/inf) make the loss infinite."""
-    pred = eval_array(tree, cols)
-    if not np.all(np.isfinite(pred)):
-        return math.inf
-    with np.errstate(all="ignore"):
-        loss = float(np.mean((pred - targets) ** 2))
+    """Mean squared error; invalid points (nan/inf) make the loss infinite.
+    The sum and the division are those of np.mean, so the loss is np.mean
+    of the squared residuals bit for bit.  A residual of magnitude 2^512 or
+    more squares to inf, which numpy reports as an overflow; `evolve`
+    silences that once for its whole run."""
+    d = eval_array(tree, cols) - targets
+    loss = float(np.add.reduce(d * d)) / len(d)
     return loss if math.isfinite(loss) else math.inf
 
 
@@ -224,40 +286,40 @@ def _random_tree(rng: random.Random, params, ops: OperatorSet, depth: int) -> Ex
     return _BUILD[tag](_random_tree(rng, params, ops, depth - 1))
 
 
-def _mutate(rng: random.Random, tree: Expr, params, ops: OperatorSet) -> Expr:
-    nodes = tree_nodes(tree)
-    idx = rng.randrange(len(nodes))
+def _mutate(rng: random.Random, tree: _Tree, params, ops: OperatorSet) -> _Tree:
+    idx = rng.randrange(tree.size)
     if rng.random() < 0.5:
-        return replace_at(tree, idx, _random_tree(rng, params, ops, 2))
+        return _replace(tree, idx, _Tree(_random_tree(rng, params, ops, 2)))
     # point mutation: swap the operator, keep children
-    tag, kids = _node(nodes[idx])
-    if tag in ops.binary:
-        return replace_at(tree, idx, _BUILD[rng.choice(ops.binary)](*kids))
-    if tag in ops.unary:
-        return replace_at(tree, idx, _BUILD[rng.choice(ops.unary)](*kids))
-    return replace_at(tree, idx, _random_leaf(rng, params))
+    node = _at(tree, idx)
+    kids = node.kids
+    if node.tag in ops.binary:
+        op = rng.choice(ops.binary)
+    elif node.tag in ops.unary:
+        op = rng.choice(ops.unary)
+    else:
+        return _replace(tree, idx, _Tree(_random_leaf(rng, params)))
+    return _replace(tree, idx, _Tree(_BUILD[op](*(k.expr for k in kids)), kids))
 
 
-def _perturb_const(rng: random.Random, tree: Expr) -> Expr:
-    nodes = tree_nodes(tree)
-    const_idx = [i for i, n in enumerate(nodes) if isinstance(n, Const)]
-    if not const_idx:
+def _perturb_const(rng: random.Random, tree: _Tree) -> _Tree:
+    if not tree.consts:
         return tree
-    idx = rng.choice(const_idx)
-    c = float(nodes[idx].value)
+    # the same draw as rng.choice over the list of the constants' indices
+    idx = _const_index(tree, rng.randrange(tree.consts))
+    c = float(_at(tree, idx).expr.value)
     new = c * (1.0 + rng.gauss(0, 0.3)) + rng.gauss(0, 0.1)
-    return replace_at(tree, idx, Const(Fraction(new)))
+    return _replace(tree, idx, _Tree(Const(Fraction(new))))
 
 
-def _crossover(rng: random.Random, a: Expr, b: Expr) -> Expr:
-    ai = rng.randrange(len(tree_nodes(a)))
-    b_nodes = tree_nodes(b)
-    return replace_at(a, ai, b_nodes[rng.randrange(len(b_nodes))])
+def _crossover(rng: random.Random, a: _Tree, b: _Tree) -> _Tree:
+    ai = rng.randrange(a.size)
+    return _replace(a, ai, _at(b, rng.randrange(b.size)))
 
 
 @dataclass
 class _Individual:
-    tree: Expr
+    tree: _Tree
     loss: float
     complexity: int
 
@@ -267,6 +329,7 @@ class _Individual:
         return self.complexity < other.complexity
 
 
+@np.errstate(over="ignore")  # residuals squared past the float range (tree_loss)
 def evolve(
     inputs,
     targets,
@@ -279,11 +342,13 @@ def evolve(
     proportions of the module constants; `ops` restricts the operators
     that random trees and mutations draw.  Deterministic for a given seed.
 
-    Each distinct tree is scored once per two-generation window: an
-    offspring that repeats a tree made in this generation or the last
-    reuses its individual.  The tuning of an island's best is memoized by
-    tree for the whole call.  Neither memo changes a random draw or a
-    result."""
+    Each GP node carries its size, complexity and hash, computed once when
+    it is built (`_Tree`), so variation rebuilds only the path to the node
+    it changes, and a child's complexity is read from its root.  Each
+    distinct tree is scored once per two-generation window: an offspring
+    that repeats a tree made in this generation or the last reuses its
+    individual.  The tuning of an island's best is memoized by tree for the
+    whole call.  Neither memo changes a random draw or a result."""
     ops = ops or OperatorSet()
     cfg = cfg or GPConfig()
     if len(targets) < 5:
@@ -292,19 +357,20 @@ def evolve(
     y = np.asarray(targets, dtype=float)
     front = ParetoFront()
     # tree -> individual, made in this generation (seen) or the last (older)
-    seen: dict[Expr, _Individual] = {}
-    older: dict[Expr, _Individual] = {}
-    tuned_of: dict[Expr, Expr] = {}
+    seen: dict[_Tree, _Individual] = {}
+    older: dict[_Tree, _Individual] = {}
+    tuned_of: dict[_Tree, _Tree] = {}
 
-    def make(tree: Expr, comp: int) -> _Individual:
+    def make(tree: _Tree) -> _Individual:
         ind = seen.get(tree)
         if ind is None:
             ind = older.get(tree)
             if ind is None:
-                loss = tree_loss(tree, cols, y) if comp <= MAX_COMPLEXITY else math.inf
+                comp = tree.complexity
+                loss = tree_loss(tree.expr, cols, y) if comp <= MAX_COMPLEXITY else math.inf
                 ind = _Individual(tree, loss, comp)
                 if comp <= MAX_COMPLEXITY:
-                    front.offer(tree, loss, comp)
+                    front.offer(tree.expr, loss, comp)
             seen[tree] = ind
         return ind
 
@@ -312,7 +378,7 @@ def evolve(
     islands: list[list[_Individual]] = []
     for i in range(cfg.populations):
         trees = [_random_tree(rngs[i], params, ops, 3) for _ in range(cfg.population_size)]
-        islands.append([make(t, complexity(t)) for t in trees])
+        islands.append([make(_Tree(t)) for t in trees])
 
     def tournament(rng: random.Random, pop: list[_Individual]) -> _Individual:
         best = pop[rng.randrange(len(pop))]
@@ -338,20 +404,19 @@ def evolve(
                     child = _mutate(rng, parent.tree, params, ops)
                 else:
                     child = _perturb_const(rng, parent.tree)
-                comp = complexity(child)
-                newpop.append(parent if comp > MAX_COMPLEXITY else make(child, comp))
+                newpop.append(parent if child.complexity > MAX_COMPLEXITY else make(child))
             # short classical pass over the island's best: shapes like c^n
             # only become competitive once their constants are tuned
             bi = min(range(len(newpop)), key=lambda j: (newpop[j].loss, newpop[j].complexity))
             btree = newpop[bi].tree
-            if math.isfinite(newpop[bi].loss) and any(
-                isinstance(n, Const) for n in tree_nodes(btree)
-            ):
+            if math.isfinite(newpop[bi].loss) and btree.consts:
                 tuned = tuned_of.get(btree)
                 if tuned is None:
-                    tuned = tuned_of[btree] = optimize_constants_tree(btree, cols, y, max_evals=40)
+                    tuned = tuned_of[btree] = _Tree(
+                        optimize_constants_tree(btree.expr, cols, y, max_evals=40)
+                    )
                 if tuned != btree:
-                    cand = make(tuned, complexity(tuned))
+                    cand = make(tuned)
                     if cand.beats(newpop[bi]):
                         newpop[bi] = cand
             islands[i] = newpop
@@ -383,8 +448,10 @@ def optimize_constants_tree(
     if not len(x0):
         return tree
 
+    node = _Tree(tree)
+
     def with_consts(vals) -> Expr:
-        return _set_consts(tree, iter(vals))
+        return _set_consts(node, iter(vals))
 
     def objective(vals) -> float:
         loss = tree_loss(with_consts(vals), cols, y)
@@ -402,14 +469,14 @@ def optimize_constants_tree(
     return tree
 
 
-def _set_consts(tree: Expr, vals) -> Expr:
-    """`tree` with its tunable constants, in preorder, taken from `vals`."""
-    tag, kids = _node(tree)
-    if tag == "const":
+def _set_consts(t: _Tree, vals) -> Expr:
+    """`t`'s expression with its tunable constants, in preorder, taken from
+    `vals`."""
+    if t.tag == "const":
         return Const(Fraction(float(next(vals))))
-    if not kids:
-        return tree
-    return _BUILD[tag](*(_set_consts(k, vals) for k in kids))
+    if not t.consts:
+        return t.expr
+    return _BUILD[t.tag](*(_set_consts(k, vals) for k in t.kids))
 
 
 # ---------------------------------------------------------------------------

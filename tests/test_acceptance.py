@@ -196,13 +196,16 @@ def test_criterion_7_symbolic_regression_stochastic():
     assert hit_a >= 1
 
     # (b) the x > 1 branch of the Fibonacci data: a*b^x with b near the
-    # golden ratio
+    # golden ratio.  One seed succeeds about one time in four (24 of seeds
+    # 0-99), so the criterion is a hit count over 20 fixed seeds; at that
+    # rate all 20 miss with probability 0.4%.
     bf = parse(open(os.path.join(CORPUS_DIR, "fib.rec")).read())
     ev = Evaluator(bf.system)
     xs = list(range(2, 21))
     fib_ys = [float(ev.eval_fun("f", (x,))) for x in xs]
+    seeds_b = range(7, 27)
     hit_b = 0
-    for seed in range(7, 12):
+    for seed in seeds_b:
         t0 = time.monotonic()
         front = evolve(
             [(x,) for x in xs], fib_ys, ("n",),
@@ -217,7 +220,8 @@ def test_criterion_7_symbolic_regression_stochastic():
             if np.all((ratios > 1.55) & (ratios < 1.65)):
                 hit_b += 1
     assert hit_b >= 1
-    _ok(7, f"2^(x+y) exact in {hit_a}/5 runs; fib base in [1.55,1.65] in {hit_b}/5 runs")
+    _ok(7, f"2^(x+y) exact in {hit_a}/5 runs; fib base in [1.55,1.65] in "
+        f"{hit_b}/{len(seeds_b)} runs")
 
 
 def test_criterion_8_evaluator_oracle():

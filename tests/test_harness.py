@@ -325,13 +325,20 @@ def test_run_benchmark_merge_split_vs_global(corpus_dir):
 
 
 def test_run_benchmark_auto_falls_back_to_symreg(corpus_dir):
+    """exp3's lasso fit falls below the auto threshold, so symbolic regression
+    runs.  With this small GP a seed fits exp3 (score > 0.99) about four
+    times in five (79 of seeds 0-99), so the fit is a hit count over 10
+    fixed seeds; at that rate fewer than 5 hits has probability 0.8%."""
     from recsolve.symbolic import GPConfig
 
-    cfg = _fast_cfg(method="auto", domsplit=True, verify=False, seed=7)
-    cfg.gp = GPConfig(populations=8, population_size=20, iterations=15, seed=7)
-    res = run_benchmark(os.path.join(corpus_dir, "exp3.rec"), cfg)
-    assert res.method == "symreg"
-    assert res.score > 0.99  # small stochastic config; the mechanism is the point
+    hits = 0
+    for seed in range(7, 17):
+        cfg = _fast_cfg(method="auto", domsplit=True, verify=False, seed=seed)
+        cfg.gp = GPConfig(populations=8, population_size=20, iterations=15)  # seeded by cfg.seed
+        res = run_benchmark(os.path.join(corpus_dir, "exp3.rec"), cfg)
+        assert res.method == "symreg"
+        hits += res.score > 0.99
+    assert hits >= 5
 
 
 _SUM5 = (

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,11 +9,17 @@ from recsolve import dsl, symbolic
 from recsolve.dsl import parse_expr, print_expr
 from recsolve.evaluator import Evaluator
 from recsolve.linear import guess_linear
-from recsolve.model import EvalError, Var, eval_array, eval_ground
+from recsolve.model import Const, EvalError, Var, eval_array, eval_ground
 from recsolve.symbolic import (
+    _BUILD,
+    COSTS,
     GPConfig,
     OperatorSet,
+    _at,
     _node,
+    _random_tree,
+    _replace,
+    _Tree,
     complexity,
     evolve,
     guess_symbolic,
@@ -174,6 +181,123 @@ def test_tree_nodes_replace_at_roundtrip():
     ]
     assert [_node(n)[0] for n in tree_nodes(parse_expr("x^4"))] == ["pow", "var", "const"]
     assert replace_at(parse_expr("x^2 + y"), 1, Var("y")) == parse_expr("y + y")
+
+
+def _walk(e):
+    """(tag, size, complexity, preorder) of `e` by a plain walk over _node."""
+    tag, kids = _node(e)
+    subs = [_walk(k) for k in kids]
+    comp = COSTS.get(tag, 1) + sum(s[2] for s in subs) if kids else 1
+    return tag, 1 + sum(s[1] for s in subs), comp, [e] + [n for s in subs for n in s[3]]
+
+
+def _rebuild(e, index, repl):
+    """`e` with its preorder-index-th GP node replaced, rebuilt from the root."""
+
+    def go(node, i):
+        # (new node, preorder index after the old node)
+        if i == index:
+            return repl, i + _walk(node)[1]
+        tag, kids = _node(node)
+        i += 1
+        new = []
+        for k in kids:
+            sub, i = go(k, i)
+            new.append(sub)
+        return _BUILD[tag](*new) if kids else node, i
+
+    return go(e, 0)[0]
+
+
+def _check_node(t):
+    tag, size, comp, pre = _walk(t.expr)
+    assert (t.tag, t.size, t.complexity) == (tag, size, comp)
+    assert [_at(t, i).expr for i in range(t.size)] == pre
+    assert t.consts == sum(_node(n)[0] == "const" for n in pre)
+    for i in range(t.size):
+        node = _at(t, i)
+        assert (node.tag, node.size, node.complexity) == _walk(node.expr)[:3]
+        assert [k.expr for k in node.kids] == list(_node(node.expr)[1])
+
+
+@pytest.mark.parametrize("ops", [OperatorSet(), OperatorSet(("add", "mul"), ("pow2",))])
+def test_gp_node_matches_a_walk_over_node(ops):
+    """Each node's tag, size, complexity and preorder match a plain walk,
+    and replacing at every index with every node of a second tree gives the
+    tree rebuilt from the root, with its cached data right."""
+    for seed in range(60):
+        rng = random.Random(seed)
+        a = _random_tree(rng, ("x", "y"), ops, 3)
+        b = _random_tree(rng, ("x", "y"), ops, 2)
+        ta, tb = _Tree(a), _Tree(b)
+        _check_node(ta)
+        for i in range(ta.size):
+            for j in range(tb.size):
+                got = _replace(ta, i, _at(tb, j))
+                want = _rebuild(a, i, _walk(b)[3][j])
+                assert got.expr == want
+                assert got == _Tree(want) and hash(got) == hash(_Tree(want))
+                _check_node(got)
+
+
+def test_gp_node_pow_transitions():
+    """A replacement that changes how a power decomposes re-derives the node
+    from its expression: 2^x becomes square, cube or pow, x^y becomes square
+    or pow2."""
+    two, three, five = (Const(Fraction(v)) for v in (2, 3, 5))
+    pow2 = _Tree(parse_expr("2^x"))
+    assert pow2.tag == "pow2"
+    for c, tag, size, comp in [(two, "square", 2, 2), (three, "cube", 2, 2), (five, "pow", 3, 5)]:
+        t = _replace(pow2, 1, _Tree(c))
+        assert (t.tag, t.size, t.complexity) == (tag, size, comp)
+        _check_node(t)
+    xy = _Tree(parse_expr("x^y"))
+    assert (xy.tag, xy.size, xy.complexity) == ("pow", 3, 5)
+    t = _replace(xy, 2, _Tree(two))
+    assert (t.tag, t.size, t.complexity, t.expr) == ("square", 2, 2, parse_expr("x^2"))
+    t = _replace(xy, 1, _Tree(two))
+    assert (t.tag, t.size, t.complexity, t.expr) == ("pow2", 2, 2, parse_expr("2^y"))
+    _check_node(t)
+    # inside a larger tree only the path is rebuilt; the sibling is shared
+    t = _Tree(parse_expr("x^y + (x + 1)"))
+    u = _replace(t, 3, _Tree(two))
+    assert u.kids[1] is t.kids[1]
+    assert (u.kids[0].tag, u.size, u.complexity) == ("square", 6, 6)
+
+
+def _old_loss(tree, cols, targets):
+    pred = eval_array(tree, cols)
+    if not np.all(np.isfinite(pred)):
+        return math.inf
+    with np.errstate(all="ignore"):
+        loss = float(np.mean((pred - targets) ** 2))
+    return loss if math.isfinite(loss) else math.inf
+
+
+def test_tree_loss_is_the_mean_bit_for_bit():
+    """The fused loss equals the mean over finite predictions bit for bit,
+    and is inf where a row is nan or inf, or squares past the float range."""
+    rng = random.Random(5)
+    # 0 and negatives give nan (log2, division, factorial); 600 and 2^(8^3)
+    # give magnitudes at and above 2^512
+    pool = [0, 1, 2, 3, 5, 8, 13, 20, -1, -4, 600]
+    checked = {"finite": 0, "inf": 0}
+    for seed in range(400):
+        ops = OperatorSet() if seed % 2 else OperatorSet(("add", "mul"), ("pow2", "cube"))
+        tree = _random_tree(random.Random(seed), ("x", "y"), ops, 3)
+        n = rng.randint(5, 40)
+        cols = {v: np.array([float(rng.choice(pool)) for _ in range(n)]) for v in ("x", "y")}
+        scale = rng.choice([1.0, 1e3, 1e150, 2.0 ** 512])
+        targets = np.array([rng.uniform(-1, 1) * scale for _ in range(n)])
+        with np.errstate(over="ignore"):
+            got = tree_loss(tree, cols, targets)
+        assert got == _old_loss(tree, cols, targets)
+        checked["finite" if math.isfinite(got) else "inf"] += 1
+    assert min(checked.values()) > 50
+    x8 = {"x": np.array([8.0] * 5)}
+    assert eval_array(parse_expr("2^(x^3)"), x8)[0] == 2.0 ** 512
+    with np.errstate(over="ignore"):
+        assert tree_loss(parse_expr("2^(x^3)"), x8, np.zeros(5)) == math.inf
 
 
 def test_evolve_deterministic():
