@@ -1,25 +1,29 @@
 """The check stage: from candidate to proof or counterexample.
 
 The candidate replaces every recursive call (innermost first), one branch
-per choice of candidate piece, and the equation per branch is simplified. One query goes to an SMT solver over the
-integers: is there a point where some case's equation fails, or where one
-of its recursive calls leaves the precondition? unsat means the candidate
-solves the equation exactly and every substitution stayed inside the
-domain; sat gives a counterexample that is replayed through the evaluator
-before being reported.
+per choice of candidate piece, and the equation per branch is simplified.
+Each branch gives labelled obligations: its equation, the precondition at
+each recursive call, and each floor/ceil variable divisor at least 1. One
+query goes to an SMT solver over the integers: is there a point of the
+precondition that breaks one of them? unsat means the candidate solves
+the equation exactly and every substitution stayed inside the domain; sat
+gives a counterexample that is replayed through the evaluator before being
+reported.
 """
 
 from recsolve import dsl
-from recsolve.dsl import parse_candidate
-from recsolve.smt import encode, verify
+from recsolve.dsl import parse_candidate, print_bool
+from recsolve.smt import obligations, verify
 
 nested = dsl.parse(
     "def f(x) pre x >= 0 { case x = 0 -> 0 case x > 0 -> f(f(x - 1)) + 1 } entry f"
 )
 
-job = encode(nested.system.entry_func, parse_candidate("x"))
-print("SMT-LIB2 job for the correct candidate:")
-print(job.script)
+# Both of nested's equations simplify to 0 = 0 under x, so the one left is
+# that the inner call f(x - 1) stays in the precondition.
+print("obligations of the correct candidate x, each negated:")
+for o in obligations(nested.system, parse_candidate("x")):
+    print(f"  {o.label}: {print_bool(o.formula)}")
 print("verdict:", verify(nested.system, parse_candidate("x")))
 
 print("\noff-by-one candidate:")

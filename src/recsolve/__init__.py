@@ -65,7 +65,6 @@ from .smt import (
     Unknown,
     Unsupported,
     check,
-    encode,
     verify,
 )
 from .symbolic import (

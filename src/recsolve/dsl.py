@@ -54,9 +54,6 @@ from .model import (
 
 FORMAT_VERSION = 1
 
-CATEGORIES = ("scale", "amortized", "max-heavy", "imp", "nested", "misc", "CAS-style")
-
-
 class ParseError(Exception):
     def __init__(self, msg: str, line: int, col: int):
         self.line = line

@@ -60,6 +60,11 @@ AUTO_THRESHOLD = 0.999999
 
 @dataclass
 class RunConfig:
+    """One run's settings.  `run_benchmark` seeds attempt `attempt` (from 0)
+    with `seed + 1009*attempt` and writes that seed over the `seed` of
+    `sample`, `lasso` and `gp`, so their own seeds matter only to direct
+    callers of `guess_linear` and `guess_symbolic`."""
+
     method: str = "lasso"  # "lasso" | "symreg" | "auto"
     domsplit: bool = False
     seed: int = 0

@@ -1,6 +1,6 @@
-"""The check stage: encode the recurrence with the candidate substituted in
-as a first-order formula over the integers, ask an SMT solver for models of
-its negation, and interpret the answer.
+"""The check stage: list what a candidate closed form must satisfy as
+labelled obligations over the integers, ask an SMT solver for a point that
+breaks one, and interpret the answer.
 
 A piecewise candidate is substituted one branch at a time: each choice of
 piece for a case's left side and for each of its recursive calls gives a
@@ -15,8 +15,8 @@ process under the per-query timeout (--smt-timeout).  The bundled solver,
 when it is the command, runs in this process through
 `recsolve_lia.run_script`; it is bounded by counted work, not by the clock.
 Both answers go through the same verdict and model parsing.  unsat means
-the candidate is an exact solution; sat yields a counterexample that is
-re-checked against the evaluator before it is trusted.
+the candidate is an exact solution; sat yields a counterexample that
+`verify` re-checks against the evaluator before it is trusted.
 """
 
 from __future__ import annotations
@@ -181,14 +181,15 @@ class Branch:
     """One way through a case with the candidate in place of `f`: a piece
     chosen for the left side and for each recursive call.  `conditions` say
     where those choices hold (each earlier piece's domain false, the chosen
-    piece's own true; the last piece is the default), and `obligations` are
-    the precondition at each call's arguments.  `choice` holds the piece
-    indices, left side first, then the calls innermost first."""
+    piece's own true; the last piece is the default), and `preconditions`
+    are the precondition at each recursive call's arguments.  `choice`
+    holds the piece indices, left side first, then the calls innermost
+    first."""
 
     lhs: Expr
     rhs: Expr
     conditions: tuple[BoolExpr, ...]
-    obligations: tuple[BoolExpr, ...]
+    preconditions: tuple[BoolExpr, ...]
     choice: tuple[int, ...]
 
 
@@ -212,7 +213,7 @@ def _branch(func, cand, body, choice, pins=None) -> Branch:
     pins = pins or {}
     params = func.params
     conditions: list[BoolExpr] = []
-    obligations: list[BoolExpr] = []
+    preconditions: list[BoolExpr] = []
     picks = iter(choice)
 
     def instance(args: tuple[Expr, ...]) -> Expr:
@@ -231,7 +232,7 @@ def _branch(func, cand, body, choice, pins=None) -> Branch:
             args = tuple(go(a) for a in node.args)
             if node.func != func.name:
                 return Call(node.func, args)
-            obligations.append(substitute(func.precondition, dict(zip(params, args))))
+            preconditions.append(substitute(func.precondition, dict(zip(params, args))))
             return instance(args)
         if isinstance(node, (Floor, Ceil, Log2, Factorial)):
             return type(node)(go(node.arg))
@@ -239,7 +240,7 @@ def _branch(func, cand, body, choice, pins=None) -> Branch:
 
     lhs = instance(tuple(pins.get(p, Var(p)) for p in params))
     rhs = go(substitute(body, pins) if pins else body)
-    return Branch(lhs, rhs, tuple(conditions), tuple(obligations), tuple(choice))
+    return Branch(lhs, rhs, tuple(conditions), tuple(preconditions), tuple(choice))
 
 
 def _guarded(e: Expr) -> Expr:
@@ -465,14 +466,14 @@ def build_job(
 # Solver driver
 # ---------------------------------------------------------------------------
 
-def check(job: SmtJob, confirmer=None, debug_dir: str | None = None) -> VerificationResult:
-    """Run one batch solver query: unsat proves the candidate; sat yields a
-    counterexample (confirmed through `confirmer` when given); unknown or a
-    timeout is Unknown.  The bundled solver runs in process, any other
-    command as a process under `job.timeout`.  A missing solver raises
-    SolverNotFound; one that exits non-zero without a verdict, or a bundled
-    solver that raises, raises SolverCrashed.  With `debug_dir` the script
-    is kept there, numbered after the scripts already in it."""
+def check(job: SmtJob, debug_dir: str | None = None) -> VerificationResult:
+    """Run one batch solver query: unsat proves the candidate; sat yields
+    the model's values of `job.variables` as an unconfirmed counterexample;
+    unknown or a timeout is Unknown.  The bundled solver runs in process,
+    any other command as a process under `job.timeout`.  A missing solver
+    raises SolverNotFound; one that exits non-zero without a verdict, or a
+    bundled solver that raises, raises SolverCrashed.  With `debug_dir` the
+    script is kept there, numbered after the scripts already in it."""
     script = job.script
     if debug_dir:
         os.makedirs(debug_dir, exist_ok=True)
@@ -500,9 +501,7 @@ def check(job: SmtJob, confirmer=None, debug_dir: str | None = None) -> Verifica
     if verdict == "unknown":
         return Unknown("solver-unknown")
     model = _parse_model(stdout)
-    point = {v: model.get(v, 0) for v in job.variables}
-    confirmed = bool(confirmer(point)) if confirmer is not None else False
-    return Disproved(point, confirmed)
+    return Disproved({v: model.get(v, 0) for v in job.variables}, confirmed=False)
 
 
 def _run_process(job: SmtJob, script: str) -> subprocess.CompletedProcess | None:
@@ -595,54 +594,56 @@ def verify(
     cand: PiecewiseClosedForm,
     solver: SolverConfig | None = None,
 ) -> VerificationResult:
-    """Check a candidate closed form against a single-equation system:
-    split each case into branches (see `branches`), simplify each branch's
-    difference, then ask the solver, in one query, for a point where a
-    difference is not 0, a recursive call leaves the precondition, or a
-    divisor is below 1.  A node the encoding cannot express makes the
-    result Unsupported, naming the node; more branches than
-    recsolve_lia.MAX_DISJUNCTS make it Unknown("branch-limit").
-    Counterexamples are confirmed against the evaluator, within its budget
-    (evaluator.MAX_CALLS and MAX_DEPTH), before being trusted; an
-    unconfirmed one that breaks a side condition is reported as that
-    condition's Unsupported label."""
+    """Check a candidate closed form against a single-equation system: ask
+    the solver, in one query, for a point of the precondition that breaks
+    one of the candidate's obligations.  A node the encoding cannot express
+    makes the result Unsupported, naming the node.  A counterexample is
+    confirmed against the evaluator, within its budget, before it is
+    trusted; an unconfirmed one is reported as the Unsupported label of the
+    first obligation other than an equation that it breaks."""
     solver = solver or SolverConfig()
     if not system.is_single_equation():
         return Unsupported(("system-of-equations",))
     if not cand.exact_coeffs:
         return Unsupported(("non-rational-coefficients",))
+    obs = obligations(system, cand)
+    if isinstance(obs, (Unsupported, Unknown)):
+        return obs
     f = system.entry_func
-    params = tuple(f.params)
-    pre = f.precondition
-
-    encoded = _encode_only(system, cand, solver)
-    if isinstance(encoded, (Unsupported, Unknown)):
-        return encoded
-    job, side_conditions = encoded
-
-    def confirmer(point: dict) -> bool:
-        ev = Evaluator(system)
-        args = tuple(point[p] for p in params)
-        if not eval_bool(pre, dict(zip(params, args))):
-            return False
-        try:
-            actual = ev.eval_fun(f.name, args)
-        except (EvalError, NoMatchingCase, BudgetExceeded):
-            return False
-        got = eval_piecewise(cand, dict(zip(params, args)))
-        if got is None:
-            return True  # no piece covers an in-domain point
-        return not values_agree(actual, got)
-
+    broken = functools.reduce(Or, [o.formula for o in obs]) if obs else FALSE
     try:
-        result = check(job, confirmer, solver.debug_dir)
+        job = build_job(
+            tuple(f.params), And(f.precondition, broken), solver, name=f"verify-{f.name}"
+        )
+    except EncodingError as exc:
+        return Unsupported((exc.offending,))
+    try:
+        result = check(job, solver.debug_dir)
     except MalformedSolverOutput:
         return Unknown("malformed-solver-output")
-    if isinstance(result, Disproved) and not result.confirmed:
-        for label, broken in side_conditions:
-            if _holds_at(broken, result.counterexample):
-                return Unsupported((label,))
+    if not isinstance(result, Disproved):
+        return result
+    point = result.counterexample
+    if _confirms(system, cand, point):
+        return Disproved(point, confirmed=True)
+    for o in obs:
+        if o.label != "equation" and _holds_at(o.formula, point):
+            return Unsupported((o.label,))
     return result
+
+
+def _confirms(system: RecurrenceSystem, cand: PiecewiseClosedForm, point: dict) -> bool:
+    """Whether `point` is in the precondition and the recurrence's value
+    there, within the evaluator's budget, differs from the candidate's."""
+    f = system.entry_func
+    env = {p: point[p] for p in f.params}
+    if not eval_bool(f.precondition, env):
+        return False
+    try:
+        actual = Evaluator(system).eval_fun(f.name, tuple(env.values()))
+    except (EvalError, NoMatchingCase, BudgetExceeded):
+        return False
+    return not values_agree(actual, eval_piecewise(cand, env))
 
 
 def _holds_at(b: BoolExpr, point: dict) -> bool:
@@ -681,18 +682,6 @@ def eval_piecewise(cand: PiecewiseClosedForm, env: dict):
     return eval_ground(piece_at(cand, env).body, env, guarded=True)
 
 
-def encode(
-    func: FuncDef,
-    cand: PiecewiseClosedForm,
-    solver: SolverConfig | None = None,
-) -> SmtJob | Unsupported | Unknown:
-    """Build the solver job for a single function definition and candidate
-    (the full branch/simplify/encode pipeline, without running the check)."""
-    system = RecurrenceSystem({func.name: func}, func.name)
-    encoded = _encode_only(system, cand, solver or SolverConfig())
-    return encoded if isinstance(encoded, (Unsupported, Unknown)) else encoded[0]
-
-
 def _guard_bindings(ctx: BoolExpr) -> dict:
     """Variables a simplified context pins to integers: its top-level
     equalities in one variable, a*x + b = 0 (x = 3, x - 1 = 0).
@@ -712,30 +701,36 @@ def _guard_bindings(ctx: BoolExpr) -> dict:
     return out
 
 
-def _encode_only(system, cand, solver):
-    """The verification job and its side conditions, Unsupported, or
-    Unknown("branch-limit") when the cases have more branches than
-    recsolve_lia.MAX_DISJUNCTS.  A branch (see `branches`) holds under its
-    context: earlier guards false, its case's guard true, and its piece
-    conditions.  A branch whose simplified context is false is dropped.
-    The job asks for a point of the precondition where some branch's
-    context holds and its difference, simplified with the context's pins
-    substituted, is not 0, or one of its recursive calls leaves the
-    precondition, or a floor/ceil variable divisor in its context or sides
-    is below 1.  Each side condition is one of those disjuncts other than a
-    failed equation, paired with the Unsupported label of a model that
-    satisfies it.  A node the encoder refuses gives Unsupported with the
-    encoder's label."""
+_LABELS = ("equation", "unresolved-call", "variable-division")
+
+
+@dataclass(frozen=True)
+class Obligation:
+    """`formula` is a branch's simplified context and a negated condition,
+    which `label` names: "equation" (the two sides are equal),
+    "unresolved-call" (a recursive call's arguments are in the
+    precondition) or "variable-division" (a floor/ceil divisor is >= 1)."""
+
+    label: str
+    formula: BoolExpr
+
+
+def obligations(
+    system: RecurrenceSystem, cand: PiecewiseClosedForm
+) -> list[Obligation] | Unsupported | Unknown:
+    """A candidate's obligations on a single-equation system: equations,
+    then calls, then divisors, each without repeats.  A branch (see
+    `branches`) holds under its context: earlier guards false, its case's
+    guard true, and its piece conditions; a false context gives none, and a
+    difference that simplifies to 0 gives no equation.  Unknown when the
+    cases have more branches than recsolve_lia.MAX_DISJUNCTS."""
     if not cand.pieces:
         return Unsupported(("empty-candidate",))
     f = system.entry_func
-    params = tuple(f.params)
     total = sum(len(cand.pieces) ** (1 + _recursive_calls(f, c.body)) for c in f.cases)
     if total > recsolve_lia.MAX_DISJUNCTS:
         return Unknown("branch-limit")
-    refutations: list[BoolExpr] = []
-    calls: dict = {}
-    divisions: dict = {}
+    found: list[Obligation] = []
     earlier: list[BoolExpr] = []
     for case in f.cases:
         for branch in branches(f, cand, case.body):
@@ -747,30 +742,22 @@ def _encode_only(system, cand, solver):
             lhs, rhs = simplify(sides.lhs), simplify(sides.rhs)
             diff = simplify(Sub(lhs, rhs))
             if diff != _ZERO:
-                refutations.append(And(ctx, Not(Cmp("=", diff, _ZERO))))
-            obligations = [
+                found.append(Obligation("equation", And(ctx, Not(Cmp("=", diff, _ZERO)))))
+            calls = [
                 And(ctx, Not(o))
-                for o in dict.fromkeys(branch.obligations)
+                for o in dict.fromkeys(branch.preconditions)
                 if not isinstance(o, TrueExpr)
             ]
-            calls.update(dict.fromkeys(obligations))
+            found.extend(Obligation("unresolved-call", c) for c in calls)
             # from the context and sides, not the difference: a divisor that
             # cancels in a difference still divides where the case is evaluated
-            divisions.update(dict.fromkeys(
-                And(ctx, Not(Cmp(">=", node.arg.rhs, _ONE)))
-                for b in [ctx, lhs, rhs] + obligations
+            found.extend(
+                Obligation("variable-division", And(ctx, Not(Cmp(">=", node.arg.rhs, _ONE))))
+                for b in [ctx, lhs, rhs] + calls
                 for node in walk(b)
                 if isinstance(node, (Floor, Ceil))
                 and isinstance(node.arg, Div)
                 and not isinstance(node.arg.rhs, Const)
-            ))
+            )
         earlier.append(Not(case.guard))
-    side_conditions = [("unresolved-call", c) for c in calls]
-    side_conditions += [("variable-division", c) for c in divisions]
-    disjuncts = refutations + [c for _, c in side_conditions]
-    negformula = functools.reduce(Or, disjuncts) if disjuncts else FALSE
-    try:
-        job = build_job(params, And(f.precondition, negformula), solver, name=f"verify-{f.name}")
-    except EncodingError as exc:
-        return Unsupported((exc.offending,))
-    return job, side_conditions
+    return sorted(dict.fromkeys(found), key=lambda o: _LABELS.index(o.label))

@@ -237,17 +237,6 @@ def complexity(tree: Expr) -> int:
     return _Tree(tree).complexity
 
 
-def tree_nodes(tree: Expr) -> list[Expr]:
-    """GP nodes in preorder."""
-    t = _Tree(tree)
-    return [_at(t, i).expr for i in range(t.size)]
-
-
-def replace_at(tree: Expr, index: int, repl: Expr) -> Expr:
-    """Replace the preorder-index-th GP node."""
-    return _replace(_Tree(tree), index, _Tree(repl)).expr
-
-
 # ---------------------------------------------------------------------------
 # Fitness
 # ---------------------------------------------------------------------------
@@ -444,11 +433,11 @@ def optimize_constants_tree(
 ) -> Expr:
     """Simplex search over the numeric leaves minimizing the training loss on
     the columns `cols`; the result is never worse than `tree`."""
-    x0 = np.asarray([float(n.value) for n in tree_nodes(tree) if isinstance(n, Const)])
-    if not len(x0):
-        return tree
-
     node = _Tree(tree)
+    if not node.consts:
+        return tree
+    x0 = np.asarray([float(_at(node, _const_index(node, k)).expr.value)
+                     for k in range(node.consts)])
 
     def with_consts(vals) -> Expr:
         return _set_consts(node, iter(vals))

@@ -1,0 +1,33 @@
+"""The benchmark under bench/ can still call the program: the names its
+tracer wraps exist, its workload settings build and its solver preflight
+passes.  Tier-1 never runs a traced benchmark pass, so an API change that
+breaks one would otherwise go unnoticed."""
+
+import os
+import sys
+
+import pytest
+
+from recsolve.harness import RunConfig
+from recsolve.smt import SolverConfig
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "bench"))
+
+import run  # noqa: E402
+import tracing  # noqa: E402
+import workloads  # noqa: E402
+
+
+@pytest.mark.parametrize("owner,attr,metric", tracing.TARGETS, ids=[t[2] for t in tracing.TARGETS])
+def test_every_traced_target_resolves(owner, attr, metric):
+    assert callable(getattr(owner, attr))
+
+
+@pytest.mark.parametrize("method", ["lasso", "symreg"])
+def test_workload_run_config_builds(method):
+    cfg = workloads.run_config(method)
+    assert isinstance(cfg, RunConfig) and cfg.method == method
+
+
+def test_preflight_passes_with_the_default_solver():
+    assert run.preflight(SolverConfig().resolved_command()) == ""

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import os
 import random
@@ -13,7 +14,7 @@ from recsolve import dsl, smt
 from recsolve.dsl import parse, parse_candidate, parse_expr, print_bool, print_expr
 from recsolve.evaluator import Evaluator
 from recsolve.model import (
-    Add, Const, PiecewiseClosedForm, Var, contains_call, eval_bool, eval_ground,
+    Add, And, Const, Or, PiecewiseClosedForm, Var, contains_call, eval_bool, eval_ground,
 )
 from recsolve.rewrite import simplify
 from recsolve.smt import (
@@ -26,9 +27,10 @@ from recsolve.smt import (
     Unknown,
     Unsupported,
     branches,
+    build_job,
     check,
-    encode,
     eval_piecewise,
+    obligations,
     verify,
 )
 
@@ -44,7 +46,7 @@ def test_branches_worked_example(eq1):
     assert print_expr(branch.rhs) == "x - 1 + 1"
     assert branch.conditions == ()
     # innermost first: f(x - 1), then f applied to the candidate's x - 1
-    assert [print_bool(o) for o in branch.obligations] == ["x - 1 >= 0", "x - 1 >= 0"]
+    assert [print_bool(o) for o in branch.preconditions] == ["x - 1 >= 0", "x - 1 >= 0"]
 
 
 def test_branches_of_a_callfree_body(eq1):
@@ -52,7 +54,7 @@ def test_branches_of_a_callfree_body(eq1):
     e = parse_expr("x + 2")
     (branch,) = branches(f, parse_candidate("x"), e)
     assert branch.rhs == e
-    assert branch.obligations == ()
+    assert branch.preconditions == ()
 
 
 def test_branches_of_a_piecewise_candidate(eq1):
@@ -163,12 +165,43 @@ def test_verify_sends_one_solver_query(corpus, monkeypatch, name, wrong):
         assert calls == ["verify-f"], (name, calls)
 
 
-def test_variable_divisor_is_a_side_condition_of_the_query(corpus):
-    job = encode(corpus["div"].system.entry_func, corpus["div"].expect)
+def _job(system, cand) -> SmtJob:
+    """The job of `verify`'s query: the disjunction of the obligations
+    under the precondition."""
+    f = system.entry_func
+    broken = functools.reduce(Or, [o.formula for o in obligations(system, cand)])
+    return build_job(tuple(f.params), And(f.precondition, broken), SolverConfig(), name="verify-f")
+
+
+def _script(system, cand, tmp_path) -> str:
+    """The script of `verify`'s one query, kept through its debug_dir."""
+    verify(system, cand, SolverConfig(debug_dir=str(tmp_path)))
+    (path,) = tmp_path.iterdir()
+    return path.read_text()
+
+
+def test_variable_divisor_is_a_side_condition_of_the_query(corpus, tmp_path):
+    script = _script(corpus["div"].system, corpus["div"].expect, tmp_path)
     # the quotient's bounds hold only where the divisor is positive, and a
     # divisor below 1 is itself a refutation
-    assert "(=> (>= y 1) (and (<= (* .q1 y) x) (< x (+ (* .q1 y) y))))" in job.script
-    assert "(not (>= y 1))" in job.script
+    assert "(=> (>= y 1) (and (<= (* .q1 y) x) (< x (+ (* .q1 y) y))))" in script
+    assert "(not (>= y 1))" in script
+
+
+def test_obligations_come_in_label_order_without_repeats(corpus, tmp_path):
+    """div's expected form gives its equations, then its call, then its
+    divisors, and verify's query is exactly their disjunction."""
+    bf = corpus["div"]
+    obs = obligations(bf.system, bf.expect)
+    assert [(o.label, print_bool(o.formula)) for o in obs] == [
+        ("equation", "x < y and not floor(x/y) = 0"),
+        ("equation", "x >= y and not -floor((x - y)/y) + floor(x/y) - 1 = 0"),
+        ("unresolved-call", "x >= y and not (x - y >= 0 and y >= 1)"),
+        ("variable-division", "x < y and not y >= 1"),
+        ("variable-division", "x >= y and not y >= 1"),
+    ]
+    assert len(set(obs)) == len(obs)
+    assert _script(bf.system, bf.expect, tmp_path) == _job(bf.system, bf.expect).script
 
 
 def test_unconfirmed_model_below_a_divisor_is_unsupported():
@@ -180,25 +213,22 @@ def test_unconfirmed_model_below_a_divisor_is_unsupported():
     assert res == Unsupported(("variable-division",))
 
 
-def test_encode_worked_example(eq1):
-    job = encode(eq1.system.entry_func, parse_candidate("x"))
-    assert isinstance(job, SmtJob)
-    assert "(declare-fun x () Int)" in job.script
-    assert "(check-sat)" in job.script and "(get-model)" in job.script
-    assert job.script.count("(assert") == 1  # one assertion of the negation
+def test_encode_worked_example(eq1, tmp_path):
+    script = _script(eq1.system, parse_candidate("x"), tmp_path)
+    assert "(declare-fun x () Int)" in script
+    assert "(check-sat)" in script and "(get-model)" in script
+    assert script.count("(assert") == 1  # one assertion of the negation
 
 
 def test_encode_unsupported_factorial(eq1):
-    out = encode(eq1.system.entry_func, parse_candidate("x!"))
+    out = verify(eq1.system, parse_candidate("x!"))
     assert isinstance(out, Unsupported)
     assert "Factorial" in out.offending
 
 
-def test_encode_max_uses_ite():
+def test_encode_max_uses_ite(tmp_path):
     bf = parse(MAXVAR)
-    job = encode(bf.system.entry_func, parse_candidate("2*x"))
-    assert isinstance(job, SmtJob)
-    assert "(ite (>=" in job.script
+    assert "(ite (>=" in _script(bf.system, parse_candidate("2*x"), tmp_path)
     # brute-force agreement of the ite encoding: the negation must have no
     # model on a small grid, matching pointwise evaluation
     ev = Evaluator(bf.system)
@@ -207,17 +237,15 @@ def test_encode_max_uses_ite():
 
 
 def test_check_proved_and_disproved(eq1):
-    job = encode(eq1.system.entry_func, parse_candidate("x"))
-    assert isinstance(check(job), Proved)
-    job_bad = encode(eq1.system.entry_func, parse_candidate("x+1"))
-    res = check(job_bad, confirmer=lambda point: point == {"x": 0})
-    assert isinstance(res, Disproved)
-    assert res.counterexample == {"x": 0}
-    assert res.confirmed
+    """check returns the solver's model unconfirmed; verify confirms it."""
+    assert isinstance(check(_job(eq1.system, parse_candidate("x"))), Proved)
+    bad = parse_candidate("x+1")
+    assert check(_job(eq1.system, bad)) == Disproved({"x": 0}, confirmed=False)
+    assert verify(eq1.system, bad) == Disproved({"x": 0}, confirmed=True)
 
 
 def test_check_solver_not_found(eq1):
-    job = encode(eq1.system.entry_func, parse_candidate("x"))
+    job = _job(eq1.system, parse_candidate("x"))
     job.command = ("definitely-not-a-solver-xyz",)
     with pytest.raises(SolverNotFound):
         check(job)
@@ -475,13 +503,13 @@ def test_corpus_checks_stay_far_below_the_solver_budget(corpus, monkeypatch):
 
 def test_encode_refuses_what_it_cannot_express():
     """The encoder alone names the node a query cannot express."""
-    func = parse(
+    system = parse(
         "def f(x, y) pre x >= 0 and y >= 0"
         " { case x = 0 -> 1 case x > 0 -> f(x - 1, y) + 1 } entry f"
-    ).system.entry_func
+    ).system
     for src, label in [("x! + 1", "Factorial"), ("log2(x) + x", "Log2"), ("x^y", "Pow"),
                        ("x^(1/2)", "Pow"), ("x^9", "Pow")]:
-        assert encode(func, parse_candidate(src)) == Unsupported((label,)), src
+        assert verify(system, parse_candidate(src)) == Unsupported((label,)), src
     for src in ("3*x + 2", "2^x"):
-        assert isinstance(encode(func, parse_candidate(src)), SmtJob), src
-    assert encode(func, PiecewiseClosedForm()) == Unsupported(("empty-candidate",))
+        assert not isinstance(verify(system, parse_candidate(src)), Unsupported), src
+    assert verify(system, PiecewiseClosedForm()) == Unsupported(("empty-candidate",))

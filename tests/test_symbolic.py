@@ -24,9 +24,7 @@ from recsolve.symbolic import (
     evolve,
     guess_symbolic,
     optimize_constants_tree,
-    replace_at,
     tree_loss,
-    tree_nodes,
 )
 
 
@@ -109,7 +107,8 @@ def test_front_respects_complexity_cap_and_operator_set(monkeypatch):
     allowed = {"add", "mul", "square", "var", "const"}
     for entry in front.pareto():
         assert entry.complexity <= 12
-        tags = {_node(t)[0] for t in tree_nodes(entry.tree)}
+        t = _Tree(entry.tree)
+        tags = {_at(t, i).tag for i in range(t.size)}
         assert tags <= allowed
 
 
@@ -169,18 +168,21 @@ def test_invalid_rows_score_infinite_loss():
     assert tree_loss(parse_expr("1/x"), cols, np.array([0.0, 0.5])) == math.inf
 
 
-def test_tree_nodes_replace_at_roundtrip():
+def _tags(src):
+    t = _Tree(parse_expr(src))
+    return [_at(t, i).tag for i in range(t.size)]
+
+
+def test_gp_node_at_replace_roundtrip():
     """Every GP node can be put back in place; square, cube and pow2 carry
     their constant inside the node."""
     for src in ["x + y", "2^x", "x^2", "x^3", "x^y", "x!", "floor(x/2)", "max(x, 3)"]:
-        e = parse_expr(src)
-        for i, node in enumerate(tree_nodes(e)):
-            assert replace_at(e, i, node) == e
-    assert [_node(n)[0] for n in tree_nodes(parse_expr("x^2 + 2^x"))] == [
-        "add", "square", "var", "pow2", "var"
-    ]
-    assert [_node(n)[0] for n in tree_nodes(parse_expr("x^4"))] == ["pow", "var", "const"]
-    assert replace_at(parse_expr("x^2 + y"), 1, Var("y")) == parse_expr("y + y")
+        t = _Tree(parse_expr(src))
+        for i in range(t.size):
+            assert _replace(t, i, _at(t, i)).expr == t.expr
+    assert _tags("x^2 + 2^x") == ["add", "square", "var", "pow2", "var"]
+    assert _tags("x^4") == ["pow", "var", "const"]
+    assert _replace(_Tree(parse_expr("x^2 + y")), 1, _Tree(Var("y"))).expr == parse_expr("y + y")
 
 
 def _walk(e):
