@@ -20,7 +20,7 @@ from .linear import LassoConfig
 from .report import summarize, write_report
 from .sampler import SampleConfig
 from .smt import SolverConfig, verify
-from .symbolic import GPConfig
+from .symbolic import GPConfig, available_cpus
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,7 +60,7 @@ def _add_common(p: _Parser):
     p.add_argument("--verify", action="store_true")
     _add_solver_options(p)
     p.add_argument("--out", default=None, help="report path (.jsonl; a .csv sits beside it)")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=int, default=available_cpus())
     p.add_argument("--gp-populations", type=int, default=45)
     p.add_argument("--gp-size", type=int, default=33)
     p.add_argument("--gp-iterations", type=int, default=40)

@@ -561,8 +561,9 @@ def iter_corpus(directory: str, cfg: RunConfig) -> Iterator[BenchmarkResult]:
         for f in os.listdir(directory)
         if f.endswith(".rec")
     )
-    if cfg.jobs > 1 and files:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    jobs = min(cfg.jobs, len(files))
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             yield from pool.map(_corpus_entry, [(f, cfg) for f in files])
     else:
         for f in files:

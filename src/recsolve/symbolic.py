@@ -5,14 +5,22 @@ Trees are model expressions, evaluated by model.eval_array.  The search sees
 x^2, x^3 and 2^e as the single unary nodes square, cube and pow2.  Inside the
 search each GP node (`_Tree`) carries its size, complexity and hash, computed
 once when it is built, so that variation rebuilds only the path to the node
-it changes and a memo lookup reads a cached hash.  The search's shape is
-fixed by the constants below; GPConfig sets only its size and seed.
+it changes and a memo lookup reads a cached hash.  The islands of one run
+are evolved in contiguous blocks, one per available CPU: block 0 in the
+calling process, the others in forked children that swap migrants with
+their neighbours through pipes; the front is the same for any number of
+blocks.  The search's shape is fixed by the constants below; GPConfig sets
+only its size and seed.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing as mp
+import os
 import random
+import threading
+import traceback
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -318,6 +326,15 @@ class _Individual:
         return self.complexity < other.complexity
 
 
+def available_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 @np.errstate(over="ignore")  # residuals squared past the float range (tree_loss)
 def evolve(
     inputs,
@@ -331,24 +348,76 @@ def evolve(
     proportions of the module constants; `ops` restricts the operators
     that random trees and mutations draw.  Deterministic for a given seed.
 
+    The islands are split into contiguous blocks, one per available CPU
+    (`available_cpus`, at most one per island).  The calling process
+    evolves block 0 and forked children evolve the others.  There is one
+    block and no child inside a multiprocessing child, such as a
+    `corpus --jobs N` worker, in a process with more than one thread
+    (where forking is unsafe), or where "fork" is missing.  Islands meet
+    only at migration, where each island takes the best of the one before
+    it: so a block sends the best of its last island (expression, loss and
+    complexity) to the next block and takes the previous block's in its
+    first island.  Each block keeps, per complexity, its first offer of
+    least loss with the (generation, island) where it was made; the caller
+    merges the blocks by the least (loss, generation, island), which is the
+    serial rule that the first offer wins a tie (no two blocks share an
+    island, and a block keeps its own first), and then tunes the front's
+    constants.  So the front is the same, bit for bit, for any number of
+    blocks.
+
     Each GP node carries its size, complexity and hash, computed once when
     it is built (`_Tree`), so variation rebuilds only the path to the node
     it changes, and a child's complexity is read from its root.  Each
-    distinct tree is scored once per two-generation window: an offspring
-    that repeats a tree made in this generation or the last reuses its
-    individual.  The tuning of an island's best is memoized by tree for the
-    whole call.  Neither memo changes a random draw or a result."""
+    distinct tree is scored once per two-generation window in its block:
+    an offspring that repeats a tree made there in this generation or the
+    last reuses its individual.  The tuning of an island's best is
+    memoized by tree for the whole call.  Neither memo changes a random
+    draw or a result."""
     ops = ops or OperatorSet()
     cfg = cfg or GPConfig()
     if len(targets) < 5:
         raise ValueError("need at least 5 rows")
     cols = {p: np.asarray([t[i] for t in inputs], dtype=float) for i, p in enumerate(params)}
     y = np.asarray(targets, dtype=float)
-    front = ParetoFront()
+    # fork only a single-threaded process that no multiprocessing parent started
+    forks = (
+        "fork" in mp.get_all_start_methods()
+        and mp.parent_process() is None
+        and threading.active_count() == 1
+    )
+    n = min(cfg.populations, available_cpus()) if forks else 1
+    cuts = [cfg.populations * k // n for k in range(n + 1)]
+
+    def run(k: int, exchange) -> dict:
+        return _evolve_islands(range(cuts[k], cuts[k + 1]), exchange, cols, y, params, ops, cfg)
+
+    best: dict[int, tuple[float, tuple[int, int], Expr]] = {}
+    for part in _run_blocks(n, run):
+        for c, offer in part.items():
+            if c not in best or offer[:2] < best[c][:2]:
+                best[c] = offer
+    front = ParetoFront({c: FrontEntry(c, loss, tree) for c, (loss, _, tree) in best.items()})
+    # local constant tuning on the front survivors
+    for entry in list(front.pareto()):
+        tuned = optimize_constants_tree(entry.tree, cols, y)
+        front.offer(tuned, tree_loss(tuned, cols, y), complexity(tuned))
+    return front
+
+
+def _evolve_islands(
+    ids: range, exchange, cols, y, params, ops: OperatorSet, cfg: GPConfig
+) -> dict[int, tuple[float, tuple[int, int], Expr]]:
+    """Evolve the islands numbered `ids` of `evolve`'s ring.  At each
+    migration `exchange` takes the best of the last island and returns the
+    migrant for the first.  Returns, per complexity, the first offer of
+    least loss as (loss, (generation, island), tree); generation 0 is the
+    initial population."""
+    front: dict[int, tuple[float, tuple[int, int], Expr]] = {}
     # tree -> individual, made in this generation (seen) or the last (older)
     seen: dict[_Tree, _Individual] = {}
     older: dict[_Tree, _Individual] = {}
     tuned_of: dict[_Tree, _Tree] = {}
+    gen = 0
 
     def make(tree: _Tree) -> _Individual:
         ind = seen.get(tree)
@@ -358,14 +427,15 @@ def evolve(
                 comp = tree.complexity
                 loss = tree_loss(tree.expr, cols, y) if comp <= MAX_COMPLEXITY else math.inf
                 ind = _Individual(tree, loss, comp)
-                if comp <= MAX_COMPLEXITY:
-                    front.offer(tree.expr, loss, comp)
+                cur = front.get(comp)
+                if math.isfinite(loss) and (cur is None or loss < cur[0]):
+                    front[comp] = (loss, (gen, i), tree.expr)
             seen[tree] = ind
         return ind
 
-    rngs = [random.Random(cfg.seed * 10_007 + i) for i in range(cfg.populations)]
+    rngs = {i: random.Random(cfg.seed * 10_007 + i) for i in ids}
     islands: list[list[_Individual]] = []
-    for i in range(cfg.populations):
+    for i in ids:
         trees = [_random_tree(rngs[i], params, ops, 3) for _ in range(cfg.population_size)]
         islands.append([make(_Tree(t)) for t in trees])
 
@@ -377,10 +447,10 @@ def evolve(
                 best = ch
         return best
 
-    for it in range(cfg.iterations):
+    for gen in range(1, cfg.iterations + 1):
         older, seen = seen, {}
-        for i, pop in enumerate(islands):
-            rng = rngs[i]
+        for pos, i in enumerate(ids):
+            pop, rng = islands[pos], rngs[i]
             elite = min(pop, key=lambda d: (d.loss, d.complexity))
             newpop = [elite]
             while len(newpop) < cfg.population_size:
@@ -408,19 +478,97 @@ def evolve(
                     cand = make(tuned)
                     if cand.beats(newpop[bi]):
                         newpop[bi] = cand
-            islands[i] = newpop
-        if (it + 1) % MIGRATION_INTERVAL == 0:
+            islands[pos] = newpop
+        if gen % MIGRATION_INTERVAL == 0:
             bests = [min(pop, key=lambda d: (d.loss, d.complexity)) for pop in islands]
-            for i in range(len(islands)):
-                dst = islands[(i + 1) % len(islands)]
+            bests.insert(0, exchange(bests.pop()))
+            for dst, migrant in zip(islands, bests):
                 worst = max(range(len(dst)), key=lambda j: (dst[j].loss, dst[j].complexity))
-                dst[worst] = bests[i]
-
-    # local constant tuning on the front survivors
-    for entry in list(front.pareto()):
-        tuned = optimize_constants_tree(entry.tree, cols, y)
-        front.offer(tuned, tree_loss(tuned, cols, y), complexity(tuned))
+                dst[worst] = migrant
     return front
+
+
+# what a block's pipe raises when a neighbour block has stopped
+_STOPPED = (EOFError, BrokenPipeError)
+
+
+def _run_blocks(n: int, run) -> list:
+    """[run(k, exchange) for k in range(n)], block 0 in this process and the
+    others in forked daemonic children, joined in a ring of pipes so that
+    `exchange` sends a migrant to block k + 1 and returns block k - 1's.
+    One block exchanges with itself, with no child and no pipe.
+
+    Each process keeps only its own pipe ends, so a block that stops gives
+    its neighbours EOF or a broken pipe.  A child's exception is sent back
+    and raised here; every child is joined before this returns or raises,
+    and terminated first when it raises."""
+    if n == 1:
+        return [run(0, lambda migrant: migrant)]
+    ctx = mp.get_context("fork")
+    ring = [ctx.Pipe(duplex=False) for _ in range(n)]  # ring[k]: block k -> k + 1
+    results = [ctx.Pipe(duplex=False) for _ in range(n - 1)]  # results[k - 1]: block k
+    ends = [c for pair in ring + results for c in pair]
+
+    def keep_only(*mine):
+        for c in ends:
+            if c not in mine:
+                c.close()
+
+    def child(k: int):
+        out = results[k - 1][1]
+        keep_only(ring[k - 1][0], ring[k][1], out)
+        try:
+            value = run(k, _exchanger(ring[k - 1][0], ring[k][1]))
+        except BaseException as exc:
+            exc.add_note(f"in island block {k}:\n{traceback.format_exc()}")
+            value = exc
+        try:
+            out.send(value)
+        except BrokenPipeError:  # the caller has stopped
+            pass
+
+    procs = []
+    try:
+        for k in range(1, n):
+            procs.append(ctx.Process(target=child, args=(k,), daemon=True))
+            procs[-1].start()
+        keep_only(ring[-1][0], ring[0][1], *(r for r, _ in results))
+        try:
+            parts = [run(0, _exchanger(ring[-1][0], ring[0][1]))]
+        except _STOPPED as exc:  # a child stopped; its result says why
+            parts = [exc]
+        ring[-1][0].close()
+        ring[0][1].close()
+        for k, (r, _) in enumerate(results, 1):
+            try:
+                parts.append(r.recv())
+            except EOFError:
+                parts.append(RuntimeError(f"island block {k} stopped without a result"))
+        errors = [p for p in parts if isinstance(p, BaseException)]
+        if errors:
+            raise next((e for e in errors if not isinstance(e, _STOPPED)), errors[0])
+        return parts
+    except BaseException:
+        for p in procs:
+            p.terminate()
+        raise
+    finally:
+        for c in ends:
+            c.close()
+        for p in procs:
+            p.join()
+
+
+def _exchanger(recv, send):
+    """Migration between blocks: send our migrant as (expression, loss,
+    complexity) and rebuild the one received."""
+
+    def exchange(migrant: _Individual) -> _Individual:
+        send.send((migrant.tree.expr, migrant.loss, migrant.complexity))
+        expr, loss, comp = recv.recv()
+        return _Individual(_Tree(expr), loss, comp)
+
+    return exchange
 
 
 # ---------------------------------------------------------------------------

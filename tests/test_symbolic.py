@@ -1,5 +1,8 @@
 import math
+import multiprocessing
+import os
 import random
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -332,9 +335,9 @@ def test_evolve_memo_lives_for_one_call():
 
 def test_evolve_scores_and_tunes_each_tree_once(monkeypatch):
     """Offspring that repeat a recent tree are not scored again, and an
-    island's best is not tuned twice."""
-    from recsolve import symbolic
-
+    island's best is not tuned twice.  One island block, so that every call
+    is made in this process, where the counters are."""
+    monkeypatch.setattr(symbolic, "available_cpus", lambda: 1)
     scored, tuned, tuning = [0], [], [False]
     real_loss, real_tune = symbolic.tree_loss, symbolic.optimize_constants_tree
 
@@ -360,6 +363,72 @@ def test_evolve_scores_and_tunes_each_tree_once(monkeypatch):
     )
     assert 0 < scored[0] < made
     assert tuned and len(tuned) == len(set(tuned))
+
+
+_XS = [(i,) for i in range(12)]
+_XYS = [(i, j) for i in range(5) for j in range(4)]
+# name -> evolve's arguments
+_BLOCK_CASES = {
+    "square": (_XS, [i * i + 1.0 for (i,) in _XS], ("x",), None, GPConfig(6, 16, 12, seed=2)),
+    "one-island": (_XS, [3 * i + 2.0 for (i,) in _XS], ("x",), None, GPConfig(1, 14, 10, seed=6)),
+    "odd-islands": (_XS, [2.0 ** i for (i,) in _XS], ("x",), None, GPConfig(7, 12, 11, seed=3)),
+    "restricted-ops": (
+        _XS, [2.0 ** i + i for (i,) in _XS], ("x",),
+        OperatorSet(("add", "mul"), ("pow2",)), GPConfig(5, 20, 15, seed=1),
+    ),
+    "two-variables": (
+        _XYS, [a * b + a + 0.0 for a, b in _XYS], ("x", "y"), None, GPConfig(4, 10, 9, seed=9)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BLOCK_CASES))
+def test_evolve_front_is_the_same_for_any_block_count(monkeypatch, case):
+    """Islands evolved in 1, 2 or 3 blocks (processes) give the same front
+    entries, bit for bit, and leave no process behind."""
+    fronts = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(symbolic, "available_cpus", lambda: cpus)
+        fronts.append(evolve(*_BLOCK_CASES[case]).entries)
+        assert multiprocessing.active_children() == []
+    assert fronts[0]
+    assert fronts[1] == fronts[0] and fronts[2] == fronts[0]
+
+
+def _fail_outside_this_process(monkeypatch):
+    caller, real_loss = os.getpid(), symbolic.tree_loss
+
+    def loss(tree, cols, y):
+        if os.getpid() != caller:
+            raise ArithmeticError("island block failure")
+        return real_loss(tree, cols, y)
+
+    monkeypatch.setattr(symbolic, "tree_loss", loss)
+
+
+def test_evolve_raises_a_child_block_error_and_stops_every_child(monkeypatch):
+    _fail_outside_this_process(monkeypatch)
+    for cpus in (2, 3):
+        monkeypatch.setattr(symbolic, "available_cpus", lambda: cpus)
+        with pytest.raises(ArithmeticError, match="island block failure"):
+            evolve(*_BLOCK_CASES["square"])
+        assert multiprocessing.active_children() == []
+
+
+def test_evolve_runs_one_block_in_a_threaded_process(monkeypatch):
+    """Forking a process that has threads is unsafe, so there all islands
+    run here: a loss that fails in any other process is never called."""
+    _fail_outside_this_process(monkeypatch)
+    monkeypatch.setattr(symbolic, "available_cpus", lambda: 2)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        assert evolve(*_BLOCK_CASES["square"]).entries
+    finally:
+        release.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
 
 
 @pytest.mark.parametrize("bad", [
