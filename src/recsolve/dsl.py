@@ -17,6 +17,8 @@ rational constants always written as fractions.
 
 from __future__ import annotations
 
+import itertools
+import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +33,7 @@ from .model import (
     Cmp,
     Const,
     Div,
+    EvalError,
     Expr,
     Factorial,
     Floor,
@@ -50,6 +53,7 @@ from .model import (
     TrueExpr,
     Var,
     contains_call,
+    eval_bool,
 )
 
 FORMAT_VERSION = 1
@@ -404,13 +408,10 @@ class _Parser:
 
 def _totality_gap(f: FuncDef):
     """Sampled check that the precondition entails some guard; returns a
-    witness tuple when a hole is found (kept solver-free by design)."""
-    import itertools
-    import random as _random
-
-    from .model import eval_bool
-
-    rng = _random.Random(52)
+    witness tuple when a hole is found (kept solver-free by design).  A
+    point where a guard or the precondition fails to evaluate (EvalError)
+    is skipped; any other error propagates."""
+    rng = random.Random(52)
     pts = list(itertools.product(range(4), repeat=f.arity))
     if f.arity <= 2:
         pts += list(itertools.product(range(9), repeat=f.arity))
@@ -422,7 +423,7 @@ def _totality_gap(f: FuncDef):
                 continue
             if not any(eval_bool(c.guard, env) for c in f.cases):
                 return tup
-        except Exception:
+        except EvalError:
             continue
     return None
 

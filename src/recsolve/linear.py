@@ -6,6 +6,8 @@ fitted once, on the largest catalog tier that can be fitted there; the
 lasso path itself runs from sparse supports to dense ones, so the smaller
 tiers are not fitted again.  A piece's score is the held-out R^2 of the
 body it ships; whether the piece holds is for the check to decide.
+scipy.linalg loads at a process's first lasso fit (`_lasso_path`), not
+with this module.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 from .evaluator import Evaluator
 from .model import (
@@ -350,6 +351,8 @@ def _lasso_path(G, c, alphas, deadline: float | None = None) -> np.ndarray:
     active ones (see _PIVOT_TOL) would make G_AA singular and cannot change
     the fit, so it stays out until some variable drops.
     """
+    from scipy.linalg import cho_solve, solve_triangular
+
     p = len(c)
     alphas = np.asarray(alphas, dtype=float)
     out = np.zeros((len(alphas), p))

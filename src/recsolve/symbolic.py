@@ -10,7 +10,8 @@ are evolved in contiguous blocks, one per available CPU: block 0 in the
 calling process, the others in forked children that swap migrants with
 their neighbours through pipes; the front is the same for any number of
 blocks.  The search's shape is fixed by the constants below; GPConfig sets
-only its size and seed.
+only its size and seed.  scipy.optimize loads at a process's first `evolve`
+or constant tuning, not with this module.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .linear import GuessOutcome, _guess_domains, held_out_r2
 from .model import (
@@ -363,7 +363,8 @@ def evolve(
     serial rule that the first offer wins a tie (no two blocks share an
     island, and a block keeps its own first), and then tunes the front's
     constants.  So the front is the same, bit for bit, for any number of
-    blocks.
+    blocks.  scipy.optimize is loaded here, before the fork, so that the
+    children share it instead of each importing it.
 
     Each GP node carries its size, complexity and hash, computed once when
     it is built (`_Tree`), so variation rebuilds only the path to the node
@@ -390,6 +391,9 @@ def evolve(
 
     def run(k: int, exchange) -> dict:
         return _evolve_islands(range(cuts[k], cuts[k + 1]), exchange, cols, y, params, ops, cfg)
+
+    # the blocks tune constants: load scipy.optimize once, before the fork
+    import scipy.optimize  # noqa: F401
 
     best: dict[int, tuple[float, tuple[int, int], Expr]] = {}
     for part in _run_blocks(n, run):
@@ -584,6 +588,8 @@ def optimize_constants_tree(
     node = _Tree(tree)
     if not node.consts:
         return tree
+    from scipy.optimize import minimize
+
     x0 = np.asarray([float(_at(node, _const_index(node, k)).expr.value)
                      for k in range(node.consts)])
 

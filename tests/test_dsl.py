@@ -4,7 +4,7 @@ import pytest
 
 from recsolve import dsl
 from recsolve.dsl import ParseError, parse, parse_candidate, parse_expr, print_expr
-from recsolve.model import Const, Div, Pow, Var
+from recsolve.model import Const, Div, EvalError, Pow, Var, eval_bool
 
 from conftest import EQ1, FIB, corpus_paths
 
@@ -88,6 +88,22 @@ def test_totality_violation_rejected():
     with pytest.raises(ParseError) as err:
         parse("def f(x) pre x>=0 { case x>3 -> f(x-1) case x=0 -> 1 } entry f")
     assert "totality" in str(err.value)
+
+
+def test_totality_check_skips_a_point_whose_guard_fails_to_evaluate():
+    text = "def f(x) pre x>=0 { case x>=1 and 1/(x-1) >= 0 -> f(x-1)+1 case x=0 -> 0 } entry f"
+    f = parse(text).system.entry_func
+    with pytest.raises(EvalError):
+        eval_bool(f.cases[0].guard, {"x": 1})
+
+
+def test_totality_check_lets_other_errors_through(monkeypatch):
+    def broken(c, env, **kw):
+        raise TypeError("bug in eval_bool")
+
+    monkeypatch.setattr(dsl, "eval_bool", broken)
+    with pytest.raises(TypeError, match="bug in eval_bool"):
+        parse(EQ1)
 
 
 def test_missing_base_case_rejected():

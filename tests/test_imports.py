@@ -1,14 +1,20 @@
-"""No module under src/ keeps a module-level import it never uses.  Package
-__init__ files are exempt (their imports are re-exports), and so are
-__future__ imports (compiler directives, not names) and the explicit
-re-export form `from m import X as X`."""
+"""Imports under src/.  No module keeps a module-level import it never
+uses: package __init__ files are exempt (their imports are re-exports), and
+so are __future__ imports (compiler directives, not names) and the explicit
+re-export form `from m import X as X`.  scipy loads only where it is
+called: a fresh interpreter that imports the package and runs `check`
+loads none of it, and `evolve` loads scipy.optimize before it forks."""
 
 import ast
 import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+NESTED = os.path.join(os.path.dirname(SRC), "corpus", "nested.rec")
 
 
 def _modules():
@@ -44,3 +50,46 @@ def test_scan_finds_unused_imports():
 def test_no_unused_module_level_import(path):
     with open(path) as fh:
         assert unused_imports(fh.read()) == []
+
+
+def _fresh(code: str) -> str:
+    """Run `code` in a new interpreter with src/ on its path; its stdout."""
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_and_check_load_no_scipy():
+    out = _fresh(f"""
+        import sys
+        import recsolve, recsolve.cli
+        code = recsolve.cli.main(["check", {NESTED!r}, "--candidate", "x"])
+        loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+        print("RESULT", code, loaded)
+    """)
+    assert "RESULT 0 []" in out
+
+
+def test_evolve_loads_scipy_optimize_before_it_forks():
+    out = _fresh("""
+        import sys
+        from recsolve import symbolic
+        seen, run_blocks = [], symbolic._run_blocks
+
+        def recorded(n, run):
+            seen.append((n, "scipy.optimize" in sys.modules))
+            return run_blocks(n, run)
+
+        symbolic._run_blocks = recorded
+        symbolic.available_cpus = lambda: 2
+        cfg = symbolic.GPConfig(populations=2, population_size=8, iterations=5)
+        symbolic.evolve([(i,) for i in range(8)], [2.0 * i + 1 for i in range(8)], ("x",), cfg=cfg)
+        print("RESULT", seen)
+    """)
+    assert "RESULT [(2, True)]" in out
