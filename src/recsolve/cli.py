@@ -12,8 +12,6 @@ import os
 import shlex
 import sys
 
-import numpy as np
-
 from .dsl import parse, parse_candidate, print_piecewise
 from .harness import RunConfig, has_internal_errors, iter_corpus, run_benchmark
 from .linear import LassoConfig
@@ -67,6 +65,8 @@ def _add_common(p: _Parser):
 
 
 def _config(args) -> RunConfig:
+    import numpy as np
+
     lo, hi, count = args.lambda_grid.split(":")
     grid = tuple(np.geomspace(float(lo), float(hi), int(count)))
     ladder = (20, 10, 5, 3) if args.bound == "auto" else (int(args.bound),)

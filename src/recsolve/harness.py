@@ -10,7 +10,6 @@ import random
 import time
 import traceback
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -563,6 +562,8 @@ def iter_corpus(directory: str, cfg: RunConfig) -> Iterator[BenchmarkResult]:
     )
     jobs = min(cfg.jobs, len(files))
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             yield from pool.map(_corpus_entry, [(f, cfg) for f in files])
     else:

@@ -6,7 +6,8 @@ fitted once, on the largest catalog tier that can be fitted there; the
 lasso path itself runs from sparse supports to dense ones, so the smaller
 tiers are not fitted again.  A piece's score is the held-out R^2 of the
 body it ships; whether the piece holds is for the check to decide.
-scipy.linalg loads at a process's first lasso fit (`_lasso_path`), not
+numpy loads at a process's first fit, in the function that first calls
+it, and scipy.linalg at its first lasso fit (`_lasso_path`); neither loads
 with this module.
 """
 
@@ -17,8 +18,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .evaluator import Evaluator
 from .model import (
@@ -53,6 +53,9 @@ from .sampler import (
 )
 from .sampler import TEST_SIZE as TEST_SIZE  # re-exported: linear.TEST_SIZE
 
+if TYPE_CHECKING:
+    import numpy as np
+
 TIERS = ("small", "medium", "large")
 
 
@@ -78,9 +81,15 @@ class FeatureSet:
         return len(self.base_functions)
 
 
+def _default_lambda_grid() -> tuple[float, ...]:
+    import numpy as np
+
+    return tuple(np.geomspace(0.001, 1.0, 100))
+
+
 @dataclass(frozen=True)
 class LassoConfig:
-    lambda_grid: tuple[float, ...] = tuple(np.geomspace(0.001, 1.0, 100))
+    lambda_grid: tuple[float, ...] = field(default_factory=_default_lambda_grid)
     folds: int = 2
     epsilon: float = 0.05
     seed: int = 0
@@ -118,6 +127,8 @@ class LinearModel:
 
     def predict_rows(self, X: np.ndarray) -> np.ndarray:
         if len(self.selected) == 0:
+            import numpy as np
+
             return np.full(X.shape[0] if X.ndim == 2 else len(X), self.intercept)
         return self.intercept + X @ self.coefficients
 
@@ -292,6 +303,8 @@ def build_training_set(
     """Evaluate base functions at each sample under guarded semantics
     (log2 is 0 below 1, division by zero is 0), one column per base function;
     rows with non-finite entries are dropped and counted."""
+    import numpy as np
+
     cols = {p: np.array([t[i] for t in samples], dtype=float) for i, p in enumerate(params)}
     X = np.empty((len(samples), fs.count))
     for j, t in enumerate(fs.base_functions):
@@ -351,6 +364,7 @@ def _lasso_path(G, c, alphas, deadline: float | None = None) -> np.ndarray:
     active ones (see _PIVOT_TOL) would make G_AA singular and cannot change
     the fit, so it stays out until some variable drops.
     """
+    import numpy as np
     from scipy.linalg import cho_solve, solve_triangular
 
     p = len(c)
@@ -421,6 +435,8 @@ def cv_lasso(T: TrainingSet, cfg: LassoConfig, deadline: float | None = None) ->
     The objective is sum((y - b0 - Xb)^2) + lam*sum|b| on standardized
     columns, solved in units of std(y): b = ysd*b' with penalty lam/ysd,
     which _lasso_path takes as alpha = lam/ysd/2 on the Gram form."""
+    import numpy as np
+
     n, p = T.X.shape
     if n < cfg.folds:
         raise EmptyTrainingSet(f"{n} rows for {cfg.folds}-fold CV")
@@ -478,6 +494,8 @@ def prune(
 ) -> tuple[FeatureSet, TrainingSet]:
     """Keep base functions whose coefficient magnitude reaches epsilon; the
     intercept always survives.  Raises AllPruned when nothing is left."""
+    import numpy as np
+
     keep = np.abs(beta) >= epsilon if epsilon > 0 else np.ones(len(beta), dtype=bool)
     if not keep.any():
         raise AllPruned("no coefficient reached the pruning threshold")
@@ -494,6 +512,8 @@ def prune(
 
 
 def r2_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
+    import numpy as np
+
     ss_res = float(np.sum((y_true - y_pred) ** 2))
     ss_tot = float(np.sum((y_true - np.mean(y_true)) ** 2))
     if ss_tot == 0.0:
@@ -504,6 +524,8 @@ def r2_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
 def ols_refit(T: TrainingSet, test: TrainingSet | None) -> LinearModel:
     """Ordinary least squares by normal equations (tiny ridge on singular
     designs); the score is R^2 on the held-out test set."""
+    import numpy as np
+
     n, p = T.X.shape
     A = np.hstack([np.ones((n, 1)), T.X])
     G = A.T @ A
@@ -678,6 +700,8 @@ def held_out_r2(e: Expr, params: tuple[str, ...], data: DomainData) -> float:
     its training rows when it has no test rows, evaluated under the guarded
     conventions candidates are checked under (log2 below 1 is 0, x/0 is 0);
     -inf where `e` is not finite at some row."""
+    import numpy as np
+
     inputs = data.test_inputs or data.train_inputs
     values = data.test_values if data.test_inputs else data.train_values
     cols = {p: np.asarray([t[i] for t in inputs], dtype=float) for i, p in enumerate(params)}
@@ -725,6 +749,8 @@ def _guess_domains(
         t0 = time.monotonic()
         if len(data.train_inputs) < min_rows:
             # tiny subdomains (down to a single point) take the constant fit
+            import numpy as np
+
             c = Const(Fraction(float(np.median([float(v) for v in data.train_values]))))
             expr, model, flags = c, None, ("constant-fit",)
         else:

@@ -2,17 +2,20 @@
 
 Everything here is immutable and purely functional: expressions are frozen
 dataclasses, evaluation never mutates state, so values can be shared freely
-across threads.
+across threads.  Only eval_array uses numpy, which it loads at its first
+call; the exact evaluation (eval_ground, eval_bool) runs without it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from typing import TYPE_CHECKING, Iterator, Mapping, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Values on the exact path are int/Fraction; Log2 and irrational Pow fall
 # back to float.  Magnitudes beyond OVERFLOW_LIMIT raise instead of wrapping.
@@ -527,8 +530,14 @@ def _bits(v: Number) -> int:
     return abs(v).bit_length()
 
 
-# float(k!) for k = 0..170; 171! and beyond overflow a double
-_FACTORIALS = np.array([float(math.factorial(k)) for k in range(171)] + [math.inf])
+@functools.cache
+def _factorials() -> np.ndarray:
+    """float(k!) for k = 0..170, then inf: 171! and beyond overflow a double."""
+    import numpy as np
+
+    return np.array([float(math.factorial(k)) for k in range(171)] + [math.inf])
+
+
 _FLOAT_LIMIT = float(OVERFLOW_LIMIT)
 
 
@@ -542,15 +551,18 @@ def eval_array(e: Expr, cols: Mapping[str, np.ndarray], *, guarded: bool = False
     meaning it has for eval_ground.  x^2 and x^3 are computed as products and
     2^e with a non-constant exponent as exp2.
     """
+    import numpy as np
+
     n = len(next(iter(cols.values())))
     with np.errstate(all="ignore"):
-        v = _eval_array(e, cols, guarded)
+        v = _eval_array(np, e, cols, guarded)
         v = np.where(np.abs(v) > _FLOAT_LIMIT, np.nan, v)
     return v if v.shape == (n,) else np.full(n, v)
 
 
-def _eval_array(e: Expr, cols, g: bool):
-    """Array (or, for constant subtrees, scalar) value of `e`; see eval_array."""
+def _eval_array(np, e: Expr, cols, g: bool):
+    """Array (or, for constant subtrees, scalar) value of `e`; see eval_array.
+    `np` is the numpy module, handed down so that no node imports it."""
     if isinstance(e, Const):
         return np.float64(float(e.value))
     if isinstance(e, Var):
@@ -559,46 +571,47 @@ def _eval_array(e: Expr, cols, g: bool):
         except KeyError:
             raise EvalError("unbound-variable", e.name) from None
     if isinstance(e, Add):
-        return _eval_array(e.lhs, cols, g) + _eval_array(e.rhs, cols, g)
+        return _eval_array(np, e.lhs, cols, g) + _eval_array(np, e.rhs, cols, g)
     if isinstance(e, Sub):
-        return _eval_array(e.lhs, cols, g) - _eval_array(e.rhs, cols, g)
+        return _eval_array(np, e.lhs, cols, g) - _eval_array(np, e.rhs, cols, g)
     if isinstance(e, Mul):
-        return _eval_array(e.lhs, cols, g) * _eval_array(e.rhs, cols, g)
+        return _eval_array(np, e.lhs, cols, g) * _eval_array(np, e.rhs, cols, g)
     if isinstance(e, Div):
-        num = _eval_array(e.lhs, cols, g)
-        den = _eval_array(e.rhs, cols, g)
+        num = _eval_array(np, e.lhs, cols, g)
+        den = _eval_array(np, e.rhs, cols, g)
         # guarded x/0 is 0, or nan where x itself failed
         return np.where(den == 0, np.abs(num) * 0.0 if g else np.nan, num / den)
     if isinstance(e, Pow):
         if isinstance(e.exp, Const) and e.exp.value in (2, 3):
-            a = _eval_array(e.base, cols, g)
+            a = _eval_array(np, e.base, cols, g)
             return a * a if e.exp.value == 2 else a * a * a
         if isinstance(e.base, Const) and e.base.value == 2 and not isinstance(e.exp, Const):
-            return np.exp2(_eval_array(e.exp, cols, g))
-        a = _eval_array(e.base, cols, g)
-        b = _eval_array(e.exp, cols, g)
+            return np.exp2(_eval_array(np, e.exp, cols, g))
+        a = _eval_array(np, e.base, cols, g)
+        b = _eval_array(np, e.exp, cols, g)
         bad = ((a < 0) & (b != np.round(b))) | ((a == 0) & (b < 0))
         # np.power(nan, 0) and np.power(1, nan) are 1: keep a failure failed
         bad |= np.isnan(a) | np.isnan(b)
         return np.where(bad, np.nan, np.power(a, b))
     if isinstance(e, Floor):
-        return np.floor(_eval_array(e.arg, cols, g))
+        return np.floor(_eval_array(np, e.arg, cols, g))
     if isinstance(e, Ceil):
-        return np.ceil(_eval_array(e.arg, cols, g))
+        return np.ceil(_eval_array(np, e.arg, cols, g))
     if isinstance(e, Log2):
-        a = _eval_array(e.arg, cols, g)
+        a = _eval_array(np, e.arg, cols, g)
         if g:
             return np.where(a < 1, 0.0, np.log2(a))
         return np.where(a > 0, np.log2(a), np.nan)
     if isinstance(e, Factorial):
-        a = _eval_array(e.arg, cols, g)
+        a = _eval_array(np, e.arg, cols, g)
         ok = (a >= 0) & (a == np.round(a))
-        k = np.where(ok, np.minimum(a, len(_FACTORIALS) - 1), 0).astype(int)
-        return np.where(ok, _FACTORIALS[k], np.nan)
+        table = _factorials()
+        k = np.where(ok, np.minimum(a, len(table) - 1), 0).astype(int)
+        return np.where(ok, table[k], np.nan)
     if isinstance(e, Max):
-        return np.maximum(_eval_array(e.lhs, cols, g), _eval_array(e.rhs, cols, g))
+        return np.maximum(_eval_array(np, e.lhs, cols, g), _eval_array(np, e.rhs, cols, g))
     if isinstance(e, Min):
-        return np.minimum(_eval_array(e.lhs, cols, g), _eval_array(e.rhs, cols, g))
+        return np.minimum(_eval_array(np, e.lhs, cols, g), _eval_array(np, e.rhs, cols, g))
     if isinstance(e, Call):
         raise EvalError("call-in-ground", e.func)
     raise TypeError(f"cannot evaluate {type(e).__name__} on arrays")

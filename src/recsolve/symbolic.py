@@ -10,14 +10,13 @@ are evolved in contiguous blocks, one per available CPU: block 0 in the
 calling process, the others in forked children that swap migrants with
 their neighbours through pipes; the front is the same for any number of
 blocks.  The search's shape is fixed by the constants below; GPConfig sets
-only its size and seed.  scipy.optimize loads at a process's first `evolve`
-or constant tuning, not with this module.
+only its size and seed.  numpy, multiprocessing and scipy.optimize load
+at a process's first `evolve` or constant tuning, not with this module.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing as mp
 import os
 import random
 import threading
@@ -25,8 +24,7 @@ import traceback
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .linear import GuessOutcome, _guess_domains, held_out_r2
 from .model import (
@@ -47,6 +45,9 @@ from .model import (
     eval_array,
 )
 from .sampler import SampleConfig
+
+if TYPE_CHECKING:
+    import numpy as np
 
 BINARY = ("add", "sub", "max", "mul", "div", "pow")
 UNARY = ("floor", "ceil", "square", "cube", "log2", "pow2", "fact")
@@ -256,6 +257,8 @@ def tree_loss(tree: Expr, cols: dict[str, np.ndarray], targets: np.ndarray) -> f
     of the squared residuals bit for bit.  A residual of magnitude 2^512 or
     more squares to inf, which numpy reports as an overflow; `evolve`
     silences that once for its whole run."""
+    import numpy as np
+
     d = eval_array(tree, cols) - targets
     loss = float(np.add.reduce(d * d)) / len(d)
     return loss if math.isfinite(loss) else math.inf
@@ -335,7 +338,6 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-@np.errstate(over="ignore")  # residuals squared past the float range (tree_loss)
 def evolve(
     inputs,
     targets,
@@ -373,7 +375,13 @@ def evolve(
     an offspring that repeats a tree made there in this generation or the
     last reuses its individual.  The tuning of an island's best is
     memoized by tree for the whole call.  Neither memo changes a random
-    draw or a result."""
+    draw or a result.  Residuals squared past the float range are no error
+    (see tree_loss): numpy's overflow report is off for the search and the
+    tuning, whatever the caller's errstate."""
+    import multiprocessing as mp
+
+    import numpy as np
+
     ops = ops or OperatorSet()
     cfg = cfg or GPConfig()
     if len(targets) < 5:
@@ -395,16 +403,17 @@ def evolve(
     # the blocks tune constants: load scipy.optimize once, before the fork
     import scipy.optimize  # noqa: F401
 
-    best: dict[int, tuple[float, tuple[int, int], Expr]] = {}
-    for part in _run_blocks(n, run):
-        for c, offer in part.items():
-            if c not in best or offer[:2] < best[c][:2]:
-                best[c] = offer
-    front = ParetoFront({c: FrontEntry(c, loss, tree) for c, (loss, _, tree) in best.items()})
-    # local constant tuning on the front survivors
-    for entry in list(front.pareto()):
-        tuned = optimize_constants_tree(entry.tree, cols, y)
-        front.offer(tuned, tree_loss(tuned, cols, y), complexity(tuned))
+    with np.errstate(over="ignore"):
+        best: dict[int, tuple[float, tuple[int, int], Expr]] = {}
+        for part in _run_blocks(n, run):
+            for c, offer in part.items():
+                if c not in best or offer[:2] < best[c][:2]:
+                    best[c] = offer
+        front = ParetoFront({c: FrontEntry(c, loss, tree) for c, (loss, _, tree) in best.items()})
+        # local constant tuning on the front survivors
+        for entry in list(front.pareto()):
+            tuned = optimize_constants_tree(entry.tree, cols, y)
+            front.offer(tuned, tree_loss(tuned, cols, y), complexity(tuned))
     return front
 
 
@@ -508,6 +517,8 @@ def _run_blocks(n: int, run) -> list:
     and terminated first when it raises."""
     if n == 1:
         return [run(0, lambda migrant: migrant)]
+    import multiprocessing as mp
+
     ctx = mp.get_context("fork")
     ring = [ctx.Pipe(duplex=False) for _ in range(n)]  # ring[k]: block k -> k + 1
     results = [ctx.Pipe(duplex=False) for _ in range(n - 1)]  # results[k - 1]: block k
@@ -588,6 +599,7 @@ def optimize_constants_tree(
     node = _Tree(tree)
     if not node.consts:
         return tree
+    import numpy as np
     from scipy.optimize import minimize
 
     x0 = np.asarray([float(_at(node, _const_index(node, k)).expr.value)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import recsolve_lia
@@ -538,6 +539,18 @@ def test_cli_corpus_reports_match_across_jobs_under_load(tmp_path):
             reports.append(strip_timings(fh.read()))
     assert reports[0] == reports[1]
     assert '"nonterm_q"' in reports[0]
+
+
+def test_default_lambda_grid_is_numpys_geomspace(monkeypatch):
+    """LassoConfig's default grid, built at first use, and the one the CLI
+    builds from its default --lambda-grid are np.geomspace's, bit for bit."""
+    expected = [float(v).hex() for v in np.geomspace(0.001, 1.0, 100)]
+    assert [v.hex() for v in linear.LassoConfig().lambda_grid] == expected
+    assert [v.hex() for v in RunConfig().lasso.lambda_grid] == expected
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_solve", lambda args, cfg: seen.append(cfg) or 0)
+    assert cli.main(["solve", "unread.rec"]) == 0
+    assert [v.hex() for v in seen[0].lasso.lambda_grid] == expected
 
 
 def test_cli_check(corpus_dir):

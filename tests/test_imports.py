@@ -1,9 +1,12 @@
 """Imports under src/.  No module keeps a module-level import it never
-uses: package __init__ files are exempt (their imports are re-exports), and
-so are __future__ imports (compiler directives, not names) and the explicit
-re-export form `from m import X as X`.  scipy loads only where it is
-called: a fresh interpreter that imports the package and runs `check`
-loads none of it, and `evolve` loads scipy.optimize before it forks."""
+uses, at top level or under `if TYPE_CHECKING:` (a name read only in an
+annotation counts as used): package __init__ files are exempt (their
+imports are re-exports), and so are __future__ imports (compiler
+directives, not names) and the explicit re-export form `from m import X as
+X`.  numpy, scipy, multiprocessing and the process pool load only where
+they are called: a fresh interpreter that imports the package and runs
+`check` loads none of them, and `evolve` loads scipy.optimize before it
+forks."""
 
 import ast
 import os
@@ -24,12 +27,23 @@ def _modules():
     return sorted(out)
 
 
+def _type_checking(node: ast.stmt) -> bool:
+    """Whether `node` is `if TYPE_CHECKING:` or `if typing.TYPE_CHECKING:`."""
+    return isinstance(node, ast.If) and ast.unparse(node.test) in (
+        "TYPE_CHECKING", "typing.TYPE_CHECKING"
+    )
+
+
 def unused_imports(source: str) -> list[str]:
-    """Names bound by the module-level imports of `source` that no name
-    expression of the module reads, in import order."""
+    """Names bound by the module-level imports of `source`, and by those
+    under a module-level `if TYPE_CHECKING:`, that no name expression of the
+    module reads (annotations included), in import order."""
     tree = ast.parse(source)
-    bound = []
+    stmts = []
     for node in tree.body:
+        stmts += node.body if _type_checking(node) else [node]
+    bound = []
+    for node in stmts:
         if isinstance(node, ast.Import):
             bound += [a.asname or a.name.split(".")[0] for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
@@ -44,6 +58,14 @@ def test_scan_finds_unused_imports():
         "from x import y as z, w, V as V\nsys.exit(w)\n"
     )
     assert unused_imports(src) == ["os", "a", "z"]
+    src = (
+        "from typing import TYPE_CHECKING\nimport typing\n"
+        "if TYPE_CHECKING:\n    import numpy as np\n    from m import Unused\n"
+        "if typing.TYPE_CHECKING:\n    import os\n"
+        "if x:\n    import sys\n"
+        "def f(a: np.ndarray) -> None: pass\n"
+    )
+    assert unused_imports(src) == ["Unused", "os"]
 
 
 @pytest.mark.parametrize("path", _modules(), ids=lambda p: os.path.relpath(p, SRC))
@@ -65,12 +87,13 @@ def _fresh(code: str) -> str:
     return proc.stdout
 
 
-def test_import_and_check_load_no_scipy():
+def test_import_and_check_load_no_numpy_scipy_or_process_pool():
     out = _fresh(f"""
         import sys
         import recsolve, recsolve.cli
         code = recsolve.cli.main(["check", {NESTED!r}, "--candidate", "x"])
-        loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+        unwanted = ("numpy", "scipy", "multiprocessing", "concurrent.futures.process")
+        loaded = [m for m in unwanted if m in sys.modules]
         print("RESULT", code, loaded)
     """)
     assert "RESULT 0 []" in out

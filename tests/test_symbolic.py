@@ -305,6 +305,21 @@ def test_tree_loss_is_the_mean_bit_for_bit():
         assert tree_loss(parse_expr("2^(x^3)"), x8, np.zeros(5)) == math.inf
 
 
+def test_evolve_silences_overflow_whatever_the_callers_errstate():
+    """Squares past the float range are no error inside evolve, even under a
+    caller's errstate that raises on every floating-point error.  At this
+    seed the search scores such trees: without its own errstate it raises."""
+    ins = [(x,) for x in range(1, 9)]
+    ys = [-(2.0 ** 508) * x for x in range(1, 9)]
+    cols, y = {"x": np.arange(1.0, 9.0)}, np.array(ys)
+    with np.errstate(all="raise"):
+        # 2^(x^3) is 2^512 at x = 8, so its residual there squares past 2^1024
+        with pytest.raises(FloatingPointError):
+            tree_loss(parse_expr("2^(x^3)"), cols, y)
+        front = evolve(ins, ys, ("x",), cfg=GPConfig(4, 16, 8, seed=1))
+    assert front.pareto()
+
+
 def test_evolve_deterministic():
     ins = [(i,) for i in range(12)]
     ys = [float(3 * i + 2) for i in range(12)]
