@@ -2,14 +2,16 @@
 
 Everything here is immutable and purely functional: expressions are frozen
 dataclasses, evaluation never mutates state, so values can be shared freely
-across threads.  Only eval_array uses numpy, which it loads at its first
-call; the exact evaluation (eval_ground, eval_bool) runs without it.
+across threads.  Only the array evaluation (eval_array and its rules) uses
+numpy, which it loads at its first call; the exact evaluation (eval_ground,
+eval_bool) runs without it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Mapping, Union
@@ -548,73 +550,118 @@ def eval_array(e: Expr, cols: Mapping[str, np.ndarray], *, guarded: bool = False
     Where eval_ground succeeds the result is its value in float64; where it
     raises EvalError the entry is nan or inf.  Magnitudes above
     OVERFLOW_LIMIT are checked on the final value only.  `guarded` has the
-    meaning it has for eval_ground.  x^2 and x^3 are computed as products and
-    2^e with a non-constant exponent as exp2.
+    meaning it has for eval_ground.  Each node is computed by its rule in
+    `array_rules` (see `array_operator`), a leaf by `array_leaf`.
     """
     import numpy as np
 
     n = len(next(iter(cols.values())))
     with np.errstate(all="ignore"):
-        v = _eval_array(np, e, cols, guarded)
+        v = _eval_array(np, array_rules(guarded), e, cols)
         v = np.where(np.abs(v) > _FLOAT_LIMIT, np.nan, v)
     return v if v.shape == (n,) else np.full(n, v)
 
 
-def _eval_array(np, e: Expr, cols, g: bool):
-    """Array (or, for constant subtrees, scalar) value of `e`; see eval_array.
-    `np` is the numpy module, handed down so that no node imports it."""
-    if isinstance(e, Const):
+def _eval_array(np, rules, e: Expr, cols):
+    """Array (or, for constant subtrees, scalar) value of `e` before the
+    final overflow check; see eval_array."""
+    t = type(e)
+    if t is Var or t is Const:
+        return array_leaf(np, e, cols)
+    if t is Call:
+        raise EvalError("call-in-ground", e.func)
+    op, operands = array_operator(e)
+    if len(operands) == 2:
+        a, b = operands
+        return rules[op](_eval_array(np, rules, a, cols), _eval_array(np, rules, b, cols))
+    return rules[op](_eval_array(np, rules, operands[0], cols))
+
+
+# node type -> array operator and operand count (Pow is classified apart)
+_ARRAY_OPERATORS = {Var: ("var", 0), Const: ("const", 0), Add: ("add", 2), Sub: ("sub", 2),
+                    Mul: ("mul", 2), Div: ("div", 2), Max: ("max", 2), Min: ("min", 2),
+                    Floor: ("floor", 1), Ceil: ("ceil", 1), Log2: ("log2", 1),
+                    Factorial: ("fact", 1)}
+
+
+def array_operator(e: Expr) -> tuple[str, tuple[Expr, ...]]:
+    """The operator that eval_array applies at `e`, and its operands.  x^2
+    and x^3 are the unary square and cube, computed as products, and 2^e
+    (e not a constant) is pow2, computed as exp2; other powers are pow.  A
+    variable or constant is "var" or "const", with no operands."""
+    if type(e) is Pow:
+        base, exp = e.base, e.exp
+        if type(exp) is Const:
+            if exp.value == 2:
+                return "square", (base,)
+            if exp.value == 3:
+                return "cube", (base,)
+        elif type(base) is Const and base.value == 2:
+            return "pow2", (exp,)
+        return "pow", (base, exp)
+    try:
+        op, arity = _ARRAY_OPERATORS[type(e)]
+    except KeyError:
+        raise TypeError(f"cannot evaluate {type(e).__name__} on arrays") from None
+    if arity == 2:
+        return op, (e.lhs, e.rhs)
+    return op, (e.arg,) if arity else ()
+
+
+def array_leaf(np, e: Var | Const, cols: Mapping[str, np.ndarray]):
+    """The array value of a variable (its column) or a constant (a float64
+    scalar); `np` is the numpy module."""
+    if type(e) is Const:
         return np.float64(float(e.value))
-    if isinstance(e, Var):
-        try:
-            return cols[e.name]
-        except KeyError:
-            raise EvalError("unbound-variable", e.name) from None
-    if isinstance(e, Add):
-        return _eval_array(np, e.lhs, cols, g) + _eval_array(np, e.rhs, cols, g)
-    if isinstance(e, Sub):
-        return _eval_array(np, e.lhs, cols, g) - _eval_array(np, e.rhs, cols, g)
-    if isinstance(e, Mul):
-        return _eval_array(np, e.lhs, cols, g) * _eval_array(np, e.rhs, cols, g)
-    if isinstance(e, Div):
-        num = _eval_array(np, e.lhs, cols, g)
-        den = _eval_array(np, e.rhs, cols, g)
+    try:
+        return cols[e.name]
+    except KeyError:
+        raise EvalError("unbound-variable", e.name) from None
+
+
+@functools.cache
+def array_rules(guarded: bool) -> dict:
+    """Array operator (see array_operator) -> its numpy rule: a function of
+    its operands' values, each a float64 column or, for a constant subtree,
+    a float64 scalar.  Where eval_ground raises EvalError a rule gives nan
+    or inf; `guarded` has the meaning it has for eval_ground.  Call the
+    rules under np.errstate(all="ignore")."""
+    import numpy as np
+
+    def div(num, den):
         # guarded x/0 is 0, or nan where x itself failed
-        return np.where(den == 0, np.abs(num) * 0.0 if g else np.nan, num / den)
-    if isinstance(e, Pow):
-        if isinstance(e.exp, Const) and e.exp.value in (2, 3):
-            a = _eval_array(np, e.base, cols, g)
-            return a * a if e.exp.value == 2 else a * a * a
-        if isinstance(e.base, Const) and e.base.value == 2 and not isinstance(e.exp, Const):
-            return np.exp2(_eval_array(np, e.exp, cols, g))
-        a = _eval_array(np, e.base, cols, g)
-        b = _eval_array(np, e.exp, cols, g)
+        return np.where(den == 0, np.abs(num) * 0.0 if guarded else np.nan, num / den)
+
+    def power(a, b):
         bad = ((a < 0) & (b != np.round(b))) | ((a == 0) & (b < 0))
         # np.power(nan, 0) and np.power(1, nan) are 1: keep a failure failed
         bad |= np.isnan(a) | np.isnan(b)
         return np.where(bad, np.nan, np.power(a, b))
-    if isinstance(e, Floor):
-        return np.floor(_eval_array(np, e.arg, cols, g))
-    if isinstance(e, Ceil):
-        return np.ceil(_eval_array(np, e.arg, cols, g))
-    if isinstance(e, Log2):
-        a = _eval_array(np, e.arg, cols, g)
-        if g:
+
+    def log2(a):
+        if guarded:
             return np.where(a < 1, 0.0, np.log2(a))
         return np.where(a > 0, np.log2(a), np.nan)
-    if isinstance(e, Factorial):
-        a = _eval_array(np, e.arg, cols, g)
+
+    def fact(a):
         ok = (a >= 0) & (a == np.round(a))
         table = _factorials()
         k = np.where(ok, np.minimum(a, len(table) - 1), 0).astype(int)
         return np.where(ok, table[k], np.nan)
-    if isinstance(e, Max):
-        return np.maximum(_eval_array(np, e.lhs, cols, g), _eval_array(np, e.rhs, cols, g))
-    if isinstance(e, Min):
-        return np.minimum(_eval_array(np, e.lhs, cols, g), _eval_array(np, e.rhs, cols, g))
-    if isinstance(e, Call):
-        raise EvalError("call-in-ground", e.func)
-    raise TypeError(f"cannot evaluate {type(e).__name__} on arrays")
+
+    return {
+        "add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": div,
+        "max": np.maximum, "min": np.minimum, "pow": power,
+        "square": lambda a: a * a, "cube": lambda a: a * a * a, "pow2": np.exp2,
+        "floor": np.floor, "ceil": np.ceil, "log2": log2, "fact": fact,
+    }
+
+
+def array_valid(np, v) -> bool:
+    """Whether each entry of `v`, an expression's value by the array rules,
+    is a number of magnitude at most OVERFLOW_LIMIT: that is, whether
+    eval_array's value of that expression has no nan."""
+    return bool(np.abs(v).max() <= _FLOAT_LIMIT)
 
 
 def eval_bool(c: BoolExpr, env: Mapping[str, int], *, guarded: bool = False) -> bool:

@@ -1,16 +1,18 @@
 """Symbolic guessing: multi-population evolutionary search over expression
 trees with node-cost complexity penalties and simplex-based constant tuning.
 
-Trees are model expressions, evaluated by model.eval_array.  The search sees
-x^2, x^3 and 2^e as the single unary nodes square, cube and pow2.  Inside the
-search each GP node (`_Tree`) carries its size, complexity and hash, computed
-once when it is built, so that variation rebuilds only the path to the node
-it changes and a memo lookup reads a cached hash.  The islands of one run
-are evolved in contiguous blocks, one per available CPU: block 0 in the
-calling process, the others in forked children that swap migrants with
-their neighbours through pipes; the front is the same for any number of
-blocks.  The search's shape is fixed by the constants below; GPConfig sets
-only its size and seed.  numpy, multiprocessing and scipy.optimize load
+Trees are model expressions, valued by eval_array's per-operator rules
+(model.array_rules).  The search sees x^2, x^3 and 2^e as the single unary
+nodes square, cube and pow2.  Inside the search each GP node (`_Tree`)
+carries its size, complexity and hash, computed once when it is built, so
+that variation rebuilds only the path to the node it changes and a memo
+lookup reads a cached hash.  Once scored, a node also keeps its value on the
+training columns, so a child's score computes only its rebuilt path.  The
+islands of one run are evolved in contiguous blocks, two per available CPU
+(one on one CPU): block 0 in the calling process, the others in forked
+children that swap migrants with their neighbours through pipes; the front
+is the same for any number of blocks.  The search's shape is fixed by the
+constants below; GPConfig sets only its size and seed.  numpy, multiprocessing and scipy.optimize load
 at a process's first `evolve` or constant tuning, not with this module.
 """
 
@@ -24,6 +26,7 @@ import traceback
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from .linear import GuessOutcome, _guess_domains, held_out_r2
@@ -42,7 +45,10 @@ from .model import (
     RecurrenceSystem,
     Sub,
     Var,
-    eval_array,
+    array_leaf,
+    array_operator,
+    array_rules,
+    array_valid,
 )
 from .sampler import SampleConfig
 
@@ -61,6 +67,9 @@ TOURNAMENT = 3  # entrants per selection
 P_CROSSOVER = 0.6
 P_MUTATION = 0.3
 MIGRATION_INTERVAL = 5  # generations between ring migrations
+# Island blocks per available CPU.  Islands differ several-fold in CPU time,
+# so a block that waits at a migration leaves its CPU to another block.
+BLOCKS_PER_CPU = 2
 
 
 @dataclass(frozen=True)
@@ -136,33 +145,20 @@ _BUILD = {
     "cube": lambda a: Pow(a, _THREE),
     "pow2": lambda a: Pow(_TWO, a),
 }
-# node type -> GP operator name and operand count (Pow is classified apart)
-_KINDS = {Var: ("var", 0), Const: ("const", 0), Add: ("add", 2), Sub: ("sub", 2),
-          Mul: ("mul", 2), Div: ("div", 2), Max: ("max", 2), Floor: ("floor", 1),
-          Ceil: ("ceil", 1), Log2: ("log2", 1), Factorial: ("fact", 1)}
+# GP operators whose operands can make them another operator (2^x with 2 for
+# x is square), so that a node of them is re-derived by `_node`
+_REDERIVED = ("pow", "pow2")
 
 
 def _node(e: Expr) -> tuple[str, tuple[Expr, ...]]:
-    """The GP operator of a node and its operands.  x^2, x^3 and 2^e (e not
-    a constant) are the unary square, cube and pow2, so their constant is
-    neither a node nor tuned."""
-    if type(e) is Pow:
-        base, exp = e.base, e.exp
-        if type(exp) is Const:
-            if exp.value == 2:
-                return "square", (base,)
-            if exp.value == 3:
-                return "cube", (base,)
-        elif type(base) is Const and base.value == 2:
-            return "pow2", (exp,)
-        return "pow", (base, exp)
-    try:
-        tag, arity = _KINDS[type(e)]
-    except KeyError:
-        raise TypeError(f"{type(e).__name__} is not a GP operator") from None
-    if arity == 2:
-        return tag, (e.lhs, e.rhs)
-    return tag, (e.arg,) if arity else ()
+    """The GP operator of a node and its operands: those of eval_array
+    (model.array_operator).  x^2, x^3 and 2^e (e not a constant) are the
+    unary square, cube and pow2, so their constant is neither a node nor
+    tuned."""
+    tag, operands = array_operator(e)
+    if operands and tag not in _BUILD:
+        raise TypeError(f"{type(e).__name__} is not a GP operator")
+    return tag, operands
 
 
 class _Tree:
@@ -171,14 +167,17 @@ class _Tree:
     built, its size in GP nodes, its complexity, its count of tunable
     constants and a structural hash.  Operands of `expr` that are the
     expression of a node in `known` reuse that node; the others are built.
-    Nodes are equal when their expressions are."""
+    A node built from its operands (`_build`) makes its expression when it
+    is first read.  Once scored, a node also holds its value on the
+    training columns, with those columns (see `_column`).  Nodes are equal
+    when their expressions are: when their operators are and their operand
+    nodes are equal, or, for leaves, their expressions."""
 
-    __slots__ = ("expr", "tag", "kids", "size", "complexity", "consts", "_hash")
+    __slots__ = ("_expr", "tag", "kids", "size", "complexity", "consts", "_hash", "_cols", "_col")
 
     def __init__(self, expr: Expr, known: Sequence[_Tree] = ()):
         tag, operands = _node(expr)
         kids = []
-        size, comp, consts, hashes = 1, COSTS.get(tag, 1), int(tag == "const"), [tag]
         for o in operands:
             for k in known:
                 if k.expr is o:
@@ -186,19 +185,62 @@ class _Tree:
             else:
                 k = _Tree(o)
             kids.append(k)
-            size += k.size
-            comp += k.complexity
-            consts += k.consts
-            hashes.append(k._hash)
-        self.expr, self.tag, self.kids = expr, tag, tuple(kids)
-        self.size, self.complexity, self.consts = size, comp, consts
-        self._hash = hash(tuple(hashes)) if kids else hash(expr)
+        self._fill(expr, tag, tuple(kids))
+
+    def _fill(self, expr: Expr | None, tag: str, kids: tuple[_Tree, ...]):
+        self._expr, self.tag, self.kids, self._cols = expr, tag, kids, None
+        if len(kids) == 2:
+            a, b = kids
+            self.size = 1 + a.size + b.size
+            self.complexity = COSTS.get(tag, 1) + a.complexity + b.complexity
+            self.consts = a.consts + b.consts
+            self._hash = hash((tag, a._hash, b._hash))
+        elif kids:
+            (a,) = kids
+            self.size = 1 + a.size
+            self.complexity = COSTS.get(tag, 1) + a.complexity
+            self.consts = a.consts
+            self._hash = hash((tag, a._hash))
+        else:
+            self.size = self.complexity = 1
+            self.consts = int(tag == "const")
+            self._hash = hash(expr)
+
+    @property
+    def expr(self) -> Expr:
+        e = self._expr
+        if e is None:
+            e = self._expr = _BUILD[self.tag](*[k.expr for k in self.kids])
+        return e
 
     def __hash__(self) -> int:
         return self._hash
 
     def __eq__(self, other) -> bool:
-        return self is other or (self._hash == other._hash and self.expr == other.expr)
+        if type(other) is not _Tree:
+            return NotImplemented
+        if self is other:
+            return True
+        if self._hash != other._hash or self.tag != other.tag:
+            return False
+        return self.kids == other.kids if self.kids else self._expr == other._expr
+
+
+def _made(expr: Expr | None, tag: str, kids: tuple[_Tree, ...] = ()) -> _Tree:
+    """The node of `expr`, given the GP operator and operand nodes that
+    `_node` would derive from it; `expr` is None to make it when read."""
+    t = _Tree.__new__(_Tree)
+    t._fill(expr, tag, kids)
+    return t
+
+
+def _build(tag: str, kids: tuple[_Tree, ...]) -> _Tree:
+    """The node of GP operator `tag` over the operand nodes `kids`.  It is
+    built from the tag, not derived again from its expression, except for
+    pow and pow2, whose operands can make them another operator."""
+    if tag in _REDERIVED:
+        return _Tree(_BUILD[tag](*[k.expr for k in kids]), kids)
+    return _made(None, tag, kids)
 
 
 def _at(t: _Tree, index: int) -> _Tree:
@@ -219,11 +261,10 @@ def _replace(t: _Tree, index: int, repl: _Tree) -> _Tree:
     if index == 0:
         return repl
     index -= 1
-    kids = list(t.kids)
+    kids = t.kids
     for j, k in enumerate(kids):
         if index < k.size:
-            kids[j] = _replace(k, index, repl)
-            return _Tree(_BUILD[t.tag](*(c.expr for c in kids)), kids)
+            return _build(t.tag, kids[:j] + (_replace(k, index, repl),) + kids[j + 1:])
         index -= k.size
     raise IndexError("GP node index out of range")
 
@@ -251,17 +292,42 @@ def complexity(tree: Expr) -> int:
 # ---------------------------------------------------------------------------
 
 
-def tree_loss(tree: Expr, cols: dict[str, np.ndarray], targets: np.ndarray) -> float:
-    """Mean squared error; invalid points (nan/inf) make the loss infinite.
-    The sum and the division are those of np.mean, so the loss is np.mean
-    of the squared residuals bit for bit.  A residual of magnitude 2^512 or
-    more squares to inf, which numpy reports as an overflow; `evolve`
-    silences that once for its whole run."""
+def tree_loss(tree: _Tree | Expr, cols: dict[str, np.ndarray], targets: np.ndarray) -> float:
+    """Mean squared error of a GP node or an expression on the columns
+    `cols`; invalid points (nan/inf) make the loss infinite.  The predictions
+    are eval_array's, bit for bit, but a node computes only its nodes not yet
+    scored on `cols` (see `_column`), so the dict `cols` must not change
+    once a node is scored on it.  The sum and the division are those of
+    np.mean, so the loss is np.mean of the squared residuals bit for bit.  A
+    residual of magnitude 2^512 or more squares to inf, which numpy reports
+    as an overflow; `evolve` silences that once for its whole run."""
     import numpy as np
 
-    d = eval_array(tree, cols) - targets
+    node = tree if type(tree) is _Tree else _Tree(tree)
+    with np.errstate(all="ignore"):
+        v = _column(np, array_rules(False), node, cols)
+        if not array_valid(np, v):  # eval_array's value has a nan
+            return math.inf
+    d = v - targets
     loss = float(np.add.reduce(d * d)) / len(d)
     return loss if math.isfinite(loss) else math.inf
+
+
+def _column(np, rules, t: _Tree, cols):
+    """The value of `t` on `cols` by eval_array's rules, before its final
+    overflow check: computed from the operand nodes' values and kept on the
+    node, to be read again for the same `cols` object only."""
+    if t._cols is cols:
+        return t._col
+    kids = t.kids
+    if len(kids) == 2:
+        v = rules[t.tag](_column(np, rules, kids[0], cols), _column(np, rules, kids[1], cols))
+    elif kids:
+        v = rules[t.tag](_column(np, rules, kids[0], cols))
+    else:
+        v = array_leaf(np, t.expr, cols)
+    t._cols, t._col = cols, v
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -269,27 +335,28 @@ def tree_loss(tree: Expr, cols: dict[str, np.ndarray], targets: np.ndarray) -> f
 # ---------------------------------------------------------------------------
 
 
-def _random_leaf(rng: random.Random, params: tuple[str, ...]) -> Expr:
+def _random_leaf(rng: random.Random, params: tuple[str, ...]) -> _Tree:
     if rng.random() < 0.7:
-        return Var(rng.choice(params))
-    return Const(Fraction(rng.choice([1.0, 2.0, 3.0, 0.5, round(rng.uniform(-5, 5), 3)])))
+        return _made(Var(rng.choice(params)), "var")
+    value = rng.choice([1.0, 2.0, 3.0, 0.5, round(rng.uniform(-5, 5), 3)])
+    return _made(Const(Fraction(value)), "const")
 
 
-def _random_tree(rng: random.Random, params, ops: OperatorSet, depth: int) -> Expr:
+def _random_tree(rng: random.Random, params, ops: OperatorSet, depth: int) -> _Tree:
     if depth <= 0 or rng.random() < 0.3:
         return _random_leaf(rng, params)
     pool = ops.binary + ops.unary
     tag = rng.choice(pool)
     if tag in ops.binary:
         lhs = _random_tree(rng, params, ops, depth - 1)
-        return _BUILD[tag](lhs, _random_tree(rng, params, ops, depth - 1))
-    return _BUILD[tag](_random_tree(rng, params, ops, depth - 1))
+        return _build(tag, (lhs, _random_tree(rng, params, ops, depth - 1)))
+    return _build(tag, (_random_tree(rng, params, ops, depth - 1),))
 
 
 def _mutate(rng: random.Random, tree: _Tree, params, ops: OperatorSet) -> _Tree:
     idx = rng.randrange(tree.size)
     if rng.random() < 0.5:
-        return _replace(tree, idx, _Tree(_random_tree(rng, params, ops, 2)))
+        return _replace(tree, idx, _random_tree(rng, params, ops, 2))
     # point mutation: swap the operator, keep children
     node = _at(tree, idx)
     kids = node.kids
@@ -298,8 +365,8 @@ def _mutate(rng: random.Random, tree: _Tree, params, ops: OperatorSet) -> _Tree:
     elif node.tag in ops.unary:
         op = rng.choice(ops.unary)
     else:
-        return _replace(tree, idx, _Tree(_random_leaf(rng, params)))
-    return _replace(tree, idx, _Tree(_BUILD[op](*(k.expr for k in kids)), kids))
+        return _replace(tree, idx, _random_leaf(rng, params))
+    return _replace(tree, idx, _build(op, kids))
 
 
 def _perturb_const(rng: random.Random, tree: _Tree) -> _Tree:
@@ -309,7 +376,7 @@ def _perturb_const(rng: random.Random, tree: _Tree) -> _Tree:
     idx = _const_index(tree, rng.randrange(tree.consts))
     c = float(_at(tree, idx).expr.value)
     new = c * (1.0 + rng.gauss(0, 0.3)) + rng.gauss(0, 0.1)
-    return _replace(tree, idx, _Tree(Const(Fraction(new))))
+    return _replace(tree, idx, _made(Const(Fraction(new)), "const"))
 
 
 def _crossover(rng: random.Random, a: _Tree, b: _Tree) -> _Tree:
@@ -317,16 +384,17 @@ def _crossover(rng: random.Random, a: _Tree, b: _Tree) -> _Tree:
     return _replace(a, ai, _at(b, rng.randrange(b.size)))
 
 
-@dataclass
 class _Individual:
-    tree: _Tree
-    loss: float
-    complexity: int
+    """A scored tree.  Of two individuals the one of lesser `key`, (loss,
+    complexity), is the better; losses are never nan."""
 
-    def beats(self, other: "_Individual") -> bool:
-        if self.loss != other.loss:
-            return self.loss < other.loss
-        return self.complexity < other.complexity
+    __slots__ = ("tree", "loss", "key")
+
+    def __init__(self, tree: _Tree, loss: float):
+        self.tree, self.loss, self.key = tree, loss, (loss, tree.complexity)
+
+
+_key = attrgetter("key")
 
 
 def available_cpus() -> int:
@@ -350,15 +418,17 @@ def evolve(
     proportions of the module constants; `ops` restricts the operators
     that random trees and mutations draw.  Deterministic for a given seed.
 
-    The islands are split into contiguous blocks, one per available CPU
-    (`available_cpus`, at most one per island).  The calling process
-    evolves block 0 and forked children evolve the others.  There is one
-    block and no child inside a multiprocessing child, such as a
+    The islands are split into contiguous blocks, BLOCKS_PER_CPU per
+    available CPU (`available_cpus`, at most one per island), so that while
+    one block waits for a migrant another runs on its CPU.  On one CPU
+    there is one block.  The calling process evolves block 0 and forked
+    children evolve the others.  There is one block and no child inside a
+    multiprocessing child, such as a
     `corpus --jobs N` worker, in a process with more than one thread
     (where forking is unsafe), or where "fork" is missing.  Islands meet
     only at migration, where each island takes the best of the one before
-    it: so a block sends the best of its last island (expression, loss and
-    complexity) to the next block and takes the previous block's in its
+    it: so a block sends the best of its last island (expression and loss)
+    to the next block and takes the previous block's in its
     first island.  Each block keeps, per complexity, its first offer of
     least loss with the (generation, island) where it was made; the caller
     merges the blocks by the least (loss, generation, island), which is the
@@ -370,14 +440,17 @@ def evolve(
 
     Each GP node carries its size, complexity and hash, computed once when
     it is built (`_Tree`), so variation rebuilds only the path to the node
-    it changes, and a child's complexity is read from its root.  Each
-    distinct tree is scored once per two-generation window in its block:
-    an offspring that repeats a tree made there in this generation or the
-    last reuses its individual.  The tuning of an island's best is
-    memoized by tree for the whole call.  Neither memo changes a random
-    draw or a result.  Residuals squared past the float range are no error
-    (see tree_loss): numpy's overflow report is off for the search and the
-    tuning, whatever the caller's errstate."""
+    it changes, from the operator of each node on it, and a child's
+    complexity is read from its root.  A scored node keeps its column of
+    values on the training rows, so scoring a child, or a tuning of an
+    island's best, computes only the nodes it does not share with a scored
+    tree.  Each distinct tree is scored once per two-generation window in
+    its block: an offspring that repeats a tree made there in this
+    generation or the last reuses its individual.  The tuning of an
+    island's best is memoized by tree for the whole call.  Neither memo
+    changes a random draw or a result.  Residuals squared past the float
+    range are no error (see tree_loss): numpy's overflow report is off for
+    the search and the tuning, whatever the caller's errstate."""
     import multiprocessing as mp
 
     import numpy as np
@@ -394,7 +467,8 @@ def evolve(
         and mp.parent_process() is None
         and threading.active_count() == 1
     )
-    n = min(cfg.populations, available_cpus()) if forks else 1
+    cpus = available_cpus() if forks else 1
+    n = min(cfg.populations, BLOCKS_PER_CPU * cpus) if cpus > 1 else 1
     cuts = [cfg.populations * k // n for k in range(n + 1)]
 
     def run(k: int, exchange) -> dict:
@@ -412,8 +486,8 @@ def evolve(
         front = ParetoFront({c: FrontEntry(c, loss, tree) for c, (loss, _, tree) in best.items()})
         # local constant tuning on the front survivors
         for entry in list(front.pareto()):
-            tuned = optimize_constants_tree(entry.tree, cols, y)
-            front.offer(tuned, tree_loss(tuned, cols, y), complexity(tuned))
+            tuned = optimize_constants_tree(_Tree(entry.tree), cols, y)
+            front.offer(tuned.expr, tree_loss(tuned, cols, y), tuned.complexity)
     return front
 
 
@@ -438,8 +512,8 @@ def _evolve_islands(
             ind = older.get(tree)
             if ind is None:
                 comp = tree.complexity
-                loss = tree_loss(tree.expr, cols, y) if comp <= MAX_COMPLEXITY else math.inf
-                ind = _Individual(tree, loss, comp)
+                loss = tree_loss(tree, cols, y) if comp <= MAX_COMPLEXITY else math.inf
+                ind = _Individual(tree, loss)
                 cur = front.get(comp)
                 if math.isfinite(loss) and (cur is None or loss < cur[0]):
                     front[comp] = (loss, (gen, i), tree.expr)
@@ -450,13 +524,14 @@ def _evolve_islands(
     islands: list[list[_Individual]] = []
     for i in ids:
         trees = [_random_tree(rngs[i], params, ops, 3) for _ in range(cfg.population_size)]
-        islands.append([make(_Tree(t)) for t in trees])
+        islands.append([make(t) for t in trees])
 
     def tournament(rng: random.Random, pop: list[_Individual]) -> _Individual:
-        best = pop[rng.randrange(len(pop))]
+        n = len(pop)
+        best = pop[rng.randrange(n)]
         for _ in range(TOURNAMENT - 1):
-            ch = pop[rng.randrange(len(pop))]
-            if ch.beats(best):
+            ch = pop[rng.randrange(n)]
+            if ch.key < best.key:
                 best = ch
         return best
 
@@ -464,8 +539,7 @@ def _evolve_islands(
         older, seen = seen, {}
         for pos, i in enumerate(ids):
             pop, rng = islands[pos], rngs[i]
-            elite = min(pop, key=lambda d: (d.loss, d.complexity))
-            newpop = [elite]
+            newpop = [min(pop, key=_key)]
             while len(newpop) < cfg.population_size:
                 r = rng.random()
                 parent = tournament(rng, pop)
@@ -479,25 +553,22 @@ def _evolve_islands(
                 newpop.append(parent if child.complexity > MAX_COMPLEXITY else make(child))
             # short classical pass over the island's best: shapes like c^n
             # only become competitive once their constants are tuned
-            bi = min(range(len(newpop)), key=lambda j: (newpop[j].loss, newpop[j].complexity))
-            btree = newpop[bi].tree
-            if math.isfinite(newpop[bi].loss) and btree.consts:
+            best = min(newpop, key=_key)
+            btree = best.tree
+            if math.isfinite(best.loss) and btree.consts:
                 tuned = tuned_of.get(btree)
                 if tuned is None:
-                    tuned = tuned_of[btree] = _Tree(
-                        optimize_constants_tree(btree.expr, cols, y, max_evals=40)
-                    )
+                    tuned = tuned_of[btree] = optimize_constants_tree(btree, cols, y, max_evals=40)
                 if tuned != btree:
                     cand = make(tuned)
-                    if cand.beats(newpop[bi]):
-                        newpop[bi] = cand
+                    if cand.key < best.key:
+                        newpop[newpop.index(best)] = cand
             islands[pos] = newpop
         if gen % MIGRATION_INTERVAL == 0:
-            bests = [min(pop, key=lambda d: (d.loss, d.complexity)) for pop in islands]
+            bests = [min(pop, key=_key) for pop in islands]
             bests.insert(0, exchange(bests.pop()))
             for dst, migrant in zip(islands, bests):
-                worst = max(range(len(dst)), key=lambda j: (dst[j].loss, dst[j].complexity))
-                dst[worst] = migrant
+                dst[dst.index(max(dst, key=_key))] = migrant
     return front
 
 
@@ -575,13 +646,13 @@ def _run_blocks(n: int, run) -> list:
 
 
 def _exchanger(recv, send):
-    """Migration between blocks: send our migrant as (expression, loss,
-    complexity) and rebuild the one received."""
+    """Migration between blocks: send our migrant as (expression, loss) and
+    rebuild the one received."""
 
     def exchange(migrant: _Individual) -> _Individual:
-        send.send((migrant.tree.expr, migrant.loss, migrant.complexity))
-        expr, loss, comp = recv.recv()
-        return _Individual(_Tree(expr), loss, comp)
+        send.send((migrant.tree.expr, migrant.loss))
+        expr, loss = recv.recv()
+        return _Individual(_Tree(expr), loss)
 
     return exchange
 
@@ -592,11 +663,12 @@ def _exchanger(recv, send):
 
 
 def optimize_constants_tree(
-    tree: Expr, cols: dict[str, np.ndarray], y: np.ndarray, max_evals: int = 200
-) -> Expr:
-    """Simplex search over the numeric leaves minimizing the training loss on
-    the columns `cols`; the result is never worse than `tree`."""
-    node = _Tree(tree)
+    tree: _Tree | Expr, cols: dict[str, np.ndarray], y: np.ndarray, max_evals: int = 200
+) -> _Tree | Expr:
+    """Simplex search over the numeric leaves of a GP node or an expression,
+    minimizing the training loss on the columns `cols`; the result is of
+    the same kind and never worse than `tree`."""
+    node = tree if type(tree) is _Tree else _Tree(tree)
     if not node.consts:
         return tree
     import numpy as np
@@ -605,11 +677,8 @@ def optimize_constants_tree(
     x0 = np.asarray([float(_at(node, _const_index(node, k)).expr.value)
                      for k in range(node.consts)])
 
-    def with_consts(vals) -> Expr:
-        return _set_consts(node, iter(vals))
-
     def objective(vals) -> float:
-        loss = tree_loss(with_consts(vals), cols, y)
+        loss = tree_loss(_set_consts(node, iter(vals)), cols, y)
         return loss if math.isfinite(loss) else 1e300
 
     res = minimize(
@@ -618,20 +687,19 @@ def optimize_constants_tree(
         method="Nelder-Mead",
         options={"maxfev": max_evals, "xatol": 1e-10, "fatol": 1e-12},
     )
-    tuned = with_consts(res.x)
-    if tree_loss(tuned, cols, y) <= tree_loss(tree, cols, y):
-        return tuned
-    return tree
+    tuned = _set_consts(node, iter(res.x))
+    best = tuned if tree_loss(tuned, cols, y) <= tree_loss(node, cols, y) else node
+    return best if tree is node else best.expr
 
 
-def _set_consts(t: _Tree, vals) -> Expr:
-    """`t`'s expression with its tunable constants, in preorder, taken from
-    `vals`."""
+def _set_consts(t: _Tree, vals) -> _Tree:
+    """`t` with its tunable constants, in preorder, taken from `vals`.  A
+    subtree without constants is kept, with its scored value."""
     if t.tag == "const":
-        return Const(Fraction(float(next(vals))))
+        return _made(Const(Fraction(float(next(vals)))), "const")
     if not t.consts:
-        return t.expr
-    return _BUILD[t.tag](*(_set_consts(k, vals) for k in t.kids))
+        return t
+    return _build(t.tag, tuple(_set_consts(k, vals) for k in t.kids))
 
 
 # ---------------------------------------------------------------------------

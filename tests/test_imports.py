@@ -111,8 +111,9 @@ def test_evolve_loads_scipy_optimize_before_it_forks():
 
         symbolic._run_blocks = recorded
         symbolic.available_cpus = lambda: 2
-        cfg = symbolic.GPConfig(populations=2, population_size=8, iterations=5)
+        cfg = symbolic.GPConfig(populations=5, population_size=8, iterations=5)
         symbolic.evolve([(i,) for i in range(8)], [2.0 * i + 1 for i in range(8)], ("x",), cfg=cfg)
         print("RESULT", seen)
     """)
-    assert "RESULT [(2, True)]" in out
+    # two blocks per CPU
+    assert "RESULT [(4, True)]" in out

@@ -1,3 +1,4 @@
+import collections
 import math
 import multiprocessing
 import os
@@ -12,14 +13,17 @@ from recsolve import dsl, symbolic
 from recsolve.dsl import parse_expr, print_expr
 from recsolve.evaluator import Evaluator
 from recsolve.linear import guess_linear
-from recsolve.model import Const, EvalError, Var, eval_array, eval_ground
+from recsolve.model import Const, EvalError, Var, _eval_array, array_rules, eval_array, eval_ground
 from recsolve.symbolic import (
     _BUILD,
     COSTS,
     GPConfig,
     OperatorSet,
     _at,
+    _crossover,
+    _mutate,
     _node,
+    _perturb_const,
     _random_tree,
     _replace,
     _Tree,
@@ -228,14 +232,17 @@ def _check_node(t):
 @pytest.mark.parametrize("ops", [OperatorSet(), OperatorSet(("add", "mul"), ("pow2",))])
 def test_gp_node_matches_a_walk_over_node(ops):
     """Each node's tag, size, complexity and preorder match a plain walk,
-    and replacing at every index with every node of a second tree gives the
-    tree rebuilt from the root, with its cached data right."""
+    for a random tree built node by node as for one derived from its
+    expression, and replacing at every index with every node of a second
+    tree gives the tree rebuilt from the root, with its cached data right."""
     for seed in range(60):
         rng = random.Random(seed)
-        a = _random_tree(rng, ("x", "y"), ops, 3)
-        b = _random_tree(rng, ("x", "y"), ops, 2)
-        ta, tb = _Tree(a), _Tree(b)
-        _check_node(ta)
+        ta = _random_tree(rng, ("x", "y"), ops, 3)
+        tb = _random_tree(rng, ("x", "y"), ops, 2)
+        a, b = ta.expr, tb.expr
+        for t in (ta, tb):
+            _check_node(t)
+            assert t == _Tree(t.expr) and hash(t) == hash(_Tree(t.expr))
         for i in range(ta.size):
             for j in range(tb.size):
                 got = _replace(ta, i, _at(tb, j))
@@ -289,7 +296,7 @@ def test_tree_loss_is_the_mean_bit_for_bit():
     checked = {"finite": 0, "inf": 0}
     for seed in range(400):
         ops = OperatorSet() if seed % 2 else OperatorSet(("add", "mul"), ("pow2", "cube"))
-        tree = _random_tree(random.Random(seed), ("x", "y"), ops, 3)
+        tree = _random_tree(random.Random(seed), ("x", "y"), ops, 3).expr
         n = rng.randint(5, 40)
         cols = {v: np.array([float(rng.choice(pool)) for _ in range(n)]) for v in ("x", "y")}
         scale = rng.choice([1.0, 1e3, 1e150, 2.0 ** 512])
@@ -303,6 +310,103 @@ def test_tree_loss_is_the_mean_bit_for_bit():
     assert eval_array(parse_expr("2^(x^3)"), x8)[0] == 2.0 ** 512
     with np.errstate(over="ignore"):
         assert tree_loss(parse_expr("2^(x^3)"), x8, np.zeros(5)) == math.inf
+
+
+def test_gp_node_is_not_equal_to_a_non_node():
+    x = _Tree(Var("x"))
+    assert x.__eq__(Var("x")) is NotImplemented
+    assert x != Var("x") and Var("x") != x and x != "x"
+    assert x == _Tree(Var("x")) and {_Tree(Var("x")): 1}[x] == 1
+
+
+def _check_scored(t, cols, y):
+    """tree_loss of node `t` is _old_loss of its expression, and the column
+    kept on each node of `t` is eval_array's value before its final
+    overflow check, both bit for bit."""
+    loss = tree_loss(t, cols, y)
+    assert loss == _old_loss(t.expr, cols, y)
+    assert t._cols is cols
+    with np.errstate(all="ignore"):
+        for node in (_at(t, i) for i in range(t.size)):
+            want = _eval_array(np, array_rules(False), node.expr, cols)
+            assert node._cols is cols
+            assert np.asarray(node._col).tobytes() == np.asarray(want).tobytes()
+    return loss
+
+
+def test_node_scoring_is_eval_array_bit_for_bit():
+    """Children of crossover, mutation and constant perturbation are scored
+    from the columns kept on the nodes they share with scored trees, yet
+    each loss and column is eval_array's bit for bit: where rows give nan or
+    inf, and where a replaced operand turns a power into square, cube, pow2
+    or pow."""
+    rng = random.Random(11)
+    params, ops, rows = ("x", "y"), OperatorSet(), 24
+    # 0 and negatives give nan (log2, division, factorial, powers); 40 and
+    # 600 give inf or magnitudes past 2^512
+    pool = [0.0, 1.0, 2.0, 3.0, 5.0, 8.0, -1.0, -4.0, 40.0, 600.0]
+    cols = {v: np.array([rng.choice(pool) for _ in range(rows)]) for v in params}
+    y = np.array([rng.uniform(-50, 50) for _ in range(rows)])
+    two, three = _Tree(Const(Fraction(2))), _Tree(Const(Fraction(3)))
+    counts = collections.Counter()
+    with np.errstate(over="ignore"):
+        # (tree, index replaced, replacement, index of the power, its new operator)
+        for src, index, repl, at, tag in [
+            ("x^y", 2, two, 0, "square"),
+            ("x^y", 2, three, 0, "cube"),
+            ("x^y", 1, two, 0, "pow2"),
+            ("x^y", 1, three, 0, "pow"),
+            ("2^(x + y)", 1, two, 0, "square"),
+            ("2^(x + y)", 1, three, 0, "cube"),
+            ("(x - 1)^4 + y", 5, two, 1, "square"),
+            ("(x - 1)^4 + y", 5, _Tree(Var("y")), 1, "pow"),
+            ("x^y*y", 2, two, 1, "pow2"),
+        ]:
+            t = _Tree(parse_expr(src))
+            _check_scored(t, cols, y)
+            u = _replace(t, index, repl)
+            assert _at(u, at).tag == tag
+            _check_node(u)
+            _check_scored(u, cols, y)
+        pop = [_random_tree(random.Random(seed), params, ops, 3) for seed in range(40)]
+        for t in pop:
+            _check_scored(t, cols, y)
+        for step in range(1200):
+            a, b = rng.choice(pop), rng.choice(pop)
+            kind = step % 4
+            if kind == 0:
+                child = _crossover(rng, a, b)
+            elif kind == 1:
+                child = _mutate(rng, a, params, ops)
+            elif kind == 2:
+                child = _perturb_const(rng, a)
+            else:  # 2 or 3 in place of a node: powers change operator
+                child = _replace(a, rng.randrange(a.size), rng.choice([two, three]))
+            _check_node(child)
+            counts["shares"] += child._cols is None and any(k._cols is cols for k in child.kids)
+            loss = _check_scored(child, cols, y)
+            counts["finite" if math.isfinite(loss) else "inf"] += 1
+            pop.append(child)
+    assert counts["shares"] > 300
+    assert min(counts["finite"], counts["inf"]) > 200
+
+
+def test_node_column_is_kept_for_its_own_columns_only():
+    """A node scored on one dict of columns is computed afresh on another,
+    even one of equal contents, and so are the nodes it shares with a tree
+    scored on the first."""
+    t = _Tree(parse_expr("x*x + floor(x/2)"))
+    a = {"x": np.arange(1.0, 9.0)}
+    b = {"x": np.arange(5.0, 13.0)}
+    same_as_a = {"x": a["x"].copy()}
+    y = np.zeros(8)
+    assert _check_scored(t, a, y) != _check_scored(t, b, y)
+    u = _replace(t, 1, _Tree(Var("x")))  # x + floor(x/2): its floor was scored on b
+    assert u.kids[1] is t.kids[1] and t.kids[1]._cols is b
+    _check_scored(u, a, y)
+    assert t.kids[1]._cols is a
+    assert _check_scored(t, same_as_a, y) == tree_loss(_Tree(t.expr), a, y)
+    assert t._cols is same_as_a
 
 
 def test_evolve_silences_overflow_whatever_the_callers_errstate():
@@ -353,6 +457,7 @@ def test_evolve_scores_and_tunes_each_tree_once(monkeypatch):
     island's best is not tuned twice.  One island block, so that every call
     is made in this process, where the counters are."""
     monkeypatch.setattr(symbolic, "available_cpus", lambda: 1)
+    blocks = _record_blocks(monkeypatch)
     scored, tuned, tuning = [0], [], [False]
     real_loss, real_tune = symbolic.tree_loss, symbolic.optimize_constants_tree
 
@@ -378,6 +483,19 @@ def test_evolve_scores_and_tunes_each_tree_once(monkeypatch):
     )
     assert 0 < scored[0] < made
     assert tuned and len(tuned) == len(set(tuned))
+    assert blocks == [1]
+
+
+def _record_blocks(monkeypatch) -> list[int]:
+    """The number of island blocks of each evolve call from now on."""
+    blocks, run_blocks = [], symbolic._run_blocks
+
+    def recorded(n, run):
+        blocks.append(n)
+        return run_blocks(n, run)
+
+    monkeypatch.setattr(symbolic, "_run_blocks", recorded)
+    return blocks
 
 
 _XS = [(i,) for i in range(12)]
@@ -399,15 +517,68 @@ _BLOCK_CASES = {
 
 @pytest.mark.parametrize("case", sorted(_BLOCK_CASES))
 def test_evolve_front_is_the_same_for_any_block_count(monkeypatch, case):
-    """Islands evolved in 1, 2 or 3 blocks (processes) give the same front
-    entries, bit for bit, and leave no process behind."""
+    """Islands evolved on 1 to 4 CPUs, in one block on one CPU and otherwise
+    in two blocks (processes) per CPU, at most one per island, give the
+    same front entries, bit for bit, and leave no process behind."""
+    islands = _BLOCK_CASES[case][4].populations
+    blocks = _record_blocks(monkeypatch)
     fronts = []
-    for cpus in (1, 2, 3):
+    for cpus in (1, 2, 3, 4):
         monkeypatch.setattr(symbolic, "available_cpus", lambda: cpus)
         fronts.append(evolve(*_BLOCK_CASES[case]).entries)
         assert multiprocessing.active_children() == []
+    assert blocks == [1] + [min(islands, 2 * cpus) for cpus in (2, 3, 4)]
     assert fronts[0]
-    assert fronts[1] == fronts[0] and fronts[2] == fronts[0]
+    assert all(f == fronts[0] for f in fronts[1:])
+
+
+# evolve's Pareto entries (complexity, loss as float.hex, printed tree),
+# recorded from an earlier version of the search: a change that makes the
+# search faster must reproduce them bit for bit
+_XS1 = [(i,) for i in range(1, 13)]
+_XYS1 = [(i, j) for i in range(1, 6) for j in range(4)]
+_PINNED = {
+    "one-variable": (
+        (_XS1, [2.5 * i * i - 1.5 * i + 0.75 for (i,) in _XS1], ("x",), None,
+         GPConfig(6, 16, 12, seed=3)),
+        [
+            (1, "0x1.7b9871c71c71bp+13", "8895782068761987/70368744177664"),
+            (2, "0x1.239a800000000p+13", "x^2"),
+            (4, "0x1.e3d8fc962fc97p+10", "(1577168875172815/562949953421312)^3*x"),
+            (5, "0x1.465d555555555p+9", "(x + x)*x"),
+            (7, "0x1.60a5555555555p+8", "x^2 + x^2 + x"),
+            (9, "0x1.261f258bf2589p+6",
+             "(x + x - log2((725012901443533/2251799813685248)^2))*x"),
+            (13, "0x1.585bdffc7ddb0p+2",
+             "max(2010909554989207/2251799813685248, ceil(x)^2)"
+             "/log2(1875939824389107/1125899906842624) + x*x"),
+            (21, "0x1.4b5318fc7a32ep-1",
+             "(x + 2272170995322913/2251799813685248"
+             " - (x + x)^(-4369015458061185/18014398509481984))"
+             "*log2(2849747320791447/1125899906842624)*(x + x - log2(x))"),
+        ],
+    ),
+    "two-variables": (
+        (_XYS1, [1.5 * a * b + 0.25 * b + 3.0 for a, b in _XYS1], ("x", "y"), None,
+         GPConfig(5, 14, 10, seed=8)),
+        [
+            (1, "0x1.5ee0000000000p+6", "x"),
+            (2, "0x1.01e0000000000p+6", "2^y"),
+            (3, "0x1.1f31745d1745dp+5", "x*(3569614472114101/1125899906842624)"),
+            (4, "0x1.2980000000000p+4", "y!*x"),
+            (5, "0x1.6f00000000000p+3", "x + y*x"),
+            (7, "0x1.5c00000000000p+1", "x + (y + y*x)"),
+            (9, "0x1.7fffffffffffep-1", "x*y + (y*(3940649688615961/2251799813685248) + x)"),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED))
+def test_evolve_reproduces_pinned_fronts(case):
+    args, want = _PINNED[case]
+    front = evolve(*args)
+    assert [(e.complexity, e.loss.hex(), print_expr(e.tree)) for e in front.pareto()] == want
 
 
 def _fail_outside_this_process(monkeypatch):
