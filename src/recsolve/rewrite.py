@@ -386,9 +386,17 @@ def _cmp_consts(op: str, a: Fraction, c: Fraction) -> bool:
 
 
 def _flatten(b: BoolExpr, junction) -> list[BoolExpr]:
-    if isinstance(b, junction):
-        return _flatten(b.lhs, junction) + _flatten(b.rhs, junction)
-    return [b]
+    """The operands of a chain of `junction` nodes, left to right, however
+    deep the chain (no recursion)."""
+    out: list[BoolExpr] = []
+    stack = [b]
+    while stack:
+        b = stack.pop()
+        if isinstance(b, junction):
+            stack += (b.rhs, b.lhs)
+        else:
+            out.append(b)
+    return out
 
 
 def _same_sides(a: Cmp, b: Cmp) -> str | None:

@@ -410,10 +410,11 @@ class _Encoder:
             return "true"
         if isinstance(b, Not):
             return f"(not {self.boolean(b.arg)})"
-        if isinstance(b, And):
-            return f"(and {self.boolean(b.lhs)} {self.boolean(b.rhs)})"
-        if isinstance(b, Or):
-            return f"(or {self.boolean(b.lhs)} {self.boolean(b.rhs)})"
+        if isinstance(b, (And, Or)):
+            # one n-ary node per chain: a long chain of obligations must not
+            # nest as deep as it is long, here or in the solver's parser
+            parts = " ".join(self.boolean(p) for p in _flatten(b, type(b)))
+            return f"({'and' if isinstance(b, And) else 'or'} {parts})"
         if isinstance(b, Cmp):
             (ta, da), (tb, db) = self.term(b.lhs), self.term(b.rhs)
             L = _lcm(da, db)

@@ -3,11 +3,17 @@ arithmetic, used when no external solver (z3, cvc5, ...) is installed.
 
 Reads a script from a file argument or stdin; prints "sat" (plus a model on
 get-model), "unsat", or "unknown".  Decides by Cooper quantifier elimination
-over the DNF of the assertion after term-level ite lifting; anything outside
-the fragment (non-zero-arity functions, quantifiers, reals) is answered
-"unknown", never incorrectly.  A comparison with a non-linear product is
-kept opaque: a linear branch of the DNF can still show "sat" (the model is
-checked against the whole assertion), but without one the answer is
+over the DNF of the assertion after term-level ite lifting.  Before Cooper's
+branches for a variable, its real shadow (Pugh's Omega test: every lower
+bound at most every upper bound) is projected on, without branching, where
+that adds no atoms; when a projection is refuted, so is the conjunction.  The
+prune skips only branches that would all fail and makes no call of its own,
+so a query makes no more elimination calls than Cooper alone, and every
+answer Cooper gives within the branch budget, and its model, is unchanged.
+Anything outside the fragment (non-zero-arity functions, quantifiers, reals)
+is answered "unknown", never incorrectly.  A comparison with a non-linear
+product is kept opaque: a linear branch of the DNF can still show "sat" (the
+model is checked against the whole assertion), but without one the answer is
 "unknown".
 """
 
@@ -416,6 +422,40 @@ def _pick_var(conj):
     return min(stats, key=lambda k: (stats[k][0], stats[k][1], k))
 
 
+def _shadow_refuted(conj) -> bool:
+    """Whether a conjunction has no integer point by its real shadows
+    (Pugh's Omega test): variables are projected out in _pick_var order,
+    each lower bound a*x >= p meeting each upper bound b*x <= q as
+    b*p <= a*q, with divisibility atoms on x dropped and _tighten rounding
+    what is left.  Every step relaxes the conjunction, so a refutation is
+    sound; the projection gives up, refuting nothing, at a variable whose
+    bound pairs outnumber its bounds, so no step adds atoms.  It solves
+    nothing, so it makes no solve_conj call and spends no budget."""
+    while True:
+        conj = _prune(conj)
+        if conj is None:
+            return True
+        conj = _tighten(conj)
+        if conj is None:
+            return True
+        if not conj:
+            return False
+        x = _pick_var(conj)
+        rest, lows, ups = [], [], []
+        for a in conj:
+            lin = a[1] if a[0] == "le" else a[2]
+            if x not in lin:
+                rest.append(a)
+            elif a[0] == "le":
+                # -a*x + p <= 0 is a lower bound, b*x + q <= 0 an upper one
+                r = {k: v for k, v in lin.items() if k != x}
+                (lows if lin[x] < 0 else ups).append((abs(lin[x]), r))
+        if len(lows) * len(ups) > len(lows) + len(ups):
+            return False
+        rest += [("le", lin_add(lin_scale(p, b), lin_scale(q, a))) for a, p in lows for b, q in ups]
+        conj = rest
+
+
 def solve_conj(conj, budget: Budget):
     """Decide one conjunction; returns a model dict or None.  Each call,
     also one refuted at once, spends one unit of the budget."""
@@ -461,6 +501,14 @@ def solve_conj(conj, budget: Budget):
     delta = 1
     for d, _, _ in divs:
         delta = lcm(delta, d)
+
+    # real shadow: an integer y lies between every lower and every upper
+    # bound, so where those pairs have no integer point no branch below
+    # succeeds.  Built only where it has no more atoms than the conjunction.
+    if lowers and len(lowers) * len(uppers) <= len(lowers) + len(uppers):
+        shadow = without_x + [("le", lin_add(lo, lin_scale(up, -1))) for lo in lowers for up in uppers]
+        if _shadow_refuted(shadow):
+            return None
 
     def substituted(term):
         """Residual conjunction with y := term (a linear form over the

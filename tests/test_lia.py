@@ -143,8 +143,9 @@ def test_get_model_after_unsat_is_error_line():
     assert "error" in lines[1]
 
 
-def _random_formula(rng, nv, cmax):
-    vs = [f"v{i}" for i in range(nv)]
+def _random_body(rng, vs, cmax):
+    """A random and/or/not formula of depth up to 2 over linear atoms in
+    `vs`, coefficients in [-cmax, cmax]."""
 
     def term():
         parts = [f"(* {rng.randint(-cmax, cmax)} {rng.choice(vs)})" for _ in range(rng.randint(1, 2))]
@@ -163,7 +164,12 @@ def _random_formula(rng, nv, cmax):
             return f"(not {bexpr(d - 1)})"
         return f"({k} {bexpr(d - 1)} {bexpr(d - 1)})"
 
-    body = bexpr(2)
+    return bexpr(2)
+
+
+def _random_formula(rng, nv, cmax):
+    vs = [f"v{i}" for i in range(nv)]
+    body = _random_body(rng, vs, cmax)
     box = " ".join(f"(and (>= {v} 0) (<= {v} 6))" for v in vs)
     return vs, f"(and {box} {body})"
 
@@ -187,3 +193,64 @@ def test_fuzz_against_brute_force():
         if got == "sat":
             model = _parse_model_lines(out)
             assert _eval_sexpr(tree, model), (trial, model, script)
+
+
+def _compiled(tree):
+    """A Python function of the variables' values that evaluates a parsed
+    formula of the shapes _random_box_formula makes, much faster than
+    _eval_sexpr over a whole search box."""
+
+    def src(t):
+        if isinstance(t, str):
+            return t if t.lstrip("-").isdigit() else f"env[{t!r}]"
+        h, args = t[0], [src(a) for a in t[1:]]
+        if h in ("+", "*"):
+            return "(" + f" {h} ".join(args) + ")"
+        if h == "-":
+            return f"(-{args[0]})" if len(args) == 1 else "(" + " - ".join(args) + ")"
+        if h in ("and", "or"):
+            return "(" + f" {h} ".join(args) + ")"
+        if h == "not":
+            return f"(not {args[0]})"
+        return f"({args[0]} {'==' if h == '=' else h} {args[1]})"
+
+    return eval(f"lambda env: {src(tree)}")
+
+
+def _random_box_formula(rng):
+    """Up to 4 variables, each in a box with possibly negative ends, bounded
+    on one side only, or free; coefficients up to 5 in absolute value."""
+    vs = [f"v{i}" for i in range(rng.randint(1, 4))]
+    bounds = []
+    for v in vs:
+        lo = rng.randint(-5, 2)
+        hi = lo + rng.randint(0, 5)
+        kind = rng.choice(["box", "box", "above", "below", "free"])
+        if kind in ("box", "above"):
+            bounds.append(f"(>= {v} {lo})")
+        if kind in ("box", "below"):
+            bounds.append(f"(<= {v} {hi})")
+    body = _random_body(rng, vs, 5)
+    return vs, "(and " + " ".join(bounds + [body]) + ")"
+
+
+def test_fuzz_boxes_with_negative_and_open_ends():
+    """An unsat answer leaves no point in the search box [-8, 8]^n; a sat
+    model satisfies the formula; unknown is never wrong."""
+    rng = random.Random(29)
+    answers = {"sat": 0, "unsat": 0, "unknown": 0}
+    for trial in range(400):
+        vs, full = _random_box_formula(rng)
+        script = "".join(f"(declare-fun {v} () Int)" for v in vs)
+        out = run_script(script + f"(assert {full})(check-sat)(get-model)")
+        got = out.splitlines()[0]
+        answers[got] += 1
+        holds = _compiled(parse_sexprs(tokenize(full))[0])
+        if got == "sat":
+            model = _parse_model_lines(out)
+            assert holds(model), (trial, model, script)
+        elif got == "unsat":
+            point = next((pt for pt in itertools.product(range(-8, 9), repeat=len(vs))
+                          if holds(dict(zip(vs, pt)))), None)
+            assert point is None, (trial, point, script)
+    assert answers["sat"] > 200 and answers["unsat"] > 50, answers

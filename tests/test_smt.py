@@ -14,7 +14,7 @@ from recsolve import dsl, smt
 from recsolve.dsl import parse, parse_candidate, parse_expr, print_bool, print_expr
 from recsolve.evaluator import Evaluator
 from recsolve.model import (
-    Add, And, Const, Or, PiecewiseClosedForm, Var, contains_call, eval_bool, eval_ground,
+    Add, And, Cmp, Const, Or, PiecewiseClosedForm, Var, contains_call, eval_bool, eval_ground,
 )
 from recsolve.rewrite import simplify
 from recsolve.smt import (
@@ -34,7 +34,7 @@ from recsolve.smt import (
     verify,
 )
 
-from conftest import EQ1, MAXVAR, MERGE, MINVAR, SUCC, corpus_files
+from conftest import EQ1, MAXVAR, MERGE, MINVAR, SUCC, corpus_files, spy
 
 
 def test_branches_worked_example(eq1):
@@ -499,6 +499,119 @@ def test_corpus_checks_stay_far_below_the_solver_budget(corpus, monkeypatch):
             assert calls[0] < limit, name
             checked += 1
     assert checked == 50
+
+
+_UNSAT = 'unsat\n(error "model is not available")'
+
+# the bundled solver's stdout on each `expect` and `expect+1` query of the
+# corpus, recorded before the real-shadow prune: a solver change that makes
+# it faster must print these byte for byte (None: no query is sent)
+_CHECK_STDOUT = {
+    "bin_search": (None, None),
+    "div": ("unknown", "unknown"),
+    "enqdeq1": (None, None),
+    "enqdeq3": (None, None),
+    "exp1": (_UNSAT, "sat\n(model\n  (define-fun x () Int 0)\n)"),
+    "exp2": (_UNSAT, "sat\n(model\n  (define-fun x () Int 0)\n)"),
+    "exp3": (_UNSAT, "sat\n(model\n  (define-fun x () Int 0)\n  (define-fun y () Int 0)\n)"),
+    "fact": (None, None),
+    "highdim1": (_UNSAT, "sat\n(model\n"
+                 + "".join(f"  (define-fun x{i} () Int 0)\n" for i in range(1, 7)) + ")"),
+    "incr1": (_UNSAT, "sat\n(model\n  (define-fun x () Int 10)\n)"),
+    "lba_ex_viap": (_UNSAT, "sat\n(model\n  (define-fun x () Int 0)\n  (define-fun y () Int 1)\n"
+                    "  (define-fun c () Int 0)\n  (define-fun .q1 () Int 0)\n"
+                    "  (define-fun .q2 () Int (- 1))\n)"),
+    "loop_tarjan": (None, None),
+    "mccarthy91": (_UNSAT, "sat\n(model\n  (define-fun x () Int 101)\n)"),
+    "merge": (_UNSAT, "sat\n(model\n  (define-fun x () Int 0)\n  (define-fun y () Int 0)\n)"),
+    "merge_sz": (_UNSAT, "sat\n(model\n  (define-fun x () Int 0)\n  (define-fun y () Int 0)\n)"),
+    "multiphase1": (None, None),
+    "nested": (_UNSAT, "sat\n(model\n  (define-fun x () Int 0)\n)"),
+    "noisy_strt1": (_UNSAT, "sat\n(model\n  (define-fun x () Int 0)\n)"),
+    "nondet_max": (_UNSAT, "sat\n(model\n  (define-fun x () Int 0)\n)"),
+    "nondet_min": (_UNSAT, "sat\n(model\n  (define-fun x () Int 0)\n)"),
+    "open_zip": (_UNSAT, "sat\n(model\n  (define-fun x () Int 0)\n  (define-fun y () Int 0)\n)"),
+    "poly2": (None, None),
+    "poly5": (None, None),
+    "succ": (_UNSAT, "sat\n(model\n  (define-fun n () Int 0)\n)"),
+    "sum_osc": ("unknown", "sat\n(model\n  (define-fun x () Int 0)\n  (define-fun y () Int 0)\n)"),
+}
+
+
+def _check_queries(corpus):
+    """(name, tag, system, candidate) of each query of the `check` bench
+    workload: every corpus `expect`, and that form plus 1."""
+    for name, bf in corpus.items():
+        if bf.expect is not None:
+            yield name, "expect", bf.system, bf.expect
+            yield name, "expect+1", bf.system, _plus_one(bf.expect)
+
+
+def test_check_queries_print_the_pinned_stdout(corpus, monkeypatch):
+    outputs = spy(monkeypatch, recsolve_lia, "run_script")
+    bundled = SolverConfig(command=(sys.executable, recsolve_lia.__file__))
+    got: dict = {}
+    for name, _tag, system, cand in _check_queries(corpus):
+        outputs.clear()
+        verify(system, cand, bundled)
+        assert len(outputs) <= 1, name
+        got.setdefault(name, []).append(outputs[0][1] if outputs else None)
+    assert {k: tuple(v) for k, v in got.items()} == _CHECK_STDOUT
+
+
+def test_check_queries_make_few_solve_conj_calls(corpus, monkeypatch):
+    """With the real-shadow prune, no `check` query makes 1,000 solve_conj
+    calls, and highdim1's proof (3,270 calls without it) makes at most 500."""
+    calls = _count_solve_conj(monkeypatch, 1000)
+    bundled = SolverConfig(command=(sys.executable, recsolve_lia.__file__))
+    counts = {}
+    for name, tag, system, cand in _check_queries(corpus):
+        calls[0] = 0
+        verify(system, cand, bundled)
+        counts[f"{name}:{tag}"] = calls[0]
+    assert len(counts) == 50
+    assert counts["highdim1:expect"] <= 500
+
+
+def test_shadow_refutes_lower_bounds_above_an_upper_one_in_flat_calls(monkeypatch):
+    """k lower bounds on 2x, each above the upper bound x <= 3: without the
+    shadow Cooper tries every lower bound (k + 2 calls); with it the count
+    does not grow with k."""
+    calls = _count_solve_conj(monkeypatch, 1000)
+    counts = []
+    for k in (1, 4, 16):
+        lows = " ".join(f"(>= (* 2 x) (+ y {2 * i + 6}))" for i in range(1, k + 1))
+        script = (f"(declare-fun x () Int)(declare-fun y () Int)"
+                  f"(assert (and (<= x 3) (>= y 0) {lows}))(check-sat)")
+        calls[0] = 0
+        assert recsolve_lia.run_script(script) == "unsat"
+        counts.append(calls[0])
+    assert counts == [counts[0]] * 3
+
+
+def test_shadow_adds_no_solve_conj_calls_to_a_satisfiable_chain(monkeypatch):
+    """The shadow is projected on, not solved, so a satisfiable chain
+    x0 >= 0, x(i+1) > xi, x13 <= 19 takes one call per variable plus the
+    last, empty one, as with Cooper alone; solving each shadow with
+    solve_conj would double the calls at every variable (32,767)."""
+    calls = _count_solve_conj(monkeypatch, 1000)
+    xs = [f"x{i}" for i in range(14)]
+    chain = " ".join(f"(> {b} {a})" for a, b in zip(xs, xs[1:]))
+    script = ("".join(f"(declare-fun {x} () Int)" for x in xs)
+              + f"(assert (and (>= x0 0) {chain} (<= x13 19)))(check-sat)")
+    assert recsolve_lia.run_script(script) == "sat"
+    assert calls[0] == len(xs) + 1
+
+
+def test_a_query_of_5000_obligations_is_encoded_flat_and_decided():
+    """A long left-nested chain of obligations, as verify builds it, is one
+    n-ary (or ...) in the script, so neither the encoder nor the solver
+    recurses as deep as the chain is long."""
+    x = Var("x")
+    broken = functools.reduce(Or, [Cmp("=", x, Const(Fraction(-k))) for k in range(1, 5001)])
+    job = build_job(("x",), And(Cmp(">=", x, Const(Fraction(0))), broken), SolverConfig())
+    assert "(or (= x (- 1)) (= x (- 2))" in job.assertion
+    assert recsolve_lia.run_script(job.script).splitlines()[0] == "unsat"
 
 
 def test_encode_refuses_what_it_cannot_express():
