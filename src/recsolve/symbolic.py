@@ -12,12 +12,15 @@ islands of one run are evolved in contiguous blocks, two per available CPU
 (one on one CPU): block 0 in the calling process, the others in forked
 children that swap migrants with their neighbours through pipes; the front
 is the same for any number of blocks.  The search's shape is fixed by the
-constants below; GPConfig sets only its size and seed.  numpy, multiprocessing and scipy.optimize load
-at a process's first `evolve` or constant tuning, not with this module.
+constants below; GPConfig sets only its size and seed.  Constants are tuned
+by a port of scipy's Nelder–Mead (`_nelder_mead`), so no scipy module loads
+here; numpy and multiprocessing load at a process's first `evolve` or
+constant tuning, not with this module.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 import os
 import random
@@ -26,7 +29,7 @@ import traceback
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING
 
 from .linear import GuessOutcome, _guess_domains, held_out_r2
@@ -300,17 +303,37 @@ def tree_loss(tree: _Tree | Expr, cols: dict[str, np.ndarray], targets: np.ndarr
     once a node is scored on it.  The sum and the division are those of
     np.mean, so the loss is np.mean of the squared residuals bit for bit.  A
     residual of magnitude 2^512 or more squares to inf, which numpy reports
-    as an overflow; `evolve` silences that once for its whole run."""
+    as an overflow; `evolve` silences that once for its whole run.
+
+    Where eval_array's value would have a nan (some value is nan or above
+    2^512 in magnitude, see `array_valid`), the loss is inf.  That pass is
+    skipped when every target is below 2^460 in magnitude: a value past
+    2^512 is then at least 2^512 + 2^460, so its residual is 2^512 or more
+    and the squared sum is not finite anyway.  Whether the targets are that
+    small is computed once per targets array, so `targets`, like `cols`,
+    must not change once a node is scored on it."""
+    global _last_targets
     import numpy as np
 
     node = tree if type(tree) is _Tree else _Tree(tree)
+    seen, small = _last_targets
+    if seen is not targets:
+        small = bool(np.abs(targets).max() < _SMALL_TARGET)
+        _last_targets = (targets, small)
     with np.errstate(all="ignore"):
         v = _column(np, array_rules(False), node, cols)
-        if not array_valid(np, v):  # eval_array's value has a nan
+        if not small and not array_valid(np, v):  # eval_array's value has a nan
             return math.inf
     d = v - targets
     loss = float(np.add.reduce(d * d)) / len(d)
     return loss if math.isfinite(loss) else math.inf
+
+
+# targets below this in magnitude need no `array_valid` pass (see tree_loss)
+_SMALL_TARGET = 2.0 ** 460
+# the targets array that tree_loss read last, and whether all are below
+# _SMALL_TARGET in magnitude
+_last_targets: tuple = (None, False)
 
 
 def _column(np, rules, t: _Tree, cols):
@@ -335,6 +358,15 @@ def _column(np, rules, t: _Tree, cols):
 # ---------------------------------------------------------------------------
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """rng.randrange(n) for n > 0, by the same draws, without its checks."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def _random_leaf(rng: random.Random, params: tuple[str, ...]) -> _Tree:
     if rng.random() < 0.7:
         return _made(Var(rng.choice(params)), "var")
@@ -354,7 +386,7 @@ def _random_tree(rng: random.Random, params, ops: OperatorSet, depth: int) -> _T
 
 
 def _mutate(rng: random.Random, tree: _Tree, params, ops: OperatorSet) -> _Tree:
-    idx = rng.randrange(tree.size)
+    idx = _below(rng, tree.size)
     if rng.random() < 0.5:
         return _replace(tree, idx, _random_tree(rng, params, ops, 2))
     # point mutation: swap the operator, keep children
@@ -373,15 +405,15 @@ def _perturb_const(rng: random.Random, tree: _Tree) -> _Tree:
     if not tree.consts:
         return tree
     # the same draw as rng.choice over the list of the constants' indices
-    idx = _const_index(tree, rng.randrange(tree.consts))
+    idx = _const_index(tree, _below(rng, tree.consts))
     c = float(_at(tree, idx).expr.value)
     new = c * (1.0 + rng.gauss(0, 0.3)) + rng.gauss(0, 0.1)
     return _replace(tree, idx, _made(Const(Fraction(new)), "const"))
 
 
 def _crossover(rng: random.Random, a: _Tree, b: _Tree) -> _Tree:
-    ai = rng.randrange(a.size)
-    return _replace(a, ai, _at(b, rng.randrange(b.size)))
+    ai = _below(rng, a.size)
+    return _replace(a, ai, _at(b, _below(rng, b.size)))
 
 
 class _Individual:
@@ -435,8 +467,8 @@ def evolve(
     serial rule that the first offer wins a tie (no two blocks share an
     island, and a block keeps its own first), and then tunes the front's
     constants.  So the front is the same, bit for bit, for any number of
-    blocks.  scipy.optimize is loaded here, before the fork, so that the
-    children share it instead of each importing it.
+    blocks.  The search makes no reference cycles, so the cyclic garbage
+    collector is off while a block evolves and restored afterwards.
 
     Each GP node carries its size, complexity and hash, computed once when
     it is built (`_Tree`), so variation rebuilds only the path to the node
@@ -472,10 +504,13 @@ def evolve(
     cuts = [cfg.populations * k // n for k in range(n + 1)]
 
     def run(k: int, exchange) -> dict:
-        return _evolve_islands(range(cuts[k], cuts[k + 1]), exchange, cols, y, params, ops, cfg)
-
-    # the blocks tune constants: load scipy.optimize once, before the fork
-    import scipy.optimize  # noqa: F401
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return _evolve_islands(range(cuts[k], cuts[k + 1]), exchange, cols, y, params, ops, cfg)
+        finally:
+            if enabled:
+                gc.enable()
 
     with np.errstate(over="ignore"):
         best: dict[int, tuple[float, tuple[int, int], Expr]] = {}
@@ -528,9 +563,9 @@ def _evolve_islands(
 
     def tournament(rng: random.Random, pop: list[_Individual]) -> _Individual:
         n = len(pop)
-        best = pop[rng.randrange(n)]
+        best = pop[_below(rng, n)]
         for _ in range(TOURNAMENT - 1):
-            ch = pop[rng.randrange(n)]
+            ch = pop[_below(rng, n)]
             if ch.key < best.key:
                 best = ch
         return best
@@ -665,31 +700,101 @@ def _exchanger(recv, send):
 def optimize_constants_tree(
     tree: _Tree | Expr, cols: dict[str, np.ndarray], y: np.ndarray, max_evals: int = 200
 ) -> _Tree | Expr:
-    """Simplex search over the numeric leaves of a GP node or an expression,
-    minimizing the training loss on the columns `cols`; the result is of
-    the same kind and never worse than `tree`."""
+    """Nelder–Mead search (`_nelder_mead`, at most `max_evals` losses) over
+    the numeric leaves of a GP node or an expression, minimizing the
+    training loss on the columns `cols`; the result is of the same kind and
+    never worse than `tree`."""
     node = tree if type(tree) is _Tree else _Tree(tree)
     if not node.consts:
         return tree
-    import numpy as np
-    from scipy.optimize import minimize
+    x0 = [float(_at(node, _const_index(node, k)).expr.value) for k in range(node.consts)]
 
-    x0 = np.asarray([float(_at(node, _const_index(node, k)).expr.value)
-                     for k in range(node.consts)])
-
-    def objective(vals) -> float:
+    def objective(vals: list[float]) -> float:
         loss = tree_loss(_set_consts(node, iter(vals)), cols, y)
         return loss if math.isfinite(loss) else 1e300
 
-    res = minimize(
-        objective,
-        x0,
-        method="Nelder-Mead",
-        options={"maxfev": max_evals, "xatol": 1e-10, "fatol": 1e-12},
-    )
-    tuned = _set_consts(node, iter(res.x))
+    tuned = _set_consts(node, iter(_nelder_mead(objective, x0, max_evals, 1e-10, 1e-12)))
     best = tuned if tree_loss(tuned, cols, y) <= tree_loss(node, cols, y) else node
     return best if tree is node else best.expr
+
+
+class _Spent(Exception):
+    """`_nelder_mead` has made its last evaluation."""
+
+
+_value = itemgetter(0)
+
+
+def _nelder_mead(f, x0: list[float], maxfev: int, xatol: float, fatol: float) -> list[float]:
+    """The point that scipy.optimize.minimize(f, x0, method="Nelder-Mead",
+    options={"maxfev": maxfev, "xatol": xatol, "fatol": fatol}) returns:
+    a port of scipy 1.17's `_minimize_neldermead` with no bounds and
+    `adaptive=False` (Nelder & Mead, Comput. J. 1965), in Python floats and
+    bit for bit, except that vertices of equal value keep their order (a
+    stable sort), where numpy's argsort may order them by machine.  `f`
+    takes a list of floats and must not return nan."""
+    n, calls = len(x0), 0
+
+    def value(x: list[float]) -> float:
+        nonlocal calls
+        if calls >= maxfev:
+            raise _Spent
+        calls += 1
+        return f(x)
+
+    # vertices [value, point]: x0, and x0 with one coordinate moved by 5%
+    # (or set to 0.00025 where it is 0); unevaluated ones are worth inf
+    verts = [[math.inf, x0]]
+    for k in range(n):
+        x = list(x0)
+        x[k] = 1.05 * x[k] if x[k] != 0 else 0.00025
+        verts.append([math.inf, x])
+    try:
+        for v in verts:
+            v[0] = value(v[1])
+    except _Spent:
+        pass
+    verts.sort(key=_value)
+    while calls < maxfev:
+        fb, b = verts[0]
+        if all(abs(a - c) <= xatol for _, x in verts[1:] for a, c in zip(x, b)) and all(
+            abs(fb - fx) <= fatol for fx, _ in verts[1:]
+        ):
+            break
+        try:
+            xbar = [0.0] * n  # the centroid of all but the worst, summed row by row
+            for _, x in verts[:-1]:
+                xbar = [s + a for s, a in zip(xbar, x)]
+            xbar = [s / n for s in xbar]
+            fw, w = verts[-1]
+            # reflection (rho = 1), expansion (chi = 2), contractions (psi = 1/2)
+            xr = [2 * c - a for c, a in zip(xbar, w)]
+            fr = value(xr)
+            if fr < fb:
+                xe = [3 * c - 2 * a for c, a in zip(xbar, w)]
+                fe = value(xe)
+                verts[-1] = [fe, xe] if fe < fr else [fr, xr]
+            elif fr < verts[-2][0]:
+                verts[-1] = [fr, xr]
+            else:
+                if fr < fw:  # outside contraction
+                    xc = [1.5 * c - 0.5 * a for c, a in zip(xbar, w)]
+                    fc = value(xc)
+                    kept = fc <= fr
+                else:  # inside contraction
+                    xc = [0.5 * c + 0.5 * a for c, a in zip(xbar, w)]
+                    fc = value(xc)
+                    kept = fc < fw
+                if kept:
+                    verts[-1] = [fc, xc]
+                else:  # shrink toward the best (sigma = 1/2); a stop leaves a stale value
+                    for v in verts[1:]:
+                        v[1] = [c + 0.5 * (a - c) for a, c in zip(v[1], b)]
+                        v[0] = value(v[1])
+        except _Spent:
+            pass
+        verts.sort(key=_value)
+    return verts[0][1]
 
 
 def _set_consts(t: _Tree, vals) -> _Tree:

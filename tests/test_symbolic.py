@@ -1,4 +1,5 @@
 import collections
+import gc
 import math
 import multiprocessing
 import os
@@ -22,6 +23,7 @@ from recsolve.symbolic import (
     _at,
     _crossover,
     _mutate,
+    _nelder_mead,
     _node,
     _perturb_const,
     _random_tree,
@@ -99,6 +101,71 @@ def test_optimize_constants_never_worse():
     la = tree_loss(after, cols, ys)
     lb = tree_loss(before, cols, ys)
     assert la <= lb + 1e-12
+
+
+def _smooth_objective(rng: random.Random, n: int):
+    """A seeded objective in `n` variables whose values do not tie: a
+    weighted quadratic bowl with a sine and a cosine ripple, computed in
+    Python floats whether it is given a list or a numpy array."""
+    centre = [rng.uniform(-3, 3) for _ in range(n)]
+    weight = [rng.uniform(0.1, 5) for _ in range(n)]
+    ripple = rng.uniform(0, 2)
+
+    def f(x):
+        x = [float(v) for v in x]
+        s = 0.0
+        for v, c, w in zip(x, centre, weight):
+            s += w * (v - c) * (v - c)
+        return s + ripple * math.sin(3 * x[0]) + 0.1 * math.cos(sum(x))
+
+    return f
+
+
+def test_nelder_mead_is_scipys_bit_for_bit():
+    """The port returns scipy's Nelder-Mead point, bit for bit, in 1 to 6
+    variables and at budgets of 5, 40 and 200 evaluations.  Among these
+    cases the budget runs out in the initial simplex, in an expansion and
+    in the middle of a shrink, and a zero start coordinate takes the
+    0.00025 step."""
+    from scipy.optimize import minimize
+
+    for seed in range(200):
+        rng = random.Random(seed)
+        n = rng.randint(1, 6)
+        f = _smooth_objective(rng, n)
+        x0 = [rng.choice([0.0, rng.uniform(-4, 4)]) for _ in range(n)]
+        for maxfev in (5, 40, 200):
+            opts = {"maxfev": maxfev, "xatol": 1e-10, "fatol": 1e-12}
+            want = minimize(f, np.array(x0), method="Nelder-Mead", options=opts).x
+            got = _nelder_mead(f, x0, maxfev, 1e-10, 1e-12)
+            assert [v.hex() for v in got] == [float(v).hex() for v in want], (seed, maxfev)
+
+
+def test_nelder_mead_keeps_tied_vertices_in_order():
+    """On a plateau objective vertices tie.  Ties keep their order (a stable
+    sort), so the point is the same on every machine; ordering ties the
+    other way returns (0.000229..., 3.9667...) here instead."""
+    def plateau(x):
+        return float(sum(abs(math.floor((v - c) / 0.5)) for v, c in zip(x, (3, 0))))
+
+    got = _nelder_mead(plateau, [0.0, 4.0], 40, 1e-10, 1e-12)
+    assert [v.hex() for v in got] == ["0x1.0624dd2f1a9fcp-12", "0x1.e666666666666p+1"]
+
+
+def test_tree_loss_range_pass_is_skipped_only_where_it_cannot_matter():
+    """Below 2^460 a target cannot bring a value past 2^512 back into the
+    float range of a squared residual; at 2^511 it can, and there the loss
+    is still inf, as eval_array's nan makes it."""
+    cols = {"x": np.ones(5)}
+    below = 2.0 ** 460 * (1 - 2.0 ** -53)
+    for value in (2 ** 512, 2 ** 512 + 2 ** 460, -(2 ** 512 + 2 ** 460), 2 ** 600):
+        tree = Const(Fraction(value))
+        for target in (0.0, below, -below, 2.0 ** 460, 2.0 ** 511, -(2.0 ** 511)):
+            ys = np.full(5, target)
+            with np.errstate(over="ignore"):
+                got = tree_loss(tree, cols, ys)
+            assert got == _old_loss(tree, cols, ys), (value, target)
+    assert tree_loss(Const(Fraction(2 ** 512 + 2 ** 460)), cols, np.full(5, 2.0 ** 511)) == math.inf
 
 
 def test_front_respects_complexity_cap_and_operator_set(monkeypatch):
@@ -599,6 +666,33 @@ def test_evolve_raises_a_child_block_error_and_stops_every_child(monkeypatch):
         with pytest.raises(ArithmeticError, match="island block failure"):
             evolve(*_BLOCK_CASES["square"])
         assert multiprocessing.active_children() == []
+
+
+def test_evolve_pauses_the_cyclic_gc_and_restores_it(monkeypatch):
+    """The collector is off while the islands evolve, and afterwards is as
+    the caller left it: after a run, and after a child block raises."""
+    seen, real_loss = set(), symbolic.tree_loss
+
+    def loss(tree, cols, y):
+        seen.add(gc.isenabled())
+        return real_loss(tree, cols, y)
+
+    monkeypatch.setattr(symbolic, "tree_loss", loss)
+    monkeypatch.setattr(symbolic, "available_cpus", lambda: 1)
+    assert gc.isenabled()
+    evolve(*_BLOCK_CASES["one-island"])
+    assert False in seen and gc.isenabled()
+    gc.disable()
+    try:
+        evolve(*_BLOCK_CASES["one-island"])
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    _fail_outside_this_process(monkeypatch)
+    monkeypatch.setattr(symbolic, "available_cpus", lambda: 2)
+    with pytest.raises(ArithmeticError, match="island block failure"):
+        evolve(*_BLOCK_CASES["square"])
+    assert gc.isenabled()
 
 
 def test_evolve_runs_one_block_in_a_threaded_process(monkeypatch):
