@@ -6,9 +6,9 @@ fitted once, on the largest catalog tier that can be fitted there; the
 lasso path itself runs from sparse supports to dense ones, so the smaller
 tiers are not fitted again.  A piece's score is the held-out R^2 of the
 body it ships; whether the piece holds is for the check to decide.
-numpy loads at a process's first fit, in the function that first calls
-it, and scipy.linalg at its first lasso fit (`_lasso_path`); neither loads
-with this module.
+The lasso path solves its active Gram block with numpy alone.  numpy loads
+at a process's first fit, in the function that first calls it, not with
+this module.
 """
 
 from __future__ import annotations
@@ -342,12 +342,13 @@ class LassoResult:
     dropped_features: tuple[int, ...] = ()
 
 
-# Cholesky pivot tolerance: a column whose Schur complement against the
-# active Gram block is at most this share of its own diagonal lies in the
-# span of the active columns up to rounding.  Exactly collinear columns (a
-# catalog sampled at a few distinct points, such as x in [1, 3]) land near
-# 1e-15; ceil(log2 x) and floor(log2 x), which differ only at powers of two,
-# stay near 1e-1 on samples that hold powers of two and others.
+# Join tolerance: a column whose Schur complement against the active Gram
+# block (G_ee - G_eA G_AA^-1 G_Ae, by numpy solves) is at most this share
+# of its own diagonal lies in the span of the active columns up to
+# rounding.  Exactly collinear columns (a catalog sampled at a few distinct
+# points, such as x in [1, 3]) land near 1e-15; ceil(log2 x) and
+# floor(log2 x), which differ only at powers of two, stay near 1e-1 on
+# samples that hold powers of two and others.
 _PIVOT_TOL = 1e-10
 
 
@@ -365,7 +366,6 @@ def _lasso_path(G, c, alphas, deadline: float | None = None) -> np.ndarray:
     the fit, so it stays out until some variable drops.
     """
     import numpy as np
-    from scipy.linalg import cho_solve, solve_triangular
 
     p = len(c)
     alphas = np.asarray(alphas, dtype=float)
@@ -379,9 +379,8 @@ def _lasso_path(G, c, alphas, deadline: float | None = None) -> np.ndarray:
         if deadline is not None and time.monotonic() > deadline:
             raise FitTimeout("lasso path exceeded its deadline")
         if active:
-            L = np.linalg.cholesky(G[np.ix_(active, active)])
-            u = cho_solve((L, True), c[active])
-            w = cho_solve((L, True), np.asarray(signs))
+            G_AA = G[np.ix_(active, active)]
+            u, w = np.linalg.solve(G_AA, np.column_stack([c[active], signs])).T
             GA = G[:, active]
             r0, a = c - GA @ u, GA @ w  # correlations c - Gb = r0 + alpha*a
         else:
@@ -418,8 +417,7 @@ def _lasso_path(G, c, alphas, deadline: float | None = None) -> np.ndarray:
             continue
         schur = G[event, event]
         if active:
-            v = solve_triangular(L, G[active, event], lower=True)
-            schur -= v @ v
+            schur -= G[event, active] @ np.linalg.solve(G_AA, G[active, event])
         if schur <= _PIVOT_TOL * G[event, event]:
             parked.add(event)
         else:

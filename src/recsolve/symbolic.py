@@ -286,10 +286,6 @@ def _const_index(t: _Tree, k: int) -> int:
     return index
 
 
-def complexity(tree: Expr) -> int:
-    return _Tree(tree).complexity
-
-
 # ---------------------------------------------------------------------------
 # Fitness
 # ---------------------------------------------------------------------------

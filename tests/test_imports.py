@@ -3,13 +3,15 @@ uses, at top level or under `if TYPE_CHECKING:` (a name read only in an
 annotation counts as used): package __init__ files are exempt (their
 imports are re-exports), and so are __future__ imports (compiler
 directives, not names) and the explicit re-export form `from m import X as
-X`.  numpy, scipy, multiprocessing and the process pool load only where
-they are called: a fresh interpreter that imports the package and runs
-`check` loads none of them, and `evolve`, which tunes constants without
-scipy, loads no scipy module while it runs its island blocks."""
+X`.  Every third-party module that src/ imports is a declared dependency
+in pyproject.toml.  numpy, multiprocessing and the process pool load only
+where they are called: a fresh interpreter that imports the package and
+runs `check` loads none of them.  Neither a lasso solve nor `evolve` loads
+any scipy module."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -74,6 +76,38 @@ def test_no_unused_module_level_import(path):
         assert unused_imports(fh.read()) == []
 
 
+def third_party_imports(source: str) -> set[str]:
+    """Top-level names of the absolute imports anywhere in `source`,
+    function bodies included, that are neither stdlib nor this project."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"recsolve", "recsolve_lia"}
+
+
+def test_scan_finds_third_party_imports():
+    src = (
+        "import os, numpy as np\nfrom . import model\nfrom recsolve.dsl import x\n"
+        "def f():\n    from scipy.linalg import cho_solve\n    import recsolve_lia\n"
+    )
+    assert third_party_imports(src) == {"numpy", "scipy"}
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(os.path.join(os.path.dirname(SRC), "pyproject.toml"), "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    declared = {re.match(r"[\w.-]+", d).group().lower().replace("-", "_") for d in deps}
+    imported = set()
+    for path in _modules() + [os.path.join(SRC, "recsolve", "__init__.py")]:
+        with open(path) as fh:
+            imported |= third_party_imports(fh.read())
+    assert imported <= declared, imported - declared
+
+
 def _fresh(code: str) -> str:
     """Run `code` in a new interpreter with src/ on its path; its stdout."""
     proc = subprocess.run(
@@ -95,6 +129,16 @@ def test_import_and_check_load_no_numpy_scipy_or_process_pool():
         unwanted = ("numpy", "scipy", "multiprocessing", "concurrent.futures.process")
         loaded = [m for m in unwanted if m in sys.modules]
         print("RESULT", code, loaded)
+    """)
+    assert "RESULT 0 []" in out
+
+
+def test_lasso_solve_loads_no_scipy():
+    out = _fresh(f"""
+        import sys
+        import recsolve.cli
+        code = recsolve.cli.main(["solve", {NESTED!r}, "--verify"])
+        print("RESULT", code, [m for m in sys.modules if m.startswith("scipy")])
     """)
     assert "RESULT 0 []" in out
 

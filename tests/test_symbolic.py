@@ -29,7 +29,6 @@ from recsolve.symbolic import (
     _random_tree,
     _replace,
     _Tree,
-    complexity,
     evolve,
     guess_symbolic,
     optimize_constants_tree,
@@ -126,8 +125,9 @@ def test_nelder_mead_is_scipys_bit_for_bit():
     variables and at budgets of 5, 40 and 200 evaluations.  Among these
     cases the budget runs out in the initial simplex, in an expansion and
     in the middle of a shrink, and a zero start coordinate takes the
-    0.00025 step."""
-    from scipy.optimize import minimize
+    0.00025 step.  scipy is the oracle here only; it is in the test extra,
+    not a dependency."""
+    minimize = pytest.importorskip("scipy.optimize").minimize
 
     for seed in range(200):
         rng = random.Random(seed)
@@ -206,10 +206,10 @@ def test_front_is_pareto():
 
 
 def test_node_costs():
-    assert complexity(Var("x")) == 1
-    assert complexity(parse_expr("floor(x)")) == 3  # floor costs 2
-    assert complexity(parse_expr("x^4")) == 5  # pow costs 3
-    assert complexity(parse_expr("2^(x + y)")) == 4
+    assert _Tree(Var("x")).complexity == 1
+    assert _Tree(parse_expr("floor(x)")).complexity == 3  # floor costs 2
+    assert _Tree(parse_expr("x^4")).complexity == 5  # pow costs 3
+    assert _Tree(parse_expr("2^(x + y)")).complexity == 4
 
 
 def test_fitness_matches_tree_walking_oracle():
