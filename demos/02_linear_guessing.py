@@ -10,10 +10,10 @@ exact arithmetic.
 
 from recsolve import dsl
 from recsolve.dsl import print_expr, print_piecewise
-from recsolve.linear import catalog_for, guess_linear
+from recsolve.linear import catalog, guess_linear
 
-print("one-variable catalog (large tier):")
-print(" ", ", ".join(print_expr(t) for t in catalog_for(1)["large"].base_functions))
+print("one-variable catalog:")
+print(" ", ", ".join(print_expr(t) for t in catalog(("x",))[0].base_functions))
 
 nested = dsl.parse(
     "def f(x) pre x >= 0 { case x = 0 -> 0 case x > 0 -> f(f(x - 1)) + 1 } entry f"

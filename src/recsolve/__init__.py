@@ -28,7 +28,6 @@ from .linear import (
     TrainingSet,
     build_training_set,
     catalog,
-    catalog_for,
     cv_lasso,
     guess_linear,
     ols_refit,

@@ -2,10 +2,10 @@
 sampled recurrence values, select features by l1 regularization with
 cross-validated penalty choice, epsilon-prune, then refit by plain least
 squares and rationalize the surviving coefficients.  Each fit domain is
-fitted once, on the largest catalog tier that can be fitted there; the
-lasso path itself runs from sparse supports to dense ones, so the smaller
-tiers are not fitted again.  A piece's score is the held-out R^2 of the
-body it ships; whether the piece holds is for the check to decide.
+fitted once, on its function's one catalog of base functions (`catalog`);
+the lasso path itself runs from sparse supports to dense ones.  A piece's
+score is the held-out R^2 of the body it ships; whether the piece holds is
+for the check to decide.
 The lasso path solves its active Gram block with numpy alone.  numpy loads
 at a process's first fit, in the function that first calls it, not with
 this module.
@@ -56,9 +56,6 @@ from .sampler import TEST_SIZE as TEST_SIZE  # re-exported: linear.TEST_SIZE
 if TYPE_CHECKING:
     import numpy as np
 
-TIERS = ("small", "medium", "large")
-
-
 class EmptyTrainingSet(Exception):
     pass
 
@@ -73,7 +70,6 @@ class FitTimeout(Exception):
 
 @dataclass(frozen=True)
 class FeatureSet:
-    tier: str
     base_functions: tuple[Expr, ...]
 
     @property
@@ -159,7 +155,7 @@ def _pow(e: Expr, k: int) -> Expr:
 
 
 # At most 2048 columns keeps the p x p Gram matrices of cv_lasso within
-# 32 MiB; it cuts the 5-ary large and the 6-ary medium tiers and up.
+# 32 MiB; it cuts 5-ary catalogs to depth 2 and 6-ary ones to depth 1.
 MAX_CATALOG = 2_048
 
 
@@ -167,56 +163,42 @@ class CatalogTooLarge(Exception):
     pass
 
 
-def catalog(params: tuple[str, ...]) -> dict[str, FeatureSet]:
-    """Tiered base functions over the given parameters (see catalog_tier)."""
-    return {tier: catalog_tier(params, tier) for tier in TIERS}
+def catalog(params: tuple[str, ...]) -> tuple[FeatureSet, tuple[str, ...]]:
+    """The base functions over the given parameters, with the flags that
+    the fit reports for them.
 
-
-def catalog_tier(params: tuple[str, ...], tier: str) -> FeatureSet:
-    """Base functions of one tier over the given parameters.
-
-    Dimensions 1 and 2 are explicit lists; higher dimensions are bounded
-    products of per-variable powers.  Combinatorial blowup past MAX_CATALOG
-    raises CatalogTooLarge, which fitting flags and skips.
+    Arity 1 and 2 have explicit lists.  Arity 3 and up take the products of
+    per-variable powers of the largest depth, at most 3, whose count fits
+    MAX_CATALOG, flagged `catalog-depth:d` below 3; where not even depth 1
+    fits, CatalogTooLarge is raised.
     """
     m = len(params)
-    if m > 2:
-        depth = {"small": 1, "medium": 2, "large": 3}[tier]
-        return FeatureSet(tier, tuple(_monomials(params, depth)))
-    full = _explicit_catalog(params)
-    return full[tier]
-
-
-def _explicit_catalog(params: tuple[str, ...]) -> dict[str, FeatureSet]:
-    m = len(params)
     if m == 1:
-        (x,) = (_v(params[0]),)
-        small = [x, _sq(x)]
-        medium = small + [
+        x = _v(params[0])
+        return FeatureSet((
+            x,
+            _sq(x),
             Ceil(Log2(x)),
             Floor(Pow(x, Const(Fraction(1, 2)))),
             Mul(x, Ceil(Log2(x))),
-        ]
-        large = medium + [
             Floor(Log2(x)),
             Mul(x, Floor(Log2(x))),
             Pow(Const(Fraction(2)), x),
             Pow(Const(Fraction(5)), x),
             Mul(x, Pow(Const(Fraction(2)), x)),
             Factorial(x),
-        ]
-    elif m == 2:
+        )), ()
+    if m == 2:
         x, y = _v(params[0]), _v(params[1])
-        small = [x, y]
-        medium = small + [
+        return FeatureSet((
+            x,
+            y,
             _sq(x),
             Mul(x, y),
             _sq(y),
             Mul(_sq(x), y),
             Mul(x, _sq(y)),
             Mul(_sq(x), _sq(y)),
-        ]
-        large = medium + [
             Floor(Div(x, y)),
             Floor(Div(y, x)),
             Ceil(Div(x, y)),
@@ -232,14 +214,22 @@ def _explicit_catalog(params: tuple[str, ...]) -> dict[str, FeatureSet]:
             Floor(Log2(y)),
             Mul(y, Ceil(Log2(y))),
             Mul(y, Floor(Log2(y))),
-        ]
-    else:
-        raise AssertionError("explicit catalogs cover m <= 2 only")
-    return {
-        "small": FeatureSet("small", tuple(small)),
-        "medium": FeatureSet("medium", tuple(medium)),
-        "large": FeatureSet("large", tuple(large)),
-    }
+        )), ()
+    for depth in (3, 2):
+        try:
+            fs = FeatureSet(tuple(_monomials(params, depth)))
+        except CatalogTooLarge:
+            continue
+        return fs, (() if depth == 3 else (f"catalog-depth:{depth}",))
+    return FeatureSet(tuple(_monomials(params, 1))), ("catalog-depth:1",)
+
+
+# bench/ reads these two; the bench change under ROADMAP "Fix first" deletes them.
+TIERS = ("large",)
+
+
+def catalog_for(m: int) -> dict[str, FeatureSet]:
+    return {"large": catalog(("x", "y", "z")[:m] if m <= 3 else tuple(f"x{i + 1}" for i in range(m)))[0]}
 
 
 # Minimal number of distinct power factors {x, x^2, .., x^d} multiplying to
@@ -282,13 +272,6 @@ def _monomials(params: tuple[str, ...], depth: int) -> list[Expr]:
     return exprs
 
 
-def catalog_for(m: int) -> dict[str, FeatureSet]:
-    names = ("x",) if m == 1 else ("x", "y") if m == 2 else ("x", "y", "z")[:m]
-    if m > 3:
-        names = tuple(f"x{i+1}" for i in range(m))
-    return catalog(names)
-
-
 # ---------------------------------------------------------------------------
 # Training sets
 # ---------------------------------------------------------------------------
@@ -301,8 +284,10 @@ def build_training_set(
     values,
 ) -> TrainingSet:
     """Evaluate base functions at each sample under guarded semantics
-    (log2 is 0 below 1, division by zero is 0), one column per base function;
-    rows with non-finite entries are dropped and counted."""
+    (log2 is 0 below 1, division by zero is 0), one column per base function.
+    Rows whose target is not finite are dropped and counted; then each
+    column with a non-finite entry (x! or 5^x past float range) is dropped,
+    so the set's features are those of `fs` that stay finite."""
     import numpy as np
 
     cols = {p: np.array([t[i] for t in samples], dtype=float) for i, p in enumerate(params)}
@@ -310,12 +295,14 @@ def build_training_set(
     for j, t in enumerate(fs.base_functions):
         X[:, j] = eval_array(t, cols, guarded=True)
     y = np.array([_target(v) for v in values], dtype=float)
-    ok = np.isfinite(X).all(axis=1) & np.isfinite(y)
+    ok = np.isfinite(y)
     if np.count_nonzero(ok) < 2:
         raise EmptyTrainingSet(f"{np.count_nonzero(ok)} usable rows")
+    X = X[ok]
+    finite = np.isfinite(X).all(axis=0)
     return TrainingSet(
-        features=fs.base_functions,
-        X=X[ok],
+        features=tuple(t for t, k in zip(fs.base_functions, finite) if k),
+        X=X[:, finite],
         y=y[ok],
         inputs=[t for t, k in zip(samples, ok) if k],
         dropped_rows=int(np.count_nonzero(~ok)),
@@ -490,15 +477,16 @@ def cv_lasso(T: TrainingSet, cfg: LassoConfig, deadline: float | None = None) ->
 def prune(
     fs: FeatureSet, T: TrainingSet, beta: np.ndarray, beta0: float, epsilon: float
 ) -> tuple[FeatureSet, TrainingSet]:
-    """Keep base functions whose coefficient magnitude reaches epsilon; the
-    intercept always survives.  Raises AllPruned when nothing is left."""
+    """Keep the base functions of T whose coefficient magnitude reaches
+    epsilon; the intercept always survives.  Raises AllPruned when nothing
+    is left.  The features are read from T, not from the catalog `fs` it
+    was built from, which may hold columns build_training_set dropped."""
     import numpy as np
 
     keep = np.abs(beta) >= epsilon if epsilon > 0 else np.ones(len(beta), dtype=bool)
     if not keep.any():
         raise AllPruned("no coefficient reached the pruning threshold")
-    feats = tuple(t for t, k in zip(fs.base_functions, keep) if k)
-    fs2 = FeatureSet(fs.tier, feats)
+    feats = tuple(t for t, k in zip(T.features, keep) if k)
     T2 = TrainingSet(
         features=feats,
         X=T.X[:, keep],
@@ -506,7 +494,7 @@ def prune(
         inputs=T.inputs,
         dropped_rows=T.dropped_rows,
     )
-    return fs2, T2
+    return FeatureSet(feats), T2
 
 
 def r2_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
@@ -665,32 +653,31 @@ class GuessOutcome:
         return self.candidate.score
 
 
-def _fit_largest_tier(
+def _fit(
     params: tuple[str, ...], data: DomainData, cfg: LassoConfig
 ) -> tuple[LinearModel | None, tuple[str, ...]]:
-    """One lasso fit on the largest tier that can be fitted.  The fit walks
-    down a tier only where the catalog is too large or no row is usable,
-    and flags each tier skipped that way; a fit pruned to nothing stays an
-    intercept-only model."""
-    flags: list[str] = []
-    for tier in reversed(TIERS):
-        try:
-            fs = catalog_tier(params, tier)
-            T = build_training_set(fs, params, data.train_inputs, data.train_values)
-            res = cv_lasso(T, cfg)
-        except CatalogTooLarge:
-            flags.append(f"{tier}:catalog-too-large")
-            continue
-        except EmptyTrainingSet:
-            flags.append(f"{tier}:empty-training-set")
-            continue
-        try:
-            _, T = prune(fs, T, res.beta, res.beta0, cfg.epsilon)
-        except AllPruned:
-            flags.append(f"{tier}:all-pruned")
-            T = TrainingSet((), T.X[:, :0], T.y, T.inputs, T.dropped_rows)
-        return ols_refit(T, None), tuple(flags)
-    return None, tuple(flags)
+    """One lasso fit on the function's catalog, with the catalog's flags.
+    Fewer than 2 rows with a finite target give no fit, flagged
+    `empty-training-set`; catalog columns dropped as non-finite are counted
+    in `non-finite-columns:n`; a fit pruned to nothing stays an
+    intercept-only model, flagged `all-pruned`."""
+    try:
+        fs, flags = catalog(params)
+    except CatalogTooLarge:
+        return None, ("catalog-too-large",)
+    try:
+        T = build_training_set(fs, params, data.train_inputs, data.train_values)
+        res = cv_lasso(T, cfg)
+    except EmptyTrainingSet:
+        return None, (*flags, "empty-training-set")
+    if len(T.features) < fs.count:
+        flags += (f"non-finite-columns:{fs.count - len(T.features)}",)
+    try:
+        _, T = prune(fs, T, res.beta, res.beta0, cfg.epsilon)
+    except AllPruned:
+        flags += ("all-pruned",)
+        T = TrainingSet((), T.X[:, :0], T.y, T.inputs, T.dropped_rows)
+    return ols_refit(T, None), flags
 
 
 def held_out_r2(e: Expr, params: tuple[str, ...], data: DomainData) -> float:
@@ -778,11 +765,11 @@ def guess_linear(
 ) -> GuessOutcome:
     """Run the full lasso pipeline for the entry function: per-subdomain when
     splitting, otherwise once on the strictly positive orthant; each domain
-    is fitted once (see _fit_largest_tier)."""
+    is fitted once (see _fit)."""
     lasso_cfg = lasso_cfg or LassoConfig()
 
     def fit(params, data, index):
-        model, flags = _fit_largest_tier(params, data, lasso_cfg)
+        model, flags = _fit(params, data, lasso_cfg)
         return (model.expr() if model else None), model, flags
 
     return _guess_domains(system, fit, 2 * lasso_cfg.folds, func, sample_cfg, domsplit)

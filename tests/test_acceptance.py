@@ -18,8 +18,9 @@ from recsolve.harness import RunConfig, classify, run_benchmark, run_corpus
 from recsolve.linear import (
     FeatureSet,
     LassoConfig,
+    _monomials,
     build_training_set,
-    catalog_for,
+    catalog,
     cv_lasso,
     guess_linear,
     ols_refit,
@@ -116,7 +117,7 @@ def test_criterion_5_lasso_timing(corpus_runs):
     rng = random.Random(1)
     samples = [(rng.randint(1, 20), rng.randint(1, 20)) for _ in range(100)]
     values = [3 * x + 2 * y + 1 for x, y in samples]
-    fs = catalog_for(2)["large"]
+    fs, _ = catalog(("x", "y"))
     t0 = time.monotonic()
     T = build_training_set(fs, ("x", "y"), samples, values)
     res = cv_lasso(T, LassoConfig())
@@ -125,7 +126,7 @@ def test_criterion_5_lasso_timing(corpus_runs):
     dt = time.monotonic() - t0
     assert dt <= 10.0
     # corpus-wide: only high-dimensional benchmarks (arity >= 5), as
-    # reported for the highdim class, have tiers too large to fit
+    # reported for the highdim class, have catalogs cut below depth 3
     results, _ = corpus_runs
     arity = {
         name: bf.system.entry_func.arity for name, bf in corpus_files().items()
@@ -133,14 +134,14 @@ def test_criterion_5_lasso_timing(corpus_runs):
     offenders = [
         r.name
         for r in results
-        if any(f.endswith(":catalog-too-large") for f in r.flags) and arity.get(r.name, 0) < 5
+        if any(f.startswith("catalog-depth:") for f in r.flags) and arity.get(r.name, 0) < 5
     ]
     assert offenders == [], offenders
-    _ok(5, f"catalog fit in {dt:.2f}s; tiers too large to fit confined to arity>=5")
+    _ok(5, f"catalog fit in {dt:.2f}s; catalogs cut below depth 3 confined to arity>=5")
 
 
 def test_criterion_6_planted_model_recovery():
-    fs = catalog_for(4)["small"]
+    fs = FeatureSet(tuple(_monomials(("x1", "x2", "x3", "x4"), 1)))
     assert fs.count == 15
     texts = [print_expr(t) for t in fs.base_functions]
     hits = 0

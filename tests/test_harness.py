@@ -349,12 +349,11 @@ _SUM5 = (
 
 
 def test_run_benchmark_reports_tier_flags(monkeypatch):
-    """The 5-ary large catalog is too large: one fit, on the medium tier."""
+    """The 5-ary catalog is cut to depth 2, its 967 monomials: one fit."""
     calls = spy(monkeypatch, linear, "cv_lasso")
     res = run_benchmark(_SUM5, _fast_cfg(verify=False))
-    assert "large:catalog-too-large" in res.flags
-    medium = linear.catalog_tier(tuple("abcde"), "medium").count
-    assert [len(args[0].features) for args, _ in calls] == [medium]
+    assert "catalog-depth:2" in res.flags
+    assert [len(args[0].features) for args, _ in calls] == [967]
 
 
 def test_run_benchmark_times_every_guess_attempt(monkeypatch):

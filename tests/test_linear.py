@@ -9,16 +9,13 @@ import pytest
 from recsolve import dsl, linear
 from recsolve.dsl import parse, parse_expr, print_expr, print_piecewise
 from recsolve.linear import (
-    TIERS,
     AllPruned,
-    CatalogTooLarge,
     FeatureSet,
     FitTimeout,
     LassoConfig,
     TrainingSet,
     build_training_set,
-    catalog_for,
-    catalog_tier,
+    catalog,
     cv_lasso,
     guess_linear,
     held_out_r2,
@@ -41,39 +38,31 @@ from conftest import EQ1, MAXVAR, MERGE, MINVAR, spy
 
 
 def test_catalog_m1_large_has_eleven_functions():
-    cats = catalog_for(1)
-    assert cats["small"].count == 2
-    assert cats["medium"].count == 5
-    assert cats["large"].count == 11
-    texts = [print_expr(t) for t in cats["large"].base_functions]
+    fs, flags = catalog(("x",))
+    assert fs.count == 11 and flags == ()
+    texts = [print_expr(t) for t in fs.base_functions]
+    assert texts[:2] == ["x", "x^2"]
     assert "5^x" in texts
     assert "x!" in texts
 
 
 def test_catalog_m2():
-    cats = catalog_for(2)
-    assert [print_expr(t) for t in cats["small"].base_functions] == ["x", "y"]
-    assert cats["medium"].count == 8
-    assert cats["large"].count == 23
-    texts = [print_expr(t) for t in cats["large"].base_functions]
+    fs, flags = catalog(("x", "y"))
+    assert fs.count == 23 and flags == ()
+    texts = [print_expr(t) for t in fs.base_functions]
+    assert texts[:2] == ["x", "y"]
     assert "max(x, y)" in texts
     assert "floor(x/y)" in texts
 
 
 def test_catalog_m3_small_is_variable_products():
-    cats = catalog_for(3)
-    texts = {print_expr(t) for t in cats["small"].base_functions}
-    assert texts == {"x", "y", "z", "x*y", "x*z", "y*z", "x*y*z"}
-
-
-def test_catalog_tiers_nest():
-    for m in (1, 2, 3, 4):
-        cats = catalog_for(m)
-        small = set(cats["small"].base_functions)
-        medium = set(cats["medium"].base_functions)
-        large = set(cats["large"].base_functions)
-        assert small <= medium <= large
-        assert len(large) == len(set(large))  # distinct
+    """The 3-ary catalog is the 314 monomials of depth 3, which hold the
+    products of distinct variables."""
+    fs, flags = catalog(("x", "y", "z"))
+    assert fs.count == 314 and flags == ()
+    texts = {print_expr(t) for t in fs.base_functions}
+    assert {"x", "y", "z", "x*y", "x*z", "y*z", "x*y*z", "x^3*y^3*z^3"} <= texts
+    assert len(texts) == fs.count  # distinct
 
 
 # -- training sets ------------------------------------------------------------
@@ -81,7 +70,6 @@ def test_catalog_tiers_nest():
 
 def _section2_features():
     return FeatureSet(
-        "demo",
         tuple(
             parse_expr(s)
             for s in ["x", "x^2", "x^3", "ceil(log2(x))", "2^x", "x*ceil(log2(x))"]
@@ -98,7 +86,7 @@ def test_training_row_matches_worked_example(eq1):
 
 
 def test_guarded_log2_at_one_and_zero():
-    fs = FeatureSet("demo", (parse_expr("x"), parse_expr("ceil(log2(x))")))
+    fs = FeatureSet((parse_expr("x"), parse_expr("ceil(log2(x))")))
     T = build_training_set(fs, ("x",), [(1,), (0,), (4,)], [1, 0, 4])
     assert list(T.X[0]) == [1.0, 0.0]
     assert list(T.X[1]) == [0.0, 0.0]  # log2 guard keeps the row
@@ -106,37 +94,37 @@ def test_guarded_log2_at_one_and_zero():
 
 
 def test_nonfinite_rows_dropped_with_flag():
-    fs = FeatureSet("demo", (parse_expr("x!"),))
-    T = build_training_set(fs, ("x",), [(2,), (200,), (3,)], [1, 1, 2])
-    assert T.n == 2
+    """At x = 200 the x! column overflows: the column goes and every row
+    stays.  A row whose target overflows is still dropped and counted."""
+    fs = FeatureSet((parse_expr("x"), parse_expr("x!")))
+    T = build_training_set(fs, ("x",), [(2,), (200,), (3,), (4,)], [1, 1, 2, 10**400])
+    assert [print_expr(t) for t in T.features] == ["x"]
+    assert T.X.shape == (3, 1)
+    assert T.inputs == [(2,), (200,), (3,)]
     assert T.dropped_rows == 1
 
 
 def test_feature_matrix_matches_exact_evaluation():
-    """Every catalog tier of arity 1-5, column by column against exact
+    """The catalog of each arity 1-5, column by column against exact
     guarded evaluation cell by cell: bit for bit where the exact value is an
     integer below 2^53, within 4e-16 relative elsewhere (products of several
-    rounded factors).  Catalogs past MAX_CATALOG are refused instead."""
+    rounded factors).  The 5-ary catalog is cut to depth 2 by MAX_CATALOG."""
     rng = random.Random(5)
     for m in range(1, 6):
         names = ("x", "y", "z")[:m] if m <= 3 else tuple(f"x{i + 1}" for i in range(m))
         samples = [tuple(rng.randint(0, 20) for _ in range(m)) for _ in range(30)]
-        for tier in TIERS:
-            try:
-                fs = catalog_tier(names, tier)
-            except CatalogTooLarge:
-                assert (m, tier) == (5, "large")
-                continue
-            T = build_training_set(fs, names, samples, [0] * len(samples))
-            assert T.dropped_rows == 0
-            for row, tup in zip(T.X, T.inputs):
-                env = dict(zip(names, tup))
-                for v, t in zip(row, fs.base_functions):
-                    exact = eval_ground(t, env, guarded=True)
-                    if isinstance(exact, int) and abs(exact) < 2**53:
-                        assert v == exact, (print_expr(t), env)
-                    else:
-                        assert math.isclose(v, exact, rel_tol=4e-16), (print_expr(t), env)
+        fs, flags = catalog(names)
+        assert flags == (("catalog-depth:2",) if m == 5 else ())
+        T = build_training_set(fs, names, samples, [0] * len(samples))
+        assert T.dropped_rows == 0 and T.features == fs.base_functions
+        for row, tup in zip(T.X, T.inputs):
+            env = dict(zip(names, tup))
+            for v, t in zip(row, fs.base_functions):
+                exact = eval_ground(t, env, guarded=True)
+                if isinstance(exact, int) and abs(exact) < 2**53:
+                    assert v == exact, (print_expr(t), env)
+                else:
+                    assert math.isclose(v, exact, rel_tol=4e-16), (print_expr(t), env)
 
 
 # -- lasso / prune / refit ------------------------------------------------------
@@ -152,7 +140,7 @@ def _ols_oracle(X, y):
 def test_planted_quadratic_support_recovery():
     xs = [(i,) for i in range(1, 51)]
     ys = [2 * i * i + 3 for i in range(1, 51)]
-    fs = FeatureSet("demo", (parse_expr("x"), parse_expr("x^2"), parse_expr("ceil(log2(x))")))
+    fs = FeatureSet((parse_expr("x"), parse_expr("x^2"), parse_expr("ceil(log2(x))")))
     T = build_training_set(fs, ("x",), xs, ys)
     res = cv_lasso(T, LassoConfig())
     fs2, T2 = prune(fs, T, res.beta, res.beta0, 0.05)
@@ -165,7 +153,7 @@ def test_planted_quadratic_support_recovery():
 
 
 def test_constant_targets_give_intercept_only():
-    fs = FeatureSet("demo", (parse_expr("x"),))
+    fs = FeatureSet((parse_expr("x"),))
     T = build_training_set(fs, ("x",), [(i,) for i in range(10)], [7] * 10)
     res = cv_lasso(T, LassoConfig())
     assert np.allclose(res.beta, 0)
@@ -176,7 +164,7 @@ def test_lasso_path_sanity_all_zero_at_huge_lambda():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(60, 6))
     y = X @ np.array([1.0, -2.0, 0, 0, 3.0, 0]) + 0.01 * rng.normal(size=60)
-    fs = FeatureSet("demo", tuple(parse_expr(f"x{i}") for i in range(6)))
+    fs = FeatureSet(tuple(parse_expr(f"x{i}") for i in range(6)))
     T = TrainingSet(fs.base_functions, X, y, [tuple(r) for r in X])
     big = cv_lasso(T, LassoConfig(lambda_grid=(1e9,)))
     assert np.allclose(big.beta, 0)
@@ -197,7 +185,7 @@ def test_lasso_support_nonincreasing_in_lambda():
 
 
 def test_degenerate_feature_dropped():
-    fs = FeatureSet("demo", (parse_expr("x"), parse_expr("0*x")))
+    fs = FeatureSet((parse_expr("x"), parse_expr("0*x")))
     X = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [4.0, 0.0]])
     T = TrainingSet(fs.base_functions, X, np.array([2.0, 4.0, 6.0, 8.0]), [(1,), (2,), (3,), (4,)])
     res = cv_lasso(T, LassoConfig())
@@ -229,9 +217,9 @@ def _kkt_violation(G, c, beta, alpha):
 
 
 def _catalog_data(fn, hi):
-    """100 rows of the 1-ary large catalog (ceil/floor(log2 x), 2^x, 5^x,
-    x! ...) at x drawn from [1, hi]."""
-    fs = catalog_for(1)["large"]
+    """100 rows of the 1-ary catalog (ceil/floor(log2 x), 2^x, 5^x, x! ...)
+    at x drawn from [1, hi]."""
+    fs, _ = catalog(("x",))
     rng = random.Random(1)
     xs = [(rng.randint(1, hi),) for _ in range(100)]
     return fs, build_training_set(fs, ("x",), xs, [fn(x) for (x,) in xs])
@@ -256,7 +244,7 @@ def _kkt_cases():
             ("5^x - x^2", lambda x: 5**x - x * x),
         ):
             _, T = _catalog_data(fn, hi)
-            yield f"1-ary large, {name}, x <= {hi}", T.X, T.y
+            yield f"1-ary, {name}, x <= {hi}", T.X, T.y
 
 
 def test_lasso_path_satisfies_kkt_at_every_grid_penalty():
@@ -290,7 +278,7 @@ def test_lasso_path_keeps_collinear_columns_out():
         assert np.count_nonzero(beta_t[[2, 5]]) <= 1
         merged = beta_t[:4] + np.array([beta_t[4], 0.0, -beta_t[5], 0.0])
         assert np.allclose(merged, beta, atol=1e-9)
-    # x in [1, 3]: every column of the 1-ary large catalog is an affine
+    # x in [1, 3]: every column of the 1-ary catalog is an affine
     # function of two indicators, so at most two can be active
     _, T = _catalog_data(lambda x: 2 ** (x + 1), 3)
     G3, c3, _ = _gram(T.X, T.y)
@@ -353,7 +341,7 @@ def test_cv_lasso_past_deadline_raises():
 
 
 def test_prune_threshold_semantics():
-    fs = FeatureSet("demo", tuple(parse_expr(s) for s in ["x", "x^2", "y"]))
+    fs = FeatureSet(tuple(parse_expr(s) for s in ["x", "x^2", "y"]))
     X = np.ones((4, 3))
     T = TrainingSet(fs.base_functions, X, np.ones(4), [(1, 1)] * 4)
     fs2, T2 = prune(fs, T, np.array([0.02, 1.0, 0.04]), 0.0, 0.05)
@@ -362,7 +350,7 @@ def test_prune_threshold_semantics():
 
 
 def test_prune_epsilon_zero_is_identity():
-    fs = FeatureSet("demo", (parse_expr("x"),))
+    fs = FeatureSet((parse_expr("x"),))
     X = np.ones((3, 1))
     T = TrainingSet(fs.base_functions, X, np.ones(3), [(1,)] * 3)
     fs2, _ = prune(fs, T, np.array([0.0]), 0.0, 0.0)
@@ -370,7 +358,7 @@ def test_prune_epsilon_zero_is_identity():
 
 
 def test_prune_monotone_in_epsilon():
-    fs = FeatureSet("demo", tuple(parse_expr(s) for s in ["x", "y", "x*y"]))
+    fs = FeatureSet(tuple(parse_expr(s) for s in ["x", "y", "x*y"]))
     beta = np.array([0.03, 0.5, 0.08])
     X = np.ones((3, 3))
     T = TrainingSet(fs.base_functions, X, np.ones(3), [(1, 1)] * 3)
@@ -382,7 +370,7 @@ def test_prune_monotone_in_epsilon():
 
 
 def test_all_pruned_raises():
-    fs = FeatureSet("demo", (parse_expr("x"),))
+    fs = FeatureSet((parse_expr("x"),))
     X = np.ones((3, 1))
     T = TrainingSet(fs.base_functions, X, np.ones(3), [(1,)] * 3)
     with pytest.raises(AllPruned):
@@ -390,7 +378,7 @@ def test_all_pruned_raises():
 
 
 def test_ols_exact_line():
-    fs = FeatureSet("demo", (parse_expr("x"),))
+    fs = FeatureSet((parse_expr("x"),))
     X = np.array([[float(i)] for i in range(10)])
     T = TrainingSet(fs.base_functions, X, 2 * X[:, 0] + 3, [(i,) for i in range(10)])
     model = ols_refit(T, None)
@@ -404,7 +392,7 @@ def test_r2_degenerate_convention():
 
 
 def test_intercept_only_on_constant_test_set():
-    fs = FeatureSet("demo", ())
+    fs = FeatureSet(())
     T = TrainingSet((), np.zeros((4, 0)), np.full(4, 3.0), [(0,)] * 4)
     Ttest = TrainingSet((), np.zeros((5, 0)), np.full(5, 3.0), [(0,)] * 5)
     model = ols_refit(T, Ttest)
@@ -511,20 +499,26 @@ def test_guess_linear_deterministic(eq1):
 def test_guess_linear_fits_each_domain_once(eq1, monkeypatch):
     calls = spy(monkeypatch, linear, "cv_lasso")
     out = guess_linear(eq1.system)
-    assert [len(args[0].features) for args, _ in calls] == [catalog_tier(("x",), "large").count]
+    assert [len(args[0].features) for args, _ in calls] == [catalog(("x",))[0].count]
     assert out.fits[0].flags == ()
 
 
 def test_guess_linear_walks_past_rows_that_all_overflow():
-    """On x in [300, 340] every large-tier row overflows (5^x, x!), so the
-    fit falls to the medium tier."""
+    """On x in [300, 340] every row overflows in the 5^x and x! columns, so
+    those two columns are dropped and every row is kept."""
     src = (
         "def f(x) pre x >= 300 and x <= 340"
         " { case x = 300 -> 901 case x > 300 -> f(x - 1) + 3 } entry f"
     )
     out = guess_linear(parse(src).system, sample_cfg=SampleConfig(bound_ladder=(340,)))
-    assert out.fits[0].flags == ("large:empty-training-set",)
+    assert out.fits[0].flags == ("non-finite-columns:2",)
     assert print_expr(out.candidate.pieces[0].body) == "3*x + 1"
+
+
+def test_fit_without_two_finite_targets_gives_no_fit():
+    rows = [(x,) for x in range(1, 9)]
+    data = linear.DomainData(8, rows, [10**400] * 7 + [1], [], [])
+    assert linear._fit(("x",), data, LassoConfig()) == (None, ("empty-training-set",))
 
 
 @pytest.mark.parametrize("name", ["incr1", "qsort_best", "fib", "noisy_strt1"])
