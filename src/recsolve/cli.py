@@ -11,14 +11,14 @@ import argparse
 import os
 import shlex
 import sys
+from typing import TYPE_CHECKING
 
-from .dsl import parse, parse_candidate, print_piecewise
-from .harness import RunConfig, has_internal_errors, iter_corpus, run_benchmark
-from .linear import LassoConfig
-from .report import summarize, write_report
-from .sampler import SampleConfig
-from .smt import SolverConfig, verify
-from .symbolic import GPConfig, available_cpus
+# each command imports the pipeline modules it uses, so that `check` loads
+# no fitting code and `import recsolve.cli` loads no submodule
+if TYPE_CHECKING:
+    from .harness import RunConfig
+    from .model import PiecewiseClosedForm
+    from .smt import SolverConfig
 
 
 class _Parser(argparse.ArgumentParser):
@@ -38,6 +38,8 @@ def _add_solver_options(p: _Parser):
 
 
 def _solver_config(args, debug_dir: str) -> SolverConfig:
+    from .smt import SolverConfig
+
     return SolverConfig(
         command=tuple(shlex.split(args.solver)) if args.solver else None,
         timeout=args.smt_timeout,
@@ -58,7 +60,7 @@ def _add_common(p: _Parser):
     p.add_argument("--verify", action="store_true")
     _add_solver_options(p)
     p.add_argument("--out", default=None, help="report path (.jsonl; a .csv sits beside it)")
-    p.add_argument("--jobs", type=int, default=available_cpus())
+    p.add_argument("--jobs", type=int, default=None, help="worker processes (default: available CPUs)")
     p.add_argument("--gp-populations", type=int, default=45)
     p.add_argument("--gp-size", type=int, default=33)
     p.add_argument("--gp-iterations", type=int, default=40)
@@ -66,6 +68,11 @@ def _add_common(p: _Parser):
 
 def _config(args) -> RunConfig:
     import numpy as np
+
+    from .harness import RunConfig
+    from .linear import LassoConfig
+    from .sampler import SampleConfig
+    from .symbolic import GPConfig, available_cpus
 
     lo, hi, count = args.lambda_grid.split(":")
     grid = tuple(np.geomspace(float(lo), float(hi), int(count)))
@@ -85,7 +92,7 @@ def _config(args) -> RunConfig:
         ),
         verify=args.verify,
         solver=_solver_config(args, os.path.dirname(args.out or "") or "."),
-        jobs=args.jobs,
+        jobs=available_cpus() if args.jobs is None else args.jobs,
     )
 
 
@@ -107,12 +114,14 @@ def main(argv=None) -> int:
     _add_solver_options(p_check)
 
     args = parser.parse_args(argv)
-    cfg = None
-    if args.cmd != "check":
-        try:
-            cfg = _config(args)
-        except ValueError as exc:  # a bad option value is a usage error
-            parser.error(f"bad option value: {exc}")
+    from .dsl import ParseError, parse_candidate
+
+    try:  # a bad option value is a usage error
+        prepared = parse_candidate(args.candidate) if args.cmd == "check" else _config(args)
+    except ValueError as exc:
+        parser.error(f"bad option value: {exc}")
+    except ParseError as exc:
+        parser.error(f"bad option value: --candidate {args.candidate!r}: {exc}")
     out = getattr(args, "out", None)
     if out:
         # fail before any benchmark runs, not after the whole corpus
@@ -123,10 +132,10 @@ def main(argv=None) -> int:
             return 2
     try:
         if args.cmd == "solve":
-            return _cmd_solve(args, cfg)
+            return _cmd_solve(args, prepared)
         if args.cmd == "corpus":
-            return _cmd_corpus(args, cfg)
-        return _cmd_check(args)
+            return _cmd_corpus(args, prepared)
+        return _cmd_check(args, prepared)
     except SystemExit:
         raise
     except BrokenPipeError:
@@ -136,8 +145,24 @@ def main(argv=None) -> int:
         return 2
 
 
+def _read(path: str) -> str | None:
+    """The text of `path`, or None after reporting why it cannot be read."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        print(f"recsolve: cannot read {path}: {exc.strerror or exc}", file=sys.stderr)
+        return None
+
+
 def _cmd_solve(args, cfg: RunConfig) -> int:
-    result = run_benchmark(args.file, cfg)
+    from .harness import run_benchmark
+    from .report import write_report
+
+    source = _read(args.file)
+    if source is None:
+        return 2
+    result = run_benchmark(source, cfg, name=os.path.splitext(os.path.basename(args.file))[0])
     print(f"benchmark:      {result.name} [{result.category}]")
     print(f"method:         {result.method}")
     print(f"candidate:      {result.candidate or '(none)'}")
@@ -153,6 +178,9 @@ def _cmd_solve(args, cfg: RunConfig) -> int:
 
 
 def _cmd_corpus(args, cfg: RunConfig) -> int:
+    from .harness import has_internal_errors, iter_corpus
+    from .report import summarize, write_report
+
     # each benchmark is printed, and with --out recorded, as it finishes
     stream = (_print_row(r) for r in iter_corpus(args.dir, cfg))
     results = write_report(stream, args.out) if args.out else list(stream)
@@ -168,11 +196,14 @@ def _print_row(r):
     return r
 
 
-def _cmd_check(args) -> int:
-    with open(args.file) as fh:
-        bf = parse(fh.read())
-    cand = parse_candidate(args.candidate)
-    result = verify(bf.system, cand, _solver_config(args, "."))
+def _cmd_check(args, cand: PiecewiseClosedForm) -> int:
+    from .dsl import parse, print_piecewise
+    from .smt import verify
+
+    source = _read(args.file)
+    if source is None:
+        return 2
+    result = verify(parse(source).system, cand, _solver_config(args, "."))
     print(f"candidate: {print_piecewise(cand)}")
     print(f"result:    {result}")
     return 0

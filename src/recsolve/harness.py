@@ -78,6 +78,10 @@ class RunConfig:
     def __post_init__(self):
         if self.method not in ("lasso", "symreg", "auto"):
             raise ValueError(f"unknown method {self.method!r}")
+        if self.repeat < 1:
+            raise ValueError(f"repeat must be at least 1, got {self.repeat}")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
 
 
 @dataclass
@@ -409,7 +413,7 @@ def _best_guess(
 ) -> GuessOutcome:
     """The best-scoring of `repeat` guesses, the first of them on a tie.
     Every guess is appended to `attempts`, so that its time is counted."""
-    outs = [_guess_once(bf, cfg, method, attempt) for attempt in range(max(cfg.repeat, 1))]
+    outs = [_guess_once(bf, cfg, method, attempt) for attempt in range(cfg.repeat)]
     attempts += outs
     return max(outs, key=lambda o: o.score)
 

@@ -277,7 +277,8 @@ class _Encoder:
     constant-base exponentials become axiomatized recursive power functions.
     """
 
-    def __init__(self):
+    def __init__(self, variables: tuple[str, ...]):
+        self.variables = frozenset(variables)
         self.aux: list[str] = []
         self.fresh_vars: list[str] = []
         self._cache: dict = {}
@@ -298,6 +299,8 @@ class _Encoder:
         if isinstance(e, Const):
             return self.lit(e.value.numerator), e.value.denominator
         if isinstance(e, Var):
+            if e.name not in self.variables:  # it would be an undeclared symbol
+                raise EncodingError(f"unknown-variable:{e.name}")
             return e.name, 1
         if isinstance(e, (Add, Sub)):
             (ta, da), (tb, db) = self.term(e.lhs), self.term(e.rhs)
@@ -445,7 +448,7 @@ def build_job(
     solver: SolverConfig,
     name: str = "query",
 ) -> SmtJob:
-    enc = _Encoder()
+    enc = _Encoder(variables)
     body = enc.boolean(assertion_bool)
     decls = [f"(declare-fun {v} () Int)" for v in list(variables) + enc.fresh_vars]
     axioms = [_POW_AXIOMS.format(c=c) for c in sorted(enc.pow_bases)]

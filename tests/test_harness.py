@@ -471,6 +471,7 @@ def test_cli_usage_error_exit_one():
 @pytest.mark.parametrize("option", [
     ("--bound", "abc"), ("--bound", "0"), ("--lambda-grid", "1:2"),
     ("--samples", "1"), ("--folds", "1"),
+    ("--jobs", "0"), ("--jobs", "-1"), ("--repeat", "0"),
 ])
 def test_cli_bad_option_value_exit_one(option):
     p = _cli("solve", "corpus/succ.rec", "--repeat", "1", *option)
@@ -480,8 +481,11 @@ def test_cli_bad_option_value_exit_one(option):
 
 
 def test_cli_internal_error_exit_two(tmp_path):
-    p = _cli("solve", "/nonexistent/definitely-missing.rec")
-    assert p.returncode == 2
+    missing = "/nonexistent/definitely-missing.rec"
+    for argv in (("solve", missing), ("check", missing, "--candidate", "x")):
+        p = _cli(*argv)
+        assert p.returncode == 2
+        assert f"cannot read {missing}" in p.stderr
 
 
 def test_cli_out_into_missing_directory_fails_before_running(tmp_path):
@@ -558,3 +562,5 @@ def test_cli_check(corpus_dir):
     assert "Proved" in p.stdout
     p2 = _cli("check", "corpus/nested.rec", "--candidate", "x+1")
     assert "Disproved" in p2.stdout and "confirmed=True" in p2.stdout
+    p3 = _cli("check", "corpus/nested.rec", "--candidate", "x +")
+    assert p3.returncode == 1 and "bad option value: --candidate" in p3.stderr

@@ -6,8 +6,9 @@ directives, not names) and the explicit re-export form `from m import X as
 X`.  Every third-party module that src/ imports is a declared dependency
 in pyproject.toml.  numpy, multiprocessing and the process pool load only
 where they are called: a fresh interpreter that imports the package and
-runs `check` loads none of them.  Neither a lasso solve nor `evolve` loads
-any scipy module."""
+runs `check` loads none of them.  `import recsolve, recsolve.cli` loads no
+other recsolve module, and `check` loads none of the fitting modules.
+Neither a lasso solve nor `evolve` loads any scipy module."""
 
 import ast
 import os
@@ -20,6 +21,7 @@ import pytest
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
 NESTED = os.path.join(os.path.dirname(SRC), "corpus", "nested.rec")
+MERGE = os.path.join(os.path.dirname(SRC), "corpus", "merge.rec")
 
 
 def _modules():
@@ -125,12 +127,39 @@ def test_import_and_check_load_no_numpy_scipy_or_process_pool():
     out = _fresh(f"""
         import sys
         import recsolve, recsolve.cli
+        print("IMPORTED", sorted(m for m in sys.modules if m.startswith("recsolve")))
         code = recsolve.cli.main(["check", {NESTED!r}, "--candidate", "x"])
         unwanted = ("numpy", "scipy", "multiprocessing", "concurrent.futures.process")
+        unwanted += tuple("recsolve." + m for m in ("harness", "linear", "sampler", "symbolic", "report"))
         loaded = [m for m in unwanted if m in sys.modules]
         print("RESULT", code, loaded)
     """)
+    assert "IMPORTED ['recsolve', 'recsolve.cli']" in out
     assert "RESULT 0 []" in out
+
+
+def test_lazy_exports_resolve_and_the_readme_library_snippet_proves_merge():
+    """Every exported name loads from its submodule on first access, any
+    other name is an AttributeError, and README's "Library" snippet runs."""
+    out = _fresh(f"""
+        import recsolve
+        missing = [n for n in recsolve._SOURCE if getattr(recsolve, n, None) is None]
+        try:
+            recsolve.no_such_name
+            print("NO ERROR")
+        except AttributeError:
+            pass
+        print("MISSING", missing, len(recsolve._SOURCE))
+
+        from recsolve import dsl, guess_linear, verify
+
+        bf = dsl.parse(open({MERGE!r}).read())
+        out = guess_linear(bf.system, domsplit=True)
+        print(verify(bf.system, out.candidate))
+    """)
+    assert "NO ERROR" not in out
+    assert "MISSING [] 65" in out
+    assert out.rstrip().endswith("Proved()")
 
 
 def test_lasso_solve_loads_no_scipy():

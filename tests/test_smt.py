@@ -19,6 +19,7 @@ from recsolve.model import (
 from recsolve.rewrite import simplify
 from recsolve.smt import (
     Disproved,
+    EncodingError,
     Proved,
     SmtJob,
     SolverConfig,
@@ -224,6 +225,17 @@ def test_encode_unsupported_factorial(eq1):
     out = verify(eq1.system, parse_candidate("x!"))
     assert isinstance(out, Unsupported)
     assert "Factorial" in out.offending
+
+
+def test_candidate_over_a_non_parameter_is_unsupported(corpus, monkeypatch):
+    """`y` is not a parameter of nested: the query would assert over an
+    undeclared symbol, so it is refused before any solver runs."""
+    calls = spy(monkeypatch, smt, "check")
+    out = verify(corpus["nested"].system, parse_candidate("x + y"))
+    assert out == Unsupported(("unknown-variable:y",))
+    assert calls == []
+    with pytest.raises(EncodingError, match="unknown-variable:y"):
+        build_job(("x",), dsl.parse_bool("x + y = x"), SolverConfig())
 
 
 def test_encode_max_uses_ite(tmp_path):
