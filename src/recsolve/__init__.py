@@ -13,10 +13,10 @@ modules it uses.
 import importlib
 
 _EXPORTS = {
-    "dsl": "BenchmarkFile ParseError parse parse_bool parse_candidate parse_expr"
+    "dsl": "BenchmarkFile ParseError load parse parse_bool parse_candidate parse_expr"
     " print_benchmark print_bool print_expr print_piecewise",
     "evaluator": "BatchResult BudgetExceeded Evaluator NoMatchingCase",
-    "harness": "BenchmarkResult RunConfig classify run_benchmark run_corpus",
+    "harness": "BenchmarkResult RunConfig classify run_benchmark run_corpus run_file",
     "linear": "FeatureSet GuessOutcome LassoConfig LinearModel TrainingSet"
     " build_training_set catalog cv_lasso guess_linear ols_refit prune rationalize"
     " rationalize_value",

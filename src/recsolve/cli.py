@@ -1,8 +1,9 @@
 """Command line front end: solve one benchmark, run a corpus directory, or
 check a hand-written closed form.
 
-Exit codes: 0 success, 1 usage error, 2 internal error.  Classification
-outcomes never affect the exit code.
+Exit codes: 0 success, 1 usage error, 2 a file that cannot be read or
+parsed, or an internal error.  Classification outcomes never affect the
+exit code.
 """
 
 from __future__ import annotations
@@ -145,44 +146,37 @@ def main(argv=None) -> int:
         return 2
 
 
-def _read(path: str) -> str | None:
-    """The text of `path`, or None after reporting why it cannot be read."""
-    try:
-        with open(path) as fh:
-            return fh.read()
-    except OSError as exc:
-        print(f"recsolve: cannot read {path}: {exc.strerror or exc}", file=sys.stderr)
-        return None
-
-
 def _cmd_solve(args, cfg: RunConfig) -> int:
-    from .harness import run_benchmark
+    from .harness import run_file
     from .report import write_report
 
-    source = _read(args.file)
-    if source is None:
-        return 2
-    result = run_benchmark(source, cfg, name=os.path.splitext(os.path.basename(args.file))[0])
+    result = run_file(args.file, cfg)
     print(f"benchmark:      {result.name} [{result.category}]")
     print(f"method:         {result.method}")
     print(f"candidate:      {result.candidate or '(none)'}")
     print(f"score:          {result.score:.6g}")
     print(f"verification:   {result.verification}")
     print(f"classification: {result.classification}")
-    if result.error:
-        print(f"error:          {result.error}")
     if args.out:
         write_report([result], args.out)
         print(f"report:         {args.out}")
-    return 2 if result.error else 0
+    if result.error:
+        internal = "internal error: " if "internal-error" in result.flags else ""
+        print(f"recsolve: {internal}{result.error}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def _cmd_corpus(args, cfg: RunConfig) -> int:
     from .harness import has_internal_errors, iter_corpus
     from .report import summarize, write_report
 
+    try:
+        pending = iter_corpus(args.dir, cfg)
+    except OSError as exc:
+        return _cannot("read", args.dir, exc.strerror or exc)
     # each benchmark is printed, and with --out recorded, as it finishes
-    stream = (_print_row(r) for r in iter_corpus(args.dir, cfg))
+    stream = map(_print_row, pending)
     results = write_report(stream, args.out) if args.out else list(stream)
     summary = summarize(results)
     print(f"-- {summary['benchmarks']} benchmarks: " + ", ".join(f"{k}={v}" for k, v in summary["classes"].items()))
@@ -191,19 +185,27 @@ def _cmd_corpus(args, cfg: RunConfig) -> int:
     return 2 if has_internal_errors(results) else 0
 
 
+def _cannot(verb: str, path: str, reason) -> int:
+    print(f"recsolve: cannot {verb} {path}: {reason}", file=sys.stderr)
+    return 2
+
+
 def _print_row(r):
     print(f"{r.name:24s} {r.category:10s} {r.classification:10s} {r.verification:12s} {r.score:.4g}")
     return r
 
 
 def _cmd_check(args, cand: PiecewiseClosedForm) -> int:
-    from .dsl import parse, print_piecewise
+    from .dsl import ParseError, load, print_piecewise
     from .smt import verify
 
-    source = _read(args.file)
-    if source is None:
-        return 2
-    result = verify(parse(source).system, cand, _solver_config(args, "."))
+    try:
+        bf = load(args.file)
+    except OSError as exc:
+        return _cannot("read", args.file, exc.strerror or exc)
+    except ParseError as exc:
+        return _cannot("parse", args.file, exc)
+    result = verify(bf.system, cand, _solver_config(args, "."))
     print(f"candidate: {print_piecewise(cand)}")
     print(f"result:    {result}")
     return 0

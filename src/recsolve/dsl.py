@@ -17,6 +17,7 @@ rational constants always written as fractions.
 
 from __future__ import annotations
 
+import errno
 import itertools
 import random
 import re
@@ -430,6 +431,18 @@ def _totality_gap(f: FuncDef):
 
 def parse(text: str) -> BenchmarkFile:
     return _Parser(text).parse_file()
+
+
+def load(path: str) -> BenchmarkFile:
+    """Read and parse the `.rec` file at `path`.  Raises OSError when it
+    cannot be read (text that is not UTF-8 included) and ParseError when it
+    does not parse."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise OSError(errno.EILSEQ, f"not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    return parse(text)
 
 
 def parse_expr(text: str) -> Expr:

@@ -13,7 +13,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .dsl import BenchmarkFile, parse, print_piecewise
+from .dsl import BenchmarkFile, ParseError, load, print_piecewise
 from .linear import GuessOutcome, LassoConfig, guess_linear
 from .model import (
     Add,
@@ -267,13 +267,13 @@ def _rays(func: FuncDef, seed: int):
     return dirs
 
 
-_RAY_T = [2**k for k in range(4, 21)]
-_TAIL = 6
+# the points base + t*direction of a probe ray at which classify compares
+_RAY_T = tuple(2**k for k in range(15, 21))
 
 
 def _ray_ok(cand, expect, func, base, direction, use_log: bool) -> bool:
     tail = []
-    for t in _RAY_T[-_TAIL:]:
+    for t in _RAY_T:
         pt = tuple(b + t * d for b, d in zip(base, direction))
         env = dict(zip(func.params, pt))
         if not eval_bool(func.precondition, env):
@@ -324,8 +324,8 @@ def classify(
 
     The ray family and the [1/8, 8] band are a finite stand-in for the
     limit-based definition: axis rays from the origin and three seeded base
-    points plus the all-ones diagonal, t geometric up to 2^20, judged on the
-    last six points in log space."""
+    points plus the all-ones diagonal, judged in log space at the six
+    points t = 2^15 ... 2^20 of each ray."""
     proved = isinstance(verification, Proved)
     refuted = isinstance(verification, Disproved) and verification.confirmed
     if cand is None or not cand.pieces:
@@ -418,34 +418,13 @@ def _best_guess(
     return max(outs, key=lambda o: o.score)
 
 
-def run_benchmark(source, cfg: RunConfig, name: str = "") -> BenchmarkResult:
+def run_benchmark(bf: BenchmarkFile, cfg: RunConfig, name: str = "") -> BenchmarkResult:
     """Sample, guess (best of `repeat` runs by test R^2), optionally verify,
     classify; per-stage failures are recorded in the result, never raised.
     The sample and fit times sum over every guess run, kept or not.
     With `verify` on, every candidate with at least one piece is checked,
-    whatever its R^2."""
-    try:
-        if isinstance(source, BenchmarkFile):
-            bf = source
-        elif os.path.exists(source):
-            name = name or os.path.splitext(os.path.basename(source))[0]
-            with open(source) as fh:
-                bf = parse(fh.read())
-        else:
-            bf = parse(source)
-    except Exception as exc:
-        return BenchmarkResult(
-            name=name or str(source)[:40],
-            category="misc",
-            method=cfg.method,
-            candidate="",
-            score=0.0,
-            verification="not-run",
-            classification="none",
-            seed=cfg.seed,
-            flags=("parse-failed",),
-            error=f"{type(exc).__name__}: {exc}",
-        )
+    whatever its R^2.  The result is named `name`, else the entry function.
+    Reads no file: `run_file` loads one and runs it."""
     name = name or bf.system.entry
     flags: list[str] = []
     if bf.reconstructed:
@@ -531,23 +510,36 @@ def _verification_label(v: VerificationResult | None) -> str:
     return "error"
 
 
-def _corpus_entry(args) -> BenchmarkResult:
-    path, cfg = args
+def run_file(path: str, cfg: RunConfig) -> BenchmarkResult:
+    """Load the `.rec` file at `path` and run it, named after the file.
+    Never raises: a file that cannot be read or parsed gives a result
+    flagged `read-failed` or `parse-failed`, and a run that raises one
+    flagged `internal-error`, each with the reason in `error`."""
+    name = os.path.splitext(os.path.basename(path))[0]
     try:
-        return run_benchmark(path, cfg)
+        try:
+            bf = load(path)
+        except OSError as exc:
+            flag, error = "read-failed", f"cannot read {path}: {exc.strerror or exc}"
+        except ParseError as exc:
+            flag, error = "parse-failed", f"cannot parse {path}: {exc}"
+        else:
+            return run_benchmark(bf, cfg, name)
     except Exception as exc:
-        return BenchmarkResult(
-            name=os.path.splitext(os.path.basename(path))[0],
-            category="misc",
-            method=cfg.method,
-            candidate="",
-            score=0.0,
-            verification="not-run",
-            classification="none",
-            seed=cfg.seed,
-            flags=("internal-error",),
-            error=f"{type(exc).__name__}: {exc}\n{traceback.format_exc(limit=3)}",
-        )
+        flag = "internal-error"
+        error = f"{type(exc).__name__}: {exc}\n{traceback.format_exc(limit=3)}"
+    return BenchmarkResult(
+        name=name,
+        category="misc",
+        method=cfg.method,
+        candidate="",
+        score=0.0,
+        verification="not-run",
+        classification="none",
+        seed=cfg.seed,
+        flags=(flag,),
+        error=error,
+    )
 
 
 def run_corpus(directory: str, cfg: RunConfig) -> list[BenchmarkResult]:
@@ -557,22 +549,24 @@ def run_corpus(directory: str, cfg: RunConfig) -> list[BenchmarkResult]:
 
 
 def iter_corpus(directory: str, cfg: RunConfig) -> Iterator[BenchmarkResult]:
-    """run_corpus's results, each yielded as soon as it and every file
-    before it have finished."""
-    files = sorted(
-        os.path.join(directory, f)
-        for f in os.listdir(directory)
-        if f.endswith(".rec")
-    )
+    """run_file's result for each .rec file in `directory`, by file name,
+    each yielded as soon as it and every file before it have finished.
+    The directory is listed at the call, so one that cannot be listed
+    raises OSError before any benchmark runs."""
+    files = sorted(os.path.join(directory, f) for f in os.listdir(directory) if f.endswith(".rec"))
+    return _run_files(files, cfg)
+
+
+def _run_files(files: list[str], cfg: RunConfig) -> Iterator[BenchmarkResult]:
     jobs = min(cfg.jobs, len(files))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            yield from pool.map(_corpus_entry, [(f, cfg) for f in files])
+            yield from pool.map(run_file, files, itertools.repeat(cfg))
     else:
         for f in files:
-            yield _corpus_entry((f, cfg))
+            yield run_file(f, cfg)
 
 
 def has_internal_errors(results) -> bool:

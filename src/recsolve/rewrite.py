@@ -4,8 +4,8 @@ The simplifier normalizes linear combinations (constant folding, identity
 and annihilator elimination, like-term collection), applies power laws for
 constant bases so that differences of exponentials cancel (2^(x+1) - 2*2^x
 becomes 0), removes rounding of provably-integer arguments, and cleans up
-boolean guards.  Rules run leftmost-innermost to a fixpoint, capped at 20
-full passes; idempotence is the tested contract, not confluence.
+boolean guards.  Rules run leftmost-innermost in one pass, whose result is
+already normal; idempotence is the tested contract, not confluence.
 """
 
 from __future__ import annotations
@@ -38,20 +38,14 @@ from .model import (
     Var,
 )
 
-MAX_PASSES = 20
-
 FALSE = Not(TRUE)
 
 
 def simplify(e):
     """Simplify an Expr or BoolExpr; semantics-preserving on integer points."""
-    is_bool = isinstance(e, (Cmp, And, Or, Not, TrueExpr))
-    for _ in range(MAX_PASSES):
-        new = _simp_bool(e) if is_bool else _simp(e)
-        if new == e:
-            return new
-        e = new
-    return e
+    if isinstance(e, (Cmp, And, Or, Not, TrueExpr)):
+        return _simp_bool(e)
+    return _simp(e)
 
 
 # ---------------------------------------------------------------------------

@@ -128,9 +128,8 @@ class SolverConfig:
         return default_solver_command()
 
 
-# The command that runs the bundled solver as a process, by file path so
-# that the child needs no import path; `check` runs it in process instead.
-_BUNDLED_COMMAND = (sys.executable, os.path.abspath(recsolve_lia.__file__))
+# The command of the bundled solver; `check` runs it in process instead.
+_BUNDLED_COMMAND = (sys.executable, "-m", "recsolve_lia")
 
 
 def default_solver_command() -> tuple[str, ...]:
@@ -140,13 +139,6 @@ def default_solver_command() -> tuple[str, ...]:
     if shutil.which("z3"):
         return ("z3",)
     return _BUNDLED_COMMAND
-
-
-def _is_bundled(command: tuple[str, ...]) -> bool:
-    return len(command) == 2 and all(
-        os.path.abspath(given) == os.path.abspath(bundled)
-        for given, bundled in zip(command, _BUNDLED_COMMAND)
-    )
 
 
 @dataclass
@@ -485,7 +477,7 @@ def check(job: SmtJob, debug_dir: str | None = None) -> VerificationResult:
         path = os.path.join(debug_dir, f"{job.name}-{seq:03d}.smt2")
         with open(path, "w") as fh:
             fh.write(script)
-    if _is_bundled(job.command):
+    if tuple(job.command) == _BUNDLED_COMMAND:
         try:
             stdout = recsolve_lia.run_script(script)
         except Exception as exc:

@@ -23,9 +23,7 @@ def corpus_paths():
 def corpus_files():
     out = {}
     for path in corpus_paths():
-        name = os.path.splitext(os.path.basename(path))[0]
-        with open(path) as fh:
-            out[name] = dsl.parse(fh.read())
+        out[os.path.splitext(os.path.basename(path))[0]] = dsl.load(path)
     return out
 
 

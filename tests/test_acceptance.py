@@ -14,7 +14,7 @@ import pytest
 from recsolve import dsl
 from recsolve.dsl import parse, parse_candidate, parse_expr, print_expr
 from recsolve.evaluator import Evaluator
-from recsolve.harness import RunConfig, classify, run_benchmark, run_corpus
+from recsolve.harness import RunConfig, classify, run_corpus, run_file
 from recsolve.linear import (
     FeatureSet,
     LassoConfig,
@@ -60,7 +60,7 @@ def test_criterion_1_worked_example():
     candidates = []
     for seed in (0, 1):
         cfg = RunConfig(method="lasso", seed=seed, repeat=1, verify=True)
-        res = run_benchmark(os.path.join(CORPUS_DIR, "nested.rec"), cfg)
+        res = run_file(os.path.join(CORPUS_DIR, "nested.rec"), cfg)
         assert res.score == 1.0
         assert res.verification == "proved"
         candidates.append(res.candidate)
@@ -81,10 +81,10 @@ def test_criterion_2_determinization_pair():
 
 def test_criterion_3_domain_splitting():
     path = os.path.join(CORPUS_DIR, "merge.rec")
-    split = run_benchmark(path, RunConfig(method="lasso", seed=0, repeat=1, verify=True, domsplit=True))
+    split = run_file(path, RunConfig(method="lasso", seed=0, repeat=1, verify=True, domsplit=True))
     assert split.classification == "exact"
     assert "x + y - 1" in split.candidate and "0" in split.candidate
-    flat = run_benchmark(path, RunConfig(method="lasso", seed=0, repeat=1, verify=True))
+    flat = run_file(path, RunConfig(method="lasso", seed=0, repeat=1, verify=True))
     assert flat.classification != "exact"
     _ok(3, f"merge: split gives exact piecewise; without split: {flat.classification}")
 

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from recsolve import linear
+from recsolve import linear, smt
 from recsolve.harness import RunConfig
 from recsolve.smt import SolverConfig
 
@@ -30,6 +30,11 @@ def test_every_traced_target_resolves(owner, attr, metric):
 def test_workload_run_config_builds(method):
     cfg = workloads.run_config(method)
     assert isinstance(cfg, RunConfig) and cfg.method == method
+
+
+def test_tracer_recognises_the_bundled_solver():
+    # the traced pass replays scripts in process only for the bundled solver
+    assert tracing._BUNDLED in smt._BUNDLED_COMMAND
 
 
 def test_preflight_passes_with_the_default_solver():

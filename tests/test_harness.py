@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import recsolve_lia
-from recsolve import cli, dsl, harness, linear
+from recsolve import cli, dsl, harness, linear, smt
 from recsolve.dsl import parse, parse_candidate
 from recsolve.harness import (
     BenchmarkResult,
@@ -15,6 +15,7 @@ from recsolve.harness import (
     classify,
     run_benchmark,
     run_corpus,
+    run_file,
 )
 from recsolve.linear import GuessOutcome
 from recsolve.model import PiecewiseClosedForm
@@ -310,7 +311,7 @@ def _fast_cfg(**kw):
 
 
 def test_run_benchmark_worked_example(corpus_dir):
-    res = run_benchmark(os.path.join(corpus_dir, "nested.rec"), _fast_cfg())
+    res = run_file(os.path.join(corpus_dir, "nested.rec"), _fast_cfg())
     assert res.classification == "exact"
     assert res.verification == "proved"
     assert res.candidate == "piece x >= 1 -> x"
@@ -319,9 +320,9 @@ def test_run_benchmark_worked_example(corpus_dir):
 
 def test_run_benchmark_merge_split_vs_global(corpus_dir):
     path = os.path.join(corpus_dir, "merge.rec")
-    split = run_benchmark(path, _fast_cfg(domsplit=True))
+    split = run_file(path, _fast_cfg(domsplit=True))
     assert split.classification == "exact"
-    flat = run_benchmark(path, _fast_cfg())
+    flat = run_file(path, _fast_cfg())
     assert flat.classification != "exact"
 
 
@@ -336,7 +337,7 @@ def test_run_benchmark_auto_falls_back_to_symreg(corpus_dir):
     for seed in range(7, 17):
         cfg = _fast_cfg(method="auto", domsplit=True, verify=False, seed=seed)
         cfg.gp = GPConfig(populations=8, population_size=20, iterations=15)  # seeded by cfg.seed
-        res = run_benchmark(os.path.join(corpus_dir, "exp3.rec"), cfg)
+        res = run_file(os.path.join(corpus_dir, "exp3.rec"), cfg)
         assert res.method == "symreg"
         hits += res.score > 0.99
     assert hits >= 5
@@ -351,7 +352,7 @@ _SUM5 = (
 def test_run_benchmark_reports_tier_flags(monkeypatch):
     """The 5-ary catalog is cut to depth 2, its 967 monomials: one fit."""
     calls = spy(monkeypatch, linear, "cv_lasso")
-    res = run_benchmark(_SUM5, _fast_cfg(verify=False))
+    res = run_benchmark(parse(_SUM5), _fast_cfg(verify=False))
     assert "catalog-depth:2" in res.flags
     assert [len(args[0].features) for args, _ in calls] == [967]
 
@@ -365,15 +366,15 @@ def test_run_benchmark_times_every_guess_attempt(monkeypatch):
         return GuessOutcome(PiecewiseClosedForm(), sample_seconds=sample, fit_seconds=10 * sample)
 
     monkeypatch.setattr(harness, "_guess_once", guess_once)
-    res = run_benchmark(MERGE, _fast_cfg(verify=False, repeat=2))
+    res = run_benchmark(parse(MERGE), _fast_cfg(verify=False, repeat=2))
     assert (res.time_sample, res.time_fit) == (1.0 + 2.0, 10.0 + 20.0)
-    res = run_benchmark(MERGE, _fast_cfg(method="auto", verify=False, repeat=2))
+    res = run_benchmark(parse(MERGE), _fast_cfg(method="auto", verify=False, repeat=2))
     assert res.method == "lasso"
     assert (res.time_sample, res.time_fit) == (1.0 + 2.0 + 4.0 + 8.0, 10.0 + 20.0 + 40.0 + 80.0)
 
 
 def test_verify_checks_a_candidate_below_the_auto_threshold(corpus_dir):
-    res = run_benchmark(os.path.join(corpus_dir, "fib.rec"), RunConfig(seed=7, repeat=1, verify=True))
+    res = run_file(os.path.join(corpus_dir, "fib.rec"), RunConfig(seed=7, repeat=1, verify=True))
     assert res.score < harness.AUTO_THRESHOLD
     assert res.verification == "unsupported:non-rational-coefficients"
 
@@ -384,7 +385,7 @@ def test_verify_checks_a_candidate_below_the_auto_threshold(corpus_dir):
 ])
 def test_run_benchmark_flags_solver_errors(corpus_dir, command, error):
     cfg = _fast_cfg(solver=SolverConfig(command=command))
-    res = run_benchmark(os.path.join(corpus_dir, "nested.rec"), cfg)
+    res = run_file(os.path.join(corpus_dir, "nested.rec"), cfg)
     assert f"verify-error:{error}" in res.flags
     assert res.verification == "error"
     assert summarize([res])["errors"] == 1
@@ -395,18 +396,38 @@ def test_run_benchmark_flags_a_raising_bundled_solver(corpus_dir, monkeypatch):
         raise ValueError("boom")
 
     monkeypatch.setattr(recsolve_lia, "run_script", boom)
-    cfg = _fast_cfg(solver=SolverConfig(command=(sys.executable, recsolve_lia.__file__)))
-    res = run_benchmark(os.path.join(corpus_dir, "nested.rec"), cfg)
+    cfg = _fast_cfg(solver=SolverConfig(command=smt._BUNDLED_COMMAND))
+    res = run_file(os.path.join(corpus_dir, "nested.rec"), cfg)
     assert "verify-error:SolverCrashed" in res.flags
     assert res.verification == "error"
 
 
-def test_run_benchmark_never_raises_on_bad_input(tmp_path):
+# a benchmark that does not parse: the parser stops at 4:1
+_BAD_REC = "def f(x) pre x>=0 {\n case x=0 -> 0\n case x>0 -> f(x-1)+\n}\nentry f\n"
+
+
+def test_run_file_never_raises_on_bad_input(tmp_path, monkeypatch):
     bad = tmp_path / "bad.rec"
-    bad.write_text("def f(x) pre x>=0 { case x=0 -> 0 case x>0 -> f(x-1)+ } entry f")
-    res = run_benchmark(str(bad), _fast_cfg())
-    assert res.error
-    assert res.classification == "none"
+    bad.write_text(_BAD_REC)
+    res = run_file(str(bad), _fast_cfg())
+    assert (res.name, res.flags, res.classification) == ("bad", ("parse-failed",), "none")
+    assert res.error == f"cannot parse {bad}: 4:1: expected an expression, found '}}'"
+    missing = "/nonexistent/x.rec"
+    res = run_file(missing, _fast_cfg())
+    assert (res.name, res.flags) == ("x", ("read-failed",))
+    assert res.error == f"cannot read {missing}: No such file or directory"
+    latin1 = tmp_path / "latin1.rec"
+    latin1.write_bytes("# caf\xe9\n".encode("latin-1"))
+    res = run_file(str(latin1), _fast_cfg())
+    assert res.flags == ("read-failed",) and "not UTF-8" in res.error
+
+    def unwritable(*args):  # e.g. a --debug-smt directory that cannot be made
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(harness, "run_benchmark", unwritable)
+    res = run_file(os.path.join(os.path.dirname(__file__), "..", "corpus", "succ.rec"), _fast_cfg())
+    assert res.flags == ("internal-error",)
+    assert res.error.startswith("PermissionError: [Errno 13] Permission denied")
 
 
 def test_run_corpus_empty_dir(tmp_path):
@@ -427,14 +448,14 @@ def test_run_corpus_worked_examples(tmp_path):
 
 def test_cli_corpus_keeps_earlier_records_when_a_later_benchmark_crashes(tmp_path, monkeypatch):
     corpus = _corpus_subset(tmp_path, ["nested", "succ"])
-    run_entry = harness._corpus_entry
+    run_entry = harness.run_file
 
-    def entry(args):
-        if args[0].endswith("succ.rec"):
+    def entry(path, cfg):
+        if path.endswith("succ.rec"):
             raise MemoryError("late crash")
-        return run_entry(args)
+        return run_entry(path, cfg)
 
-    monkeypatch.setattr(harness, "_corpus_entry", entry)
+    monkeypatch.setattr(harness, "run_file", entry)
     out = tmp_path / "r.jsonl"
     assert cli.main(["corpus", corpus, "--seed", "7", "--repeat", "1", "--jobs", "1",
                      "--out", str(out)]) == 2
@@ -481,11 +502,46 @@ def test_cli_bad_option_value_exit_one(option):
 
 
 def test_cli_internal_error_exit_two(tmp_path):
+    """Input that cannot be read or parsed exits 2 and says so; it is not
+    reported as an internal error, and a corpus that cannot be listed
+    writes no report."""
     missing = "/nonexistent/definitely-missing.rec"
-    for argv in (("solve", missing), ("check", missing, "--candidate", "x")):
-        p = _cli(*argv)
-        assert p.returncode == 2
-        assert f"cannot read {missing}" in p.stderr
+    bad = tmp_path / "bad.rec"
+    bad.write_text(_BAD_REC)
+    out = tmp_path / "r.jsonl"
+    for argv, message in [
+        (("solve", missing), f"cannot read {missing}: No such file or directory"),
+        (("check", missing, "--candidate", "x"), f"cannot read {missing}: No such file or directory"),
+        (("solve", str(bad)), f"cannot parse {bad}: 4:1: "),
+        (("check", str(bad), "--candidate", "x"), f"cannot parse {bad}: 4:1: "),
+        (("corpus", "/nonexistent", "--out", str(out)), "cannot read /nonexistent: No such file or directory"),
+        (("corpus", "corpus/succ.rec", "--out", str(out)), "cannot read corpus/succ.rec: Not a directory"),
+    ]:
+        p = _cli(*argv, *(() if argv[0] == "check" else ("--repeat", "1")))
+        assert p.returncode == 2, argv
+        assert f"recsolve: {message}" in p.stderr, (argv, p.stderr)
+        assert "internal error" not in p.stderr
+    assert not out.exists()
+
+
+def test_cli_corpus_flags_unreadable_and_unparsable_entries(tmp_path, capsys):
+    """One flagged record per bad file, in name order; the good file's
+    record is the one it gets alone."""
+    corpus = _corpus_subset(tmp_path, ["succ"])
+    alone = tmp_path / "alone.jsonl"
+    assert cli.main(["corpus", corpus, "--repeat", "1", "--jobs", "1", "--out", str(alone)]) == 0
+    (tmp_path / "corpus" / "bad.rec").write_text(_BAD_REC)
+    (tmp_path / "corpus" / "dir.rec").mkdir()
+    out = tmp_path / "r.jsonl"
+    assert cli.main(["corpus", corpus, "--repeat", "1", "--jobs", "1", "--out", str(out)]) == 2
+    assert "internal error" not in capsys.readouterr().err
+    records = [json.loads(line) for line in strip_timings(out.read_text()).splitlines()[1:-1]]
+    assert [(r["name"], r["flags"]) for r in records[:2]] == [
+        ("bad", ["parse-failed"]), ("dir", ["read-failed"]),
+    ]
+    assert records[0]["error"].startswith(f"cannot parse {corpus}{os.sep}bad.rec: 4:1: ")
+    assert records[1]["error"] == f"cannot read {corpus}{os.sep}dir.rec: Is a directory"
+    assert records[2] == json.loads(strip_timings(alone.read_text()).splitlines()[1])
 
 
 def test_cli_out_into_missing_directory_fails_before_running(tmp_path):

@@ -153,12 +153,12 @@ def test_lazy_exports_resolve_and_the_readme_library_snippet_proves_merge():
 
         from recsolve import dsl, guess_linear, verify
 
-        bf = dsl.parse(open({MERGE!r}).read())
+        bf = dsl.load({MERGE!r})
         out = guess_linear(bf.system, domsplit=True)
         print(verify(bf.system, out.candidate))
     """)
     assert "NO ERROR" not in out
-    assert "MISSING [] 65" in out
+    assert "MISSING [] 67" in out
     assert out.rstrip().endswith("Proved()")
 
 

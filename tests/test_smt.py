@@ -455,7 +455,7 @@ def _verdict(res) -> str:
 
 def test_verify_expected_proved_set(corpus):
     """The verdict on each corpus expected form and on that form plus 1."""
-    bundled = SolverConfig(command=(sys.executable, recsolve_lia.__file__))
+    bundled = SolverConfig(command=smt._BUNDLED_COMMAND)
     single = {n: bf for n, bf in corpus.items() if bf.expect and bf.system.is_single_equation()}
     assert sorted(single) == sorted(VERDICTS)
     for name, bf in single.items():
@@ -488,7 +488,7 @@ def test_solver_budget_bounds_every_solve_conj_call(corpus, monkeypatch):
     """Conjunctions refuted at once spend the budget too, so a query whose
     substitutions are all rejected still ends at MAX_BRANCHES calls."""
     calls = _count_solve_conj(monkeypatch, 2 * recsolve_lia.MAX_BRANCHES)
-    bundled = SolverConfig(command=(sys.executable, recsolve_lia.__file__))
+    bundled = SolverConfig(command=smt._BUNDLED_COMMAND)
     cand = parse_candidate("floor(288/55*(52/53*x3 + x4 + x5 + 52/53*x6))")
     assert verify(corpus["highdim1"].system, cand, bundled) == Unknown("solver-unknown")
     assert calls[0] == recsolve_lia.MAX_BRANCHES
@@ -500,7 +500,7 @@ def test_corpus_checks_stay_far_below_the_solver_budget(corpus, monkeypatch):
     budget fails here before verdicts turn unknown."""
     limit = recsolve_lia.MAX_BRANCHES // 10
     calls = _count_solve_conj(monkeypatch, 2 * recsolve_lia.MAX_BRANCHES)
-    bundled = SolverConfig(command=(sys.executable, recsolve_lia.__file__))
+    bundled = SolverConfig(command=smt._BUNDLED_COMMAND)
     checked = 0
     for name, bf in corpus.items():
         if bf.expect is None:
@@ -561,7 +561,7 @@ def _check_queries(corpus):
 
 def test_check_queries_print_the_pinned_stdout(corpus, monkeypatch):
     outputs = spy(monkeypatch, recsolve_lia, "run_script")
-    bundled = SolverConfig(command=(sys.executable, recsolve_lia.__file__))
+    bundled = SolverConfig(command=smt._BUNDLED_COMMAND)
     got: dict = {}
     for name, _tag, system, cand in _check_queries(corpus):
         outputs.clear()
@@ -575,7 +575,7 @@ def test_check_queries_make_few_solve_conj_calls(corpus, monkeypatch):
     """With the real-shadow prune, no `check` query makes 1,000 solve_conj
     calls, and highdim1's proof (3,270 calls without it) makes at most 500."""
     calls = _count_solve_conj(monkeypatch, 1000)
-    bundled = SolverConfig(command=(sys.executable, recsolve_lia.__file__))
+    bundled = SolverConfig(command=smt._BUNDLED_COMMAND)
     counts = {}
     for name, tag, system, cand in _check_queries(corpus):
         calls[0] = 0
