@@ -2,8 +2,9 @@
 check a hand-written closed form.
 
 Exit codes: 0 success, 1 usage error, 2 a file that cannot be read or
-parsed, or an internal error.  Classification outcomes never affect the
-exit code.
+parsed, a solver that cannot be found or run, a verify or classify stage
+that raised, or an internal error.  Classification outcomes never affect
+the exit code.
 """
 
 from __future__ import annotations
@@ -148,7 +149,7 @@ def main(argv=None) -> int:
 
 def _cmd_solve(args, cfg: RunConfig) -> int:
     from .harness import run_file
-    from .report import write_report
+    from .report import STAGE_ERRORS, has_error, write_report
 
     result = run_file(args.file, cfg)
     print(f"benchmark:      {result.name} [{result.category}]")
@@ -163,13 +164,15 @@ def _cmd_solve(args, cfg: RunConfig) -> int:
     if result.error:
         internal = "internal error: " if "internal-error" in result.flags else ""
         print(f"recsolve: {internal}{result.error}", file=sys.stderr)
-        return 2
-    return 0
+    for flag in result.flags:
+        if flag.startswith(STAGE_ERRORS):
+            print(f"recsolve: {flag}", file=sys.stderr)
+    return 2 if has_error(result) else 0
 
 
 def _cmd_corpus(args, cfg: RunConfig) -> int:
-    from .harness import has_internal_errors, iter_corpus
-    from .report import summarize, write_report
+    from .harness import iter_corpus
+    from .report import has_error, summarize, write_report
 
     try:
         pending = iter_corpus(args.dir, cfg)
@@ -182,7 +185,11 @@ def _cmd_corpus(args, cfg: RunConfig) -> int:
     print(f"-- {summary['benchmarks']} benchmarks: " + ", ".join(f"{k}={v}" for k, v in summary["classes"].items()))
     if args.out:
         print(f"report: {args.out}")
-    return 2 if has_internal_errors(results) else 0
+    failed = sum(map(has_error, results))
+    if failed:
+        print(f"recsolve: {failed} of {len(results)} benchmarks failed; see their error and flags",
+              file=sys.stderr)
+    return 2 if failed else 0
 
 
 def _cannot(verb: str, path: str, reason) -> int:
@@ -197,7 +204,7 @@ def _print_row(r):
 
 def _cmd_check(args, cand: PiecewiseClosedForm) -> int:
     from .dsl import ParseError, load, print_piecewise
-    from .smt import verify
+    from .smt import SolverNotFound, verify
 
     try:
         bf = load(args.file)
@@ -205,7 +212,11 @@ def _cmd_check(args, cand: PiecewiseClosedForm) -> int:
         return _cannot("read", args.file, exc.strerror or exc)
     except ParseError as exc:
         return _cannot("parse", args.file, exc)
-    result = verify(bf.system, cand, _solver_config(args, "."))
+    try:
+        result = verify(bf.system, cand, _solver_config(args, "."))
+    except SolverNotFound as exc:
+        print(f"recsolve: solver not found: {exc}", file=sys.stderr)
+        return 2
     print(f"candidate: {print_piecewise(cand)}")
     print(f"result:    {result}")
     return 0

@@ -567,7 +567,3 @@ def _run_files(files: list[str], cfg: RunConfig) -> Iterator[BenchmarkResult]:
     else:
         for f in files:
             yield run_file(f, cfg)
-
-
-def has_internal_errors(results) -> bool:
-    return any("internal-error" in r.flags or r.error for r in results)

@@ -61,16 +61,18 @@ def summarize(results: list[BenchmarkResult]) -> dict:
             cat: {c: cnt.get(c, 0) for c in CLASSES}
             for cat, cnt in sorted(per_category.items())
         },
-        "errors": sum(1 for r in results if _has_error(r)),
+        "errors": sum(1 for r in results if has_error(r)),
     }
 
 
-def _has_error(r: BenchmarkResult) -> bool:
+# flag prefixes of a verify or classify stage that raised
+STAGE_ERRORS = ("verify-error:", "classify-error:")
+
+
+def has_error(r: BenchmarkResult) -> bool:
     """A run error, or a verify or classify stage that raised (the result
     still carries a class, but that class is not to be trusted)."""
-    return bool(r.error) or any(
-        f.startswith(("verify-error:", "classify-error:")) for f in r.flags
-    )
+    return bool(r.error) or any(f.startswith(STAGE_ERRORS) for f in r.flags)
 
 
 def emit_report(results: list[BenchmarkResult]) -> str:

@@ -6,16 +6,21 @@ Trees are model expressions, valued by eval_array's per-operator rules
 nodes square, cube and pow2.  Inside the search each GP node (`_Tree`)
 carries its size, complexity and hash, computed once when it is built, so
 that variation rebuilds only the path to the node it changes and a memo
-lookup reads a cached hash.  Once scored, a node also keeps its value on the
-training columns, so a child's score computes only its rebuilt path.  The
-islands of one run are evolved in contiguous blocks, two per available CPU
-(one on one CPU): block 0 in the calling process, the others in forked
-children that swap migrants with their neighbours through pipes; the front
-is the same for any number of blocks.  The search's shape is fixed by the
-constants below; GPConfig sets only its size and seed.  Constants are tuned
-by a port of scipy's Nelder–Mead (`_nelder_mead`), so no scipy module loads
-here; numpy and multiprocessing load at a process's first `evolve` or
-constant tuning, not with this module.
+lookup reads a cached hash.  Variation builds a node from its operator and
+operand nodes, not from its expression: a pow or pow2 node takes the
+operator that its operands give it (`_build`).  All trees of one run share
+one leaf node per parameter and per fixed constant.  Once scored,
+a node also keeps its value on the training columns, so a child's score
+computes only its rebuilt path.  The islands of one run are evolved in
+contiguous blocks, two per available CPU (one on one CPU): block 0 in the
+calling process, the others in forked children that swap migrants with
+their neighbours through pipes; the front is the same for any number of
+blocks.  Each block runs under one np.errstate (`_quiet`), not one per
+score.  The search's shape is fixed by the constants below; GPConfig sets
+only its size and seed.  Constants are tuned by a port of scipy's
+Nelder–Mead (`_nelder_mead`), so no scipy module loads here; numpy and
+multiprocessing load at a process's first `evolve` or constant tuning, not
+with this module.
 """
 
 from __future__ import annotations
@@ -27,6 +32,8 @@ import random
 import threading
 import traceback
 from collections.abc import Sequence
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from operator import attrgetter, itemgetter
@@ -148,10 +155,6 @@ _BUILD = {
     "cube": lambda a: Pow(a, _THREE),
     "pow2": lambda a: Pow(_TWO, a),
 }
-# GP operators whose operands can make them another operator (2^x with 2 for
-# x is square), so that a node of them is re-derived by `_node`
-_REDERIVED = ("pow", "pow2")
-
 
 def _node(e: Expr) -> tuple[str, tuple[Expr, ...]]:
     """The GP operator of a node and its operands: those of eval_array
@@ -168,27 +171,18 @@ class _Tree:
     """A GP node: its model expression `expr`, its GP operator `tag` and
     operand nodes `kids` (from `_node`), and, computed once when it is
     built, its size in GP nodes, its complexity, its count of tunable
-    constants and a structural hash.  Operands of `expr` that are the
-    expression of a node in `known` reuse that node; the others are built.
-    A node built from its operands (`_build`) makes its expression when it
-    is first read.  Once scored, a node also holds its value on the
-    training columns, with those columns (see `_column`).  Nodes are equal
-    when their expressions are: when their operators are and their operand
-    nodes are equal, or, for leaves, their expressions."""
+    constants and a structural hash.  A node built from its operands
+    (`_build`) makes its expression when it is first read.  Once scored, a
+    node also holds its value on the training columns, with those columns
+    (see `_column`).  Nodes are equal when their expressions are: when
+    their operators are and their operand nodes are equal, or, for leaves,
+    their expressions."""
 
     __slots__ = ("_expr", "tag", "kids", "size", "complexity", "consts", "_hash", "_cols", "_col")
 
-    def __init__(self, expr: Expr, known: Sequence[_Tree] = ()):
+    def __init__(self, expr: Expr):
         tag, operands = _node(expr)
-        kids = []
-        for o in operands:
-            for k in known:
-                if k.expr is o:
-                    break
-            else:
-                k = _Tree(o)
-            kids.append(k)
-        self._fill(expr, tag, tuple(kids))
+        self._fill(expr, tag, tuple(_Tree(o) for o in operands))
 
     def _fill(self, expr: Expr | None, tag: str, kids: tuple[_Tree, ...]):
         self._expr, self.tag, self.kids, self._cols = expr, tag, kids, None
@@ -238,12 +232,38 @@ def _made(expr: Expr | None, tag: str, kids: tuple[_Tree, ...] = ()) -> _Tree:
 
 
 def _build(tag: str, kids: tuple[_Tree, ...]) -> _Tree:
-    """The node of GP operator `tag` over the operand nodes `kids`.  It is
-    built from the tag, not derived again from its expression, except for
-    pow and pow2, whose operands can make them another operator."""
-    if tag in _REDERIVED:
-        return _Tree(_BUILD[tag](*[k.expr for k in kids]), kids)
+    """The node of GP operator `tag` over the operand nodes `kids`, built
+    from the tag and the operands' nodes, with no expression made.  A pow or
+    pow2 node whose operands make it another operator is that operator, as
+    model.array_operator decides it: x^2 and x^3 are square and cube, 2^e
+    (e not a constant) is pow2, and 2^c for another constant c is pow."""
+    if tag == "pow":
+        base, exp = kids
+        if exp.tag == "const":
+            if exp._expr.value == 2:
+                return _made(None, "square", (base,))
+            if exp._expr.value == 3:
+                return _made(None, "cube", (base,))
+        elif base.tag == "const" and base._expr.value == 2:
+            return _made(None, "pow2", (exp,))
+    elif tag == "pow2" and kids[0].tag == "const":
+        (exp,) = kids
+        if exp._expr.value == 2:  # 2^2: the operand is also the base
+            return _made(None, "square", kids)
+        two = _const_leaf(2.0)
+        return _made(None, "cube", (two,)) if exp._expr.value == 3 else _made(None, "pow", (two, exp))
     return _made(None, tag, kids)
+
+
+def _const_leaf(value: float) -> _Tree:
+    """The leaf node of the constant `value`, a finite float.  Its hash is
+    hash((value,)), which is its Const's hash (Python hashes a float and
+    the Fraction of equal value alike), read without Fraction.__hash__."""
+    t = _Tree.__new__(_Tree)
+    t._expr, t.tag, t.kids, t._cols = Const(Fraction(value)), "const", (), None
+    t.size = t.complexity = t.consts = 1
+    t._hash = hash((value,))
+    return t
 
 
 def _at(t: _Tree, index: int) -> _Tree:
@@ -297,9 +317,12 @@ def tree_loss(tree: _Tree | Expr, cols: dict[str, np.ndarray], targets: np.ndarr
     are eval_array's, bit for bit, but a node computes only its nodes not yet
     scored on `cols` (see `_column`), so the dict `cols` must not change
     once a node is scored on it.  The sum and the division are those of
-    np.mean, so the loss is np.mean of the squared residuals bit for bit.  A
-    residual of magnitude 2^512 or more squares to inf, which numpy reports
-    as an overflow; `evolve` silences that once for its whole run.
+    np.mean, so the loss is np.mean of the squared residuals bit for bit.
+    The predictions are computed under np.errstate(all="ignore"); the
+    residuals are not, so a residual of magnitude 2^512 or more, which
+    squares to inf, is an overflow to the caller's errstate.  `evolve`
+    silences that once for its whole run (`_quiet`), and tree_loss then
+    enters no errstate of its own.
 
     Where eval_array's value would have a nan (some value is nan or above
     2^512 in magnitude, see `array_valid`), the loss is inf.  That pass is
@@ -309,17 +332,21 @@ def tree_loss(tree: _Tree | Expr, cols: dict[str, np.ndarray], targets: np.ndarr
     small is computed once per targets array, so `targets`, like `cols`,
     must not change once a node is scored on it."""
     global _last_targets
-    import numpy as np
-
+    np, rules = _numeric or _load_numeric()
     node = tree if type(tree) is _Tree else _Tree(tree)
     seen, small = _last_targets
     if seen is not targets:
         small = bool(np.abs(targets).max() < _SMALL_TARGET)
         _last_targets = (targets, small)
-    with np.errstate(all="ignore"):
-        v = _column(np, array_rules(False), node, cols)
-        if not small and not array_valid(np, v):  # eval_array's value has a nan
-            return math.inf
+    if _quiet_now.get():
+        v = _column(np, rules, node, cols)
+        valid = small or array_valid(np, v)
+    else:
+        with np.errstate(all="ignore"):
+            v = _column(np, rules, node, cols)
+            valid = small or array_valid(np, v)
+    if not valid:  # eval_array's value has a nan
+        return math.inf
     d = v - targets
     loss = float(np.add.reduce(d * d)) / len(d)
     return loss if math.isfinite(loss) else math.inf
@@ -330,6 +357,31 @@ _SMALL_TARGET = 2.0 ** 460
 # the targets array that tree_loss read last, and whether all are below
 # _SMALL_TARGET in magnitude
 _last_targets: tuple = (None, False)
+# (numpy, eval_array's unguarded rules), set by tree_loss's first call
+_numeric: tuple | None = None
+# whether this context runs under `_quiet`
+_quiet_now: ContextVar[bool] = ContextVar("recsolve_symbolic_quiet", default=False)
+
+
+def _load_numeric() -> tuple:
+    global _numeric
+    import numpy as np
+
+    _numeric = (np, array_rules(False))
+    return _numeric
+
+
+@contextmanager
+def _quiet(np):
+    """Run the body under one np.errstate(all="ignore"), with tree_loss
+    entering no errstate of its own; both are as before on exit, also when
+    the body raises."""
+    token = _quiet_now.set(True)
+    try:
+        with np.errstate(all="ignore"):
+            yield
+    finally:
+        _quiet_now.reset(token)
 
 
 def _column(np, rules, t: _Tree, cols):
@@ -363,11 +415,33 @@ def _below(rng: random.Random, n: int) -> int:
     return r
 
 
-def _random_leaf(rng: random.Random, params: tuple[str, ...]) -> _Tree:
+_FIXED_CONSTS = (1.0, 2.0, 3.0, 0.5)
+
+
+class _Leaves:
+    """The leaf nodes that random trees draw: one node per parameter
+    (`names` in order) and one per fixed constant of `_random_leaf`, shared
+    by every tree of an `evolve` call, which builds this table."""
+
+    __slots__ = ("vars", "consts")
+
+    def __init__(self, names: Sequence[str]):
+        self.vars = tuple(_made(Var(p), "var") for p in names)
+        self.consts = tuple(_const_leaf(v) for v in _FIXED_CONSTS)
+
+
+def _random_leaf(rng: random.Random, params: _Leaves | Sequence[str]) -> _Tree:
+    """A parameter with probability 0.7, else one of the fixed constants
+    or a uniform draw in [-5, 5] rounded to 3 places, with equal odds.
+    `params` is the table of shared leaves, or the parameter names for a
+    table of fresh ones.  The draws are those of rng.choice over the names
+    and over [1.0, 2.0, 3.0, 0.5, round(rng.uniform(-5, 5), 3)]."""
+    leaves = params if type(params) is _Leaves else _Leaves(params)
     if rng.random() < 0.7:
-        return _made(Var(rng.choice(params)), "var")
-    value = rng.choice([1.0, 2.0, 3.0, 0.5, round(rng.uniform(-5, 5), 3)])
-    return _made(Const(Fraction(value)), "const")
+        return leaves.vars[_below(rng, len(leaves.vars))]
+    drawn = rng.uniform(-5, 5)
+    k = _below(rng, len(_FIXED_CONSTS) + 1)
+    return leaves.consts[k] if k < len(_FIXED_CONSTS) else _const_leaf(round(drawn, 3))
 
 
 def _random_tree(rng: random.Random, params, ops: OperatorSet, depth: int) -> _Tree:
@@ -404,7 +478,7 @@ def _perturb_const(rng: random.Random, tree: _Tree) -> _Tree:
     idx = _const_index(tree, _below(rng, tree.consts))
     c = float(_at(tree, idx).expr.value)
     new = c * (1.0 + rng.gauss(0, 0.3)) + rng.gauss(0, 0.1)
-    return _replace(tree, idx, _made(Const(Fraction(new)), "const"))
+    return _replace(tree, idx, _const_leaf(new))
 
 
 def _crossover(rng: random.Random, a: _Tree, b: _Tree) -> _Tree:
@@ -476,9 +550,12 @@ def evolve(
     its block: an offspring that repeats a tree made there in this
     generation or the last reuses its individual.  The tuning of an
     island's best is memoized by tree for the whole call.  Neither memo
-    changes a random draw or a result.  Residuals squared past the float
-    range are no error (see tree_loss): numpy's overflow report is off for
-    the search and the tuning, whatever the caller's errstate."""
+    changes a random draw or a result.  Random trees draw their leaves from
+    one table (`_Leaves`) built per call, so each parameter and each fixed
+    constant is one node, scored once.  Residuals squared past the float
+    range are no error (see tree_loss): each block, and the tuning, runs
+    under one np.errstate(all="ignore") (`_quiet`), whatever the caller's
+    errstate, and tree_loss enters none of its own there."""
     import multiprocessing as mp
 
     import numpy as np
@@ -499,23 +576,26 @@ def evolve(
     n = min(cfg.populations, BLOCKS_PER_CPU * cpus) if cpus > 1 else 1
     cuts = [cfg.populations * k // n for k in range(n + 1)]
 
+    leaves = _Leaves(params)
+
     def run(k: int, exchange) -> dict:
         enabled = gc.isenabled()
         gc.disable()
         try:
-            return _evolve_islands(range(cuts[k], cuts[k + 1]), exchange, cols, y, params, ops, cfg)
+            with _quiet(np):
+                return _evolve_islands(range(cuts[k], cuts[k + 1]), exchange, cols, y, leaves, ops, cfg)
         finally:
             if enabled:
                 gc.enable()
 
-    with np.errstate(over="ignore"):
-        best: dict[int, tuple[float, tuple[int, int], Expr]] = {}
-        for part in _run_blocks(n, run):
-            for c, offer in part.items():
-                if c not in best or offer[:2] < best[c][:2]:
-                    best[c] = offer
-        front = ParetoFront({c: FrontEntry(c, loss, tree) for c, (loss, _, tree) in best.items()})
-        # local constant tuning on the front survivors
+    best: dict[int, tuple[float, tuple[int, int], Expr]] = {}
+    for part in _run_blocks(n, run):
+        for c, offer in part.items():
+            if c not in best or offer[:2] < best[c][:2]:
+                best[c] = offer
+    front = ParetoFront({c: FrontEntry(c, loss, tree) for c, (loss, _, tree) in best.items()})
+    # local constant tuning on the front survivors
+    with _quiet(np):
         for entry in list(front.pareto()):
             tuned = optimize_constants_tree(_Tree(entry.tree), cols, y)
             front.offer(tuned.expr, tree_loss(tuned, cols, y), tuned.complexity)
@@ -523,13 +603,13 @@ def evolve(
 
 
 def _evolve_islands(
-    ids: range, exchange, cols, y, params, ops: OperatorSet, cfg: GPConfig
+    ids: range, exchange, cols, y, leaves: _Leaves, ops: OperatorSet, cfg: GPConfig
 ) -> dict[int, tuple[float, tuple[int, int], Expr]]:
-    """Evolve the islands numbered `ids` of `evolve`'s ring.  At each
-    migration `exchange` takes the best of the last island and returns the
-    migrant for the first.  Returns, per complexity, the first offer of
-    least loss as (loss, (generation, island), tree); generation 0 is the
-    initial population."""
+    """Evolve the islands numbered `ids` of `evolve`'s ring, drawing leaves
+    from `leaves`.  At each migration `exchange` takes the best of the last
+    island and returns the migrant for the first.  Returns, per complexity,
+    the first offer of least loss as (loss, (generation, island), tree);
+    generation 0 is the initial population."""
     front: dict[int, tuple[float, tuple[int, int], Expr]] = {}
     # tree -> individual, made in this generation (seen) or the last (older)
     seen: dict[_Tree, _Individual] = {}
@@ -554,14 +634,22 @@ def _evolve_islands(
     rngs = {i: random.Random(cfg.seed * 10_007 + i) for i in ids}
     islands: list[list[_Individual]] = []
     for i in ids:
-        trees = [_random_tree(rngs[i], params, ops, 3) for _ in range(cfg.population_size)]
+        trees = [_random_tree(rngs[i], leaves, ops, 3) for _ in range(cfg.population_size)]
         islands.append([make(t) for t in trees])
 
     def tournament(rng: random.Random, pop: list[_Individual]) -> _Individual:
+        # each entrant is pop[_below(rng, n)], drawn inline
         n = len(pop)
-        best = pop[_below(rng, n)]
+        k, bits = n.bit_length(), rng.getrandbits
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        best = pop[r]
         for _ in range(TOURNAMENT - 1):
-            ch = pop[_below(rng, n)]
+            r = bits(k)
+            while r >= n:
+                r = bits(k)
+            ch = pop[r]
             if ch.key < best.key:
                 best = ch
         return best
@@ -578,7 +666,7 @@ def _evolve_islands(
                     other = tournament(rng, pop)
                     child = _crossover(rng, parent.tree, other.tree)
                 elif r < P_CROSSOVER + P_MUTATION:
-                    child = _mutate(rng, parent.tree, params, ops)
+                    child = _mutate(rng, parent.tree, leaves, ops)
                 else:
                     child = _perturb_const(rng, parent.tree)
                 newpop.append(parent if child.complexity > MAX_COMPLEXITY else make(child))
@@ -797,7 +885,7 @@ def _set_consts(t: _Tree, vals) -> _Tree:
     """`t` with its tunable constants, in preorder, taken from `vals`.  A
     subtree without constants is kept, with its scored value."""
     if t.tag == "const":
-        return _made(Const(Fraction(float(next(vals)))), "const")
+        return _const_leaf(float(next(vals)))
     if not t.consts:
         return t
     return _build(t.tag, tuple(_set_consts(k, vals) for k in t.kids))

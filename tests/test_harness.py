@@ -524,6 +524,31 @@ def test_cli_internal_error_exit_two(tmp_path):
     assert not out.exists()
 
 
+_NO_SOLVER = "no-such-solver-xyz"
+
+
+def test_cli_solve_with_a_missing_solver_exits_two():
+    p = _cli("solve", "corpus/nested.rec", "--verify", "--repeat", "1", "--solver", _NO_SOLVER)
+    assert p.returncode == 2
+    assert "verification:   error" in p.stdout
+    assert p.stderr == "recsolve: verify-error:SolverNotFound\n"
+
+
+def test_cli_corpus_with_a_missing_solver_exits_two(tmp_path):
+    corpus = _corpus_subset(tmp_path, ["nested", "succ"])
+    p = _cli("corpus", corpus, "--verify", "--repeat", "1", "--jobs", "1", "--solver", _NO_SOLVER)
+    assert p.returncode == 2
+    assert "recsolve: 2 of 2 benchmarks failed" in p.stderr
+    assert "internal error" not in p.stderr
+
+
+def test_cli_check_with_a_missing_solver_says_so():
+    p = _cli("check", "corpus/nested.rec", "--candidate", "x", "--solver", _NO_SOLVER)
+    assert p.returncode == 2
+    assert p.stderr == f"recsolve: solver not found: {_NO_SOLVER}\n"
+    assert p.stdout == ""
+
+
 def test_cli_corpus_flags_unreadable_and_unparsable_entries(tmp_path, capsys):
     """One flagged record per bad file, in name order; the good file's
     record is the one it gets alone."""

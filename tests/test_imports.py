@@ -6,8 +6,10 @@ directives, not names) and the explicit re-export form `from m import X as
 X`.  Every third-party module that src/ imports is a declared dependency
 in pyproject.toml.  numpy, multiprocessing and the process pool load only
 where they are called: a fresh interpreter that imports the package and
-runs `check` loads none of them.  `import recsolve, recsolve.cli` loads no
-other recsolve module, and `check` loads none of the fitting modules.
+runs `check` loads none of them, and neither does `import
+recsolve.symbolic`, which starts no thread.  `import recsolve,
+recsolve.cli` loads no other recsolve module, and `check` loads none of
+the fitting modules.
 Neither a lasso solve nor `evolve` loads any scipy module."""
 
 import ast
@@ -136,6 +138,18 @@ def test_import_and_check_load_no_numpy_scipy_or_process_pool():
     """)
     assert "IMPORTED ['recsolve', 'recsolve.cli']" in out
     assert "RESULT 0 []" in out
+
+
+def test_symbolic_import_loads_no_numpy_and_starts_nothing():
+    """The search builds its leaf table and loads numpy when it runs, not
+    when its module is imported."""
+    out = _fresh("""
+        import sys, threading
+        from recsolve import symbolic
+        loaded = [m for m in ("numpy", "multiprocessing", "concurrent.futures") if m in sys.modules]
+        print("RESULT", loaded, threading.active_count(), symbolic._numeric)
+    """)
+    assert "RESULT [] 1 None" in out
 
 
 def test_lazy_exports_resolve_and_the_readme_library_snippet_proves_merge():

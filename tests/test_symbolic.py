@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recsolve import dsl, symbolic
 from recsolve.dsl import parse_expr, print_expr
@@ -18,6 +20,8 @@ from recsolve.model import Const, EvalError, Var, _eval_array, array_rules, eval
 from recsolve.symbolic import (
     _BUILD,
     COSTS,
+    _build,
+    _const_leaf,
     GPConfig,
     OperatorSet,
     _at,
@@ -344,6 +348,40 @@ def test_gp_node_pow_transitions():
     assert (u.kids[0].tag, u.size, u.complexity) == ("square", 6, 6)
 
 
+def _same_node(got, want):
+    """`got` and `want` agree in every cached field, in equality and in
+    their expressions."""
+    assert (got.tag, got.size, got.complexity, got.consts) == (
+        want.tag, want.size, want.complexity, want.consts
+    )
+    assert hash(got) == hash(want) and got == want and got.kids == want.kids
+    assert got.expr == want.expr and print_expr(got.expr) == print_expr(want.expr)
+
+
+def test_build_gives_pow_and_pow2_the_operator_their_expression_has():
+    """A pow or pow2 node built from its operand nodes is the node derived
+    from its expression (model.array_operator): for constant operands 2, 3,
+    1/2 and -1, made from a Fraction or from a float, and for others."""
+    consts = [Fraction(2), Fraction(3), Fraction(1, 2), Fraction(-1)]
+    operands = [_Tree(Const(v)) for v in consts] + [_const_leaf(float(v)) for v in consts]
+    operands += [_Tree(parse_expr(src)) for src in ("x", "x + 1", "2^x", "x^2", "5")]
+    tags = {"pow": collections.Counter(), "pow2": collections.Counter()}
+    for a in operands:
+        for tag, kids in [("pow2", (a,))] + [("pow", (a, b)) for b in operands]:
+            got = _build(tag, kids)
+            _same_node(got, _Tree(_BUILD[tag](*[k.expr for k in kids])))
+            _check_node(got)
+            tags[tag][got.tag] += 1
+    assert set(tags["pow"]) == set(tags["pow2"]) == {"square", "cube", "pow2", "pow"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0]))
+def test_float_constant_leaf_is_the_node_of_its_const(value):
+    _same_node(_const_leaf(value), _Tree(Const(Fraction(value))))
+    assert hash(_const_leaf(value)) == hash(Const(Fraction(value)))
+
+
 def _old_loss(tree, cols, targets):
     pred = eval_array(tree, cols)
     if not np.all(np.isfinite(pred)):
@@ -604,6 +642,7 @@ def test_evolve_front_is_the_same_for_any_block_count(monkeypatch, case):
 # search faster must reproduce them bit for bit
 _XS1 = [(i,) for i in range(1, 13)]
 _XYS1 = [(i, j) for i in range(1, 6) for j in range(4)]
+_SEED7_XS = [(x,) for x in (10, 11, 14, 4, 13, 9, 8, 7, 18, 1, 16, 19, 2, 12, 15, 3, 5, 20, 6, 17)]
 _PINNED = {
     "one-variable": (
         (_XS1, [2.5 * i * i - 1.5 * i + 0.75 for (i,) in _XS1], ("x",), None,
@@ -636,6 +675,38 @@ _PINNED = {
             (5, "0x1.6f00000000000p+3", "x + y*x"),
             (7, "0x1.5c00000000000p+1", "x + (y + y*x)"),
             (9, "0x1.7fffffffffffep-1", "x*y + (y*(3940649688615961/2251799813685248) + x)"),
+        ],
+    ),
+    # constants 2, 3 and others under pow and pow2 turn them into square,
+    # cube, pow2 and pow
+    "pow-operators": (
+        (_XS1, [3.0 * 2.0 ** i + i * i for (i,) in _XS1], ("x",),
+         OperatorSet(("add", "mul", "pow"), ("pow2", "square", "cube")), GPConfig(6, 16, 12, seed=2)),
+        [
+            (1, "0x1.070ffe5555555p+24", "x"),
+            (2, "0x1.dbeb74aaaaaabp+22", "2^x"),
+            (4, "0x1.178a87bf923c5p+21", "727427712557497/140737488355328*x^3"),
+            (5, "0x1.f15892aaaaaabp+20", "2^x + 2^x"),
+            (6, "0x1.d9629730e706bp+8", "(2^x + x)*(6829432790952789/2251799813685248)"),
+            (8, "0x1.6b04f9349cf9bp+7",
+             "2^(4426535295208273/4503599627370496"
+             "*(((163857542743359/140737488355328)^2)^2 + x))"),
+        ],
+    ),
+    # the CLI defaults at seed 7 (GP seed 7*977 for the first fit domain) on
+    # the training sets of nested and exp1 that `solve --seed 7 --repeat 1`
+    # samples
+    "nested-seed7": (
+        (_SEED7_XS, [float(x) for (x,) in _SEED7_XS], ("x",), None, GPConfig(seed=7 * 977)),
+        [(1, "0x0.0p+0", "x")],
+    ),
+    "exp1-seed7": (
+        (_SEED7_XS, [2.0 ** (x + 1) - 1 for (x,) in _SEED7_XS], ("x",), None, GPConfig(seed=7 * 977)),
+        [
+            (1, "0x1.d036a740d7ffep+37", "1801429515667431/8589934592"),
+            (2, "0x1.1110ddddf0000p+36", "2^x"),
+            (4, "0x1.b3333cccafe02p-1", "2^(4503594980107801/4503599627370496 + x)"),
+            (6, "0x0.0p+0", "floor(2^(1125899584719177/1125899906842624 + x))"),
         ],
     ),
 }
@@ -693,6 +764,31 @@ def test_evolve_pauses_the_cyclic_gc_and_restores_it(monkeypatch):
     with pytest.raises(ArithmeticError, match="island block failure"):
         evolve(*_BLOCK_CASES["square"])
     assert gc.isenabled()
+
+
+def _assert_tree_loss_uses_its_own_errstate():
+    """tree_loss computes the predictions under its own errstate, so that
+    log2(0) is no error, and the squared residuals under the caller's: 2^(x^3)
+    at x = 8 is 2^512, whose square overflows."""
+    x8 = {"x": np.full(5, 8.0)}
+    with np.errstate(all="raise"):
+        assert tree_loss(parse_expr("log2(x - 8)"), x8, np.zeros(5)) == math.inf
+        with pytest.raises(FloatingPointError):
+            tree_loss(parse_expr("2^(x^3)"), x8, np.zeros(5))
+
+
+def test_evolve_leaves_tree_loss_to_the_callers_errstate(monkeypatch):
+    """Inside evolve tree_loss enters no errstate of its own; in this
+    process and thread it does again after a run, and after a child block
+    raises."""
+    _assert_tree_loss_uses_its_own_errstate()
+    evolve(*_BLOCK_CASES["one-island"])
+    _assert_tree_loss_uses_its_own_errstate()
+    _fail_outside_this_process(monkeypatch)
+    monkeypatch.setattr(symbolic, "available_cpus", lambda: 2)
+    with pytest.raises(ArithmeticError, match="island block failure"):
+        evolve(*_BLOCK_CASES["square"])
+    _assert_tree_loss_uses_its_own_errstate()
 
 
 def test_evolve_runs_one_block_in_a_threaded_process(monkeypatch):
