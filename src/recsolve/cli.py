@@ -1,6 +1,12 @@
 """Command line front end: solve one benchmark, run a corpus directory, or
 check a hand-written closed form.
 
+`solve` and `corpus` sample, fit and search with the library's defaults
+(`SampleConfig()`, `LassoConfig()`, `GPConfig()`); their flags set only the
+method, domain splitting, seed, repeats, checking, solver, workers and report
+path.  A caller who tunes the sample count, bound ladder, penalty grid,
+epsilon, folds or search size builds a `RunConfig` in Python.
+
 Exit codes: 0 success, 1 usage error, 2 a file that cannot be read or
 parsed, a solver that cannot be found or run, a verify or classify stage
 that raised, or an internal error.  Classification outcomes never affect
@@ -53,45 +59,22 @@ def _add_common(p: _Parser):
     p.add_argument("--method", choices=["lasso", "symreg", "auto"], default="lasso")
     p.add_argument("--domsplit", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--bound", default="auto", help="'auto' for the 20/10/5/3 ladder, or a single integer")
-    p.add_argument("--epsilon", type=float, default=0.05)
-    p.add_argument("--folds", type=int, default=2)
-    p.add_argument("--lambda-grid", default="0.001:1:100", metavar="LO:HI:COUNT")
     p.add_argument("--repeat", type=int, default=2)
     p.add_argument("--verify", action="store_true")
     _add_solver_options(p)
     p.add_argument("--out", default=None, help="report path (.jsonl; a .csv sits beside it)")
     p.add_argument("--jobs", type=int, default=None, help="worker processes (default: available CPUs)")
-    p.add_argument("--gp-populations", type=int, default=45)
-    p.add_argument("--gp-size", type=int, default=33)
-    p.add_argument("--gp-iterations", type=int, default=40)
 
 
 def _config(args) -> RunConfig:
-    import numpy as np
-
     from .harness import RunConfig
-    from .linear import LassoConfig
-    from .sampler import SampleConfig
-    from .symbolic import GPConfig, available_cpus
+    from .symbolic import available_cpus
 
-    lo, hi, count = args.lambda_grid.split(":")
-    grid = tuple(np.geomspace(float(lo), float(hi), int(count)))
-    ladder = (20, 10, 5, 3) if args.bound == "auto" else (int(args.bound),)
     return RunConfig(
         method=args.method,
         domsplit=args.domsplit,
         seed=args.seed,
         repeat=args.repeat,
-        sample=SampleConfig(n=args.samples, bound_ladder=ladder, seed=args.seed, folds=args.folds),
-        lasso=LassoConfig(lambda_grid=grid, folds=args.folds, epsilon=args.epsilon, seed=args.seed),
-        gp=GPConfig(
-            populations=args.gp_populations,
-            population_size=args.gp_size,
-            iterations=args.gp_iterations,
-            seed=args.seed,
-        ),
         verify=args.verify,
         solver=_solver_config(args, os.path.dirname(args.out or "") or "."),
         jobs=available_cpus() if args.jobs is None else args.jobs,
@@ -119,7 +102,10 @@ def main(argv=None) -> int:
     from .dsl import ParseError, parse_candidate
 
     try:  # a bad option value is a usage error
-        prepared = parse_candidate(args.candidate) if args.cmd == "check" else _config(args)
+        if args.cmd == "check":
+            prepared = parse_candidate(args.candidate), _solver_config(args, ".")
+        else:
+            prepared = _config(args)
     except ValueError as exc:
         parser.error(f"bad option value: {exc}")
     except ParseError as exc:
@@ -127,17 +113,17 @@ def main(argv=None) -> int:
     out = getattr(args, "out", None)
     if out:
         # fail before any benchmark runs, not after the whole corpus
+        if os.path.isdir(out) or not os.path.basename(out):  # a trailing separator names a directory
+            return _cannot("write report", out, "it is a directory")
         out_dir = os.path.dirname(os.path.abspath(out))
         if not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK | os.X_OK)):
-            print(f"recsolve: cannot write report {out}: {out_dir} is not a writable directory",
-                  file=sys.stderr)
-            return 2
+            return _cannot("write report", out, f"{out_dir} is not a writable directory")
     try:
         if args.cmd == "solve":
             return _cmd_solve(args, prepared)
         if args.cmd == "corpus":
             return _cmd_corpus(args, prepared)
-        return _cmd_check(args, prepared)
+        return _cmd_check(args, *prepared)
     except SystemExit:
         raise
     except BrokenPipeError:
@@ -202,9 +188,9 @@ def _print_row(r):
     return r
 
 
-def _cmd_check(args, cand: PiecewiseClosedForm) -> int:
+def _cmd_check(args, cand: PiecewiseClosedForm, solver: SolverConfig) -> int:
     from .dsl import ParseError, load, print_piecewise
-    from .smt import SolverNotFound, verify
+    from .smt import SolverCrashed, SolverNotFound, verify
 
     try:
         bf = load(args.file)
@@ -213,9 +199,12 @@ def _cmd_check(args, cand: PiecewiseClosedForm) -> int:
     except ParseError as exc:
         return _cannot("parse", args.file, exc)
     try:
-        result = verify(bf.system, cand, _solver_config(args, "."))
+        result = verify(bf.system, cand, solver)
     except SolverNotFound as exc:
         print(f"recsolve: solver not found: {exc}", file=sys.stderr)
+        return 2
+    except SolverCrashed as exc:
+        print(f"recsolve: solver failed: {exc}", file=sys.stderr)
         return 2
     print(f"candidate: {print_piecewise(cand)}")
     print(f"result:    {result}")

@@ -122,6 +122,10 @@ class SolverConfig:
     timeout: float = 10.0
     debug_dir: str | None = None
 
+    def __post_init__(self):
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise ValueError(f"solver timeout must be a finite number of seconds > 0, got {self.timeout}")
+
     def resolved_command(self) -> tuple[str, ...]:
         if self.command:
             return tuple(self.command)

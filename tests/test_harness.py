@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -490,8 +491,8 @@ def test_cli_usage_error_exit_one():
 
 
 @pytest.mark.parametrize("option", [
-    ("--bound", "abc"), ("--bound", "0"), ("--lambda-grid", "1:2"),
-    ("--samples", "1"), ("--folds", "1"),
+    ("--smt-timeout", "0"), ("--smt-timeout", "-1"), ("--smt-timeout", "nan"),
+    ("--smt-timeout", "inf"), ("--smt-timeout", "1e-400"),
     ("--jobs", "0"), ("--jobs", "-1"), ("--repeat", "0"),
 ])
 def test_cli_bad_option_value_exit_one(option):
@@ -499,6 +500,39 @@ def test_cli_bad_option_value_exit_one(option):
     assert p.returncode == 1, p.stderr
     assert "bad option value" in p.stderr
     assert p.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "corpus/nested.rec", "--candidate", "x", "--solver", "sleep 1"),
+    ("corpus", "corpus", "--repeat", "1"),
+])
+def test_cli_bad_smt_timeout_is_a_usage_error_for_check_and_corpus(argv, capsys):
+    """A timeout the solver cannot use is refused before any solver or
+    benchmark runs, not answered as a timeout or an internal error."""
+    for value in ("0", "-1", "nan"):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main([*argv, "--smt-timeout", value])
+        assert exit_.value.code == 1
+        out, err = capsys.readouterr()
+        assert "bad option value: solver timeout must be" in err, err
+        assert out == ""
+
+
+@pytest.mark.parametrize("option", [
+    ("--bound", "abc"), ("--bound", "0"), ("--lambda-grid", "1:2"),
+    ("--samples", "1"), ("--folds", "1"),
+    ("--epsilon", "0.1"), ("--gp-populations", "4"), ("--gp-size", "8"),
+    ("--gp-iterations", "2"),
+], ids=lambda option: option[0])
+def test_cli_removed_tuning_flag_is_a_usage_error(option, capsys):
+    """Sampling, fitting and search settings are set through RunConfig, not
+    the command line; each retired flag is an unknown argument."""
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["solve", "corpus/succ.rec", "--repeat", "1", *option])
+    assert exit_.value.code == 1
+    out, err = capsys.readouterr()
+    assert f"unrecognized arguments: {' '.join(option)}" in err, err
+    assert out == ""
 
 
 def test_cli_internal_error_exit_two(tmp_path):
@@ -549,6 +583,14 @@ def test_cli_check_with_a_missing_solver_says_so():
     assert p.stdout == ""
 
 
+def test_cli_check_with_a_crashing_solver_says_so():
+    p = _cli("check", "corpus/nested.rec", "--candidate", "x", "--solver", "false")
+    assert p.returncode == 2
+    assert p.stderr.startswith("recsolve: solver failed: false exited 1"), p.stderr
+    assert "internal error" not in p.stderr
+    assert p.stdout == ""
+
+
 def test_cli_corpus_flags_unreadable_and_unparsable_entries(tmp_path, capsys):
     """One flagged record per bad file, in name order; the good file's
     record is the one it gets alone."""
@@ -577,6 +619,49 @@ def test_cli_out_into_missing_directory_fails_before_running(tmp_path):
         assert "cannot write report" in p.stderr
         assert p.stdout == ""  # no benchmark ran
     assert not os.path.exists(tmp_path / "missing")
+
+
+@pytest.mark.parametrize("cmd", [("solve", "corpus/nested.rec"), ("corpus", "corpus")],
+                         ids=lambda cmd: cmd[0])
+def test_cli_out_naming_a_directory_fails_before_running(cmd, tmp_path):
+    (tmp_path / "r.jsonl").mkdir()
+    for out in (str(tmp_path), str(tmp_path / "r.jsonl"), str(tmp_path / "new.jsonl") + os.sep):
+        p = _cli(*cmd, "--repeat", "1", "--out", out)
+        assert p.returncode == 2
+        assert p.stderr == f"recsolve: cannot write report {out}: it is a directory\n"
+        assert p.stdout == ""  # no benchmark ran
+    assert sorted(os.listdir(tmp_path)) == ["r.jsonl"]
+
+
+def test_cli_corpus_report_is_the_run_config_defaults_report(tmp_path):
+    """The command line adds nothing to RunConfig: a corpus run writes the
+    report that run_corpus gives with only the seed, repeats and jobs set."""
+    corpus = _corpus_subset(tmp_path, ["nested", "succ", "merge"])
+    by_cli, by_library = tmp_path / "cli.jsonl", tmp_path / "library.jsonl"
+    assert cli.main(["corpus", corpus, "--seed", "7", "--repeat", "1", "--jobs", "1",
+                     "--out", str(by_cli)]) == 0
+    write_report(run_corpus(corpus, RunConfig(seed=7, repeat=1, jobs=1)), str(by_library))
+    assert strip_timings(by_cli.read_text()) == strip_timings(by_library.read_text())
+
+
+def _readme_section(title: str) -> str:
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        text = fh.read()
+    start = text.index(f"\n## {title}\n")
+    return text[start:text.index("\n## ", start + 1)]
+
+
+def test_readme_command_line_flags_are_the_cli_options(capsys):
+    """README's "Command line" section names exactly the options that the
+    commands' --help prints, so a flag cannot come or go without the docs."""
+    listed = set(re.findall(r"--[a-z][a-z-]*", _readme_section("Command line")))
+    printed = set()
+    for cmd in ("solve", "corpus", "check"):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main([cmd, "--help"])
+        assert exit_.value.code == 0
+        printed |= set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed == printed
 
 
 def _corpus_subset(tmp_path, names):
@@ -626,8 +711,8 @@ def test_cli_corpus_reports_match_across_jobs_under_load(tmp_path):
 
 
 def test_default_lambda_grid_is_numpys_geomspace(monkeypatch):
-    """LassoConfig's default grid, built at first use, and the one the CLI
-    builds from its default --lambda-grid are np.geomspace's, bit for bit."""
+    """LassoConfig's default grid, built at first use, and the one a CLI
+    run uses are np.geomspace's, bit for bit."""
     expected = [float(v).hex() for v in np.geomspace(0.001, 1.0, 100)]
     assert [v.hex() for v in linear.LassoConfig().lambda_grid] == expected
     assert [v.hex() for v in RunConfig().lasso.lambda_grid] == expected
