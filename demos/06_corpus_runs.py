@@ -22,7 +22,6 @@ CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 cfg = RunConfig(
     method="lasso",
     seed=7,
-    repeat=1,
     verify=True,
     jobs=max(os.cpu_count() or 1, 2),
     sample=SampleConfig(seed=7),

@@ -3,9 +3,9 @@ check a hand-written closed form.
 
 `solve` and `corpus` sample, fit and search with the library's defaults
 (`SampleConfig()`, `LassoConfig()`, `GPConfig()`); their flags set only the
-method, domain splitting, seed, repeats, checking, solver, workers and report
-path.  A caller who tunes the sample count, bound ladder, penalty grid,
-epsilon, folds or search size builds a `RunConfig` in Python.
+method, domain splitting, seed, checking, solver, workers and report path.
+A caller who tunes the sample count, bound ladder, penalty grid, epsilon,
+folds or search size builds a `RunConfig` in Python.
 
 Exit codes: 0 success, 1 usage error, 2 a file that cannot be read or
 parsed, a solver that cannot be found or run, a verify or classify stage
@@ -59,7 +59,6 @@ def _add_common(p: _Parser):
     p.add_argument("--method", choices=["lasso", "symreg", "auto"], default="lasso")
     p.add_argument("--domsplit", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--repeat", type=int, default=2)
     p.add_argument("--verify", action="store_true")
     _add_solver_options(p)
     p.add_argument("--out", default=None, help="report path (.jsonl; a .csv sits beside it)")
@@ -74,7 +73,6 @@ def _config(args) -> RunConfig:
         method=args.method,
         domsplit=args.domsplit,
         seed=args.seed,
-        repeat=args.repeat,
         verify=args.verify,
         solver=_solver_config(args, os.path.dirname(args.out or "") or "."),
         jobs=available_cpus() if args.jobs is None else args.jobs,

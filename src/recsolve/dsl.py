@@ -204,13 +204,11 @@ class _Parser:
                     self.peek().line,
                     0,
                 )
-        version = int(headers.get("format-version", FORMAT_VERSION))
         return BenchmarkFile(
             system=system,
             category=category,
             expect=expect,
             reconstructed=headers.get("reconstructed", "").lower() == "true",
-            format_version=version,
         )
 
     def _parse_dashed_name(self) -> str:
@@ -233,7 +231,10 @@ class _Parser:
                 self.i = mark
                 break
             self.next()  # ":"
-            headers[key] = self.next().text
+            value = self.next()
+            if key == "format-version" and value.text != str(FORMAT_VERSION):
+                self.error(f"format-version must be {FORMAT_VERSION}, found {value.text!r}", value)
+            headers[key] = value.text
         return headers
 
     def parse_funcdef(self) -> FuncDef:

@@ -69,7 +69,7 @@ from .model import (
     substitute,
     walk,
 )
-from .rewrite import FALSE, _collect_terms, _flatten, simplify
+from .rewrite import _FLIP, FALSE, _collect_terms, _flatten, simplify
 
 
 _ZERO = Const(Fraction(0))
@@ -682,23 +682,46 @@ def eval_piecewise(cand: PiecewiseClosedForm, env: dict):
     return eval_ground(piece_at(cand, env).body, env, guarded=True)
 
 
-def _guard_bindings(ctx: BoolExpr) -> dict:
-    """Variables a simplified context pins to integers: its top-level
-    equalities in one variable, a*x + b = 0 (x = 3, x - 1 = 0).
-    Substituting them specializes a branch's sides so that exponential
-    subterms constant-fold away."""
-    out: dict = {}
-    for b in _flatten(ctx, And):
-        if not (isinstance(b, Cmp) and b.op == "="):
+def _integer_bounds(atoms: list[BoolExpr], bounds: dict | None = None) -> dict:
+    """`bounds` (variable to integer (lo, hi), infinite where open) narrowed
+    by the comparisons among `atoms` in one variable, a*x + b op 0 with any
+    op but !=.  A range with lo > hi holds no integer."""
+    out = dict(bounds or {})
+    for b in atoms:
+        if not isinstance(b, Cmp) or b.op == "!=":
             continue
         terms = _collect_terms(Sub(b.lhs, b.rhs))
         shift = terms.pop((), Fraction(0))
-        if len(terms) == 1:
-            (factors, coef), = terms.items()
-            root = -shift / coef
-            if len(factors) == 1 and isinstance(factors[0], Var) and root.denominator == 1:
-                out[factors[0].name] = Const(root)
+        if len(terms) != 1:
+            continue
+        (factors, coef), = terms.items()
+        if not (len(factors) == 1 and isinstance(factors[0], Var)):
+            continue
+        name, root = factors[0].name, -shift / coef
+        op = b.op if coef > 0 else _FLIP[b.op]
+        lo, hi = out.get(name, (-math.inf, math.inf))
+        if op in ("=", ">=", ">"):
+            lo = max(lo, math.floor(root) + 1 if op == ">" else math.ceil(root))
+        if op in ("=", "<=", "<"):
+            hi = min(hi, math.ceil(root) - 1 if op == "<" else math.floor(root))
+        out[name] = (lo, hi)
     return out
+
+
+def _guard_bindings(ctx: BoolExpr, pre: dict) -> dict | None:
+    """Variables a simplified context pins to integers, where the bounds of
+    its top-level comparisons in one variable, narrowed from the
+    precondition's `pre`, meet (x = 3, x - 1 <= 0 with x >= 1).
+    Substituting them specializes a branch's sides so that exponential
+    subterms constant-fold away.  None when some variable's bounds leave no
+    integer: then the context is false under the precondition."""
+    pins: dict = {}
+    for name, (lo, hi) in _integer_bounds(_flatten(ctx, And), pre).items():
+        if lo > hi:
+            return None
+        if lo == hi:
+            pins[name] = Const(lo)
+    return pins
 
 
 _LABELS = ("equation", "unresolved-call", "variable-division")
@@ -721,8 +744,10 @@ def obligations(
     """A candidate's obligations on a single-equation system: equations,
     then calls, then divisors, each without repeats.  A branch (see
     `branches`) holds under its context: earlier guards false, its case's
-    guard true, and its piece conditions; a false context gives none, and a
-    difference that simplifies to 0 gives no equation.  Unknown when the
+    guard true, and its piece conditions.  A context that is false, or that
+    bounds a variable to no integer under the precondition, gives none; a
+    variable it bounds to one integer is pinned there (`_guard_bindings`);
+    a difference that simplifies to 0 gives no equation.  Unknown when the
     cases have more branches than recsolve_lia.MAX_DISJUNCTS."""
     if not cand.pieces:
         return Unsupported(("empty-candidate",))
@@ -732,12 +757,13 @@ def obligations(
         return Unknown("branch-limit")
     found: list[Obligation] = []
     earlier: list[BoolExpr] = []
+    pre = _integer_bounds(_flatten(simplify(f.precondition), And))
     for case in f.cases:
         for branch in branches(f, cand, case.body):
             ctx = simplify(functools.reduce(And, earlier + [case.guard, *branch.conditions]))
-            if ctx == FALSE:
+            pins = None if ctx == FALSE else _guard_bindings(ctx, pre)
+            if pins is None:
                 continue
-            pins = _guard_bindings(ctx)
             sides = _branch(f, cand, case.body, branch.choice, pins) if pins else branch
             lhs, rhs = simplify(sides.lhs), simplify(sides.rhs)
             diff = simplify(Sub(lhs, rhs))

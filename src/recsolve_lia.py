@@ -608,7 +608,7 @@ def run_script(text: str) -> str:
             if not isinstance(form, list) or not form:
                 continue
             head = form[0]
-            if head in ("set-logic", "set-option", "set-info", "exit", "push", "pop", "reset"):
+            if head in ("set-logic", "set-option", "set-info", "exit"):
                 continue
             if head == "declare-fun":
                 name, args, sort = form[1], form[2], form[3]

@@ -46,8 +46,7 @@ def _ok(n, msg):
 @pytest.fixture(scope="module")
 def corpus_runs():
     """Two full corpus runs with identical seeds (shared by criteria 5/11)."""
-    cfg = RunConfig(method="lasso", seed=7, repeat=1, verify=True, jobs=2,
-                    sample=SampleConfig(seed=7))
+    cfg = RunConfig(method="lasso", seed=7, verify=True, jobs=2, sample=SampleConfig(seed=7))
     a = run_corpus(CORPUS_DIR, cfg)
     b = run_corpus(CORPUS_DIR, cfg)
     return a, b
@@ -59,7 +58,7 @@ def test_criterion_1_worked_example():
     t0 = time.monotonic()
     candidates = []
     for seed in (0, 1):
-        cfg = RunConfig(method="lasso", seed=seed, repeat=1, verify=True)
+        cfg = RunConfig(method="lasso", seed=seed, verify=True)
         res = run_file(os.path.join(CORPUS_DIR, "nested.rec"), cfg)
         assert res.score == 1.0
         assert res.verification == "proved"
@@ -81,10 +80,10 @@ def test_criterion_2_determinization_pair():
 
 def test_criterion_3_domain_splitting():
     path = os.path.join(CORPUS_DIR, "merge.rec")
-    split = run_file(path, RunConfig(method="lasso", seed=0, repeat=1, verify=True, domsplit=True))
+    split = run_file(path, RunConfig(method="lasso", seed=0, verify=True, domsplit=True))
     assert split.classification == "exact"
     assert "x + y - 1" in split.candidate and "0" in split.candidate
-    flat = run_file(path, RunConfig(method="lasso", seed=0, repeat=1, verify=True))
+    flat = run_file(path, RunConfig(method="lasso", seed=0, verify=True))
     assert flat.classification != "exact"
     _ok(3, f"merge: split gives exact piecewise; without split: {flat.classification}")
 

@@ -118,6 +118,14 @@ def test_headers_parse():
     assert bf.category == "max-heavy"
 
 
+@pytest.mark.parametrize("version", ["x", "7", "0"])
+def test_format_version_other_than_the_readers_is_a_parse_error(version):
+    with pytest.raises(ParseError) as err:
+        parse(f"reconstructed: true\nformat-version: {version}\n" + EQ1)
+    assert (err.value.line, err.value.col) == (2, 17)
+    assert str(err.value) == f"2:17: format-version must be 1, found {version!r}"
+
+
 def test_parse_candidate_piecewise_and_bare():
     pcf = parse_candidate("piece x>0 -> x piece x=0 -> 0")
     assert len(pcf.pieces) == 2

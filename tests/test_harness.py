@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 
@@ -303,7 +304,6 @@ def _fast_cfg(**kw):
     base = dict(
         method="lasso",
         seed=0,
-        repeat=1,
         verify=True,
         sample=SampleConfig(n=60, seed=0),
     )
@@ -359,23 +359,34 @@ def test_run_benchmark_reports_tier_flags(monkeypatch):
 
 
 def test_run_benchmark_times_every_guess_attempt(monkeypatch):
-    """The report's sample and fit times sum over every guess run, not only
-    the kept one: both lasso runs, and under `auto` the symreg runs too."""
+    """One guess per guesser, and the report's sample and fit times sum over
+    every guess made, not only the kept one: under `auto`, a lasso guess
+    below the threshold and the symreg guess after it."""
+    made = []
 
-    def guess_once(bf, cfg, method, attempt):
-        sample = {"lasso": 1.0, "symreg": 4.0}[method] * (attempt + 1)
+    def guess_once(bf, cfg, method):
+        made.append(method)
+        sample = {"lasso": 1.0, "symreg": 4.0}[method]
         return GuessOutcome(PiecewiseClosedForm(), sample_seconds=sample, fit_seconds=10 * sample)
 
     monkeypatch.setattr(harness, "_guess_once", guess_once)
-    res = run_benchmark(parse(MERGE), _fast_cfg(verify=False, repeat=2))
-    assert (res.time_sample, res.time_fit) == (1.0 + 2.0, 10.0 + 20.0)
-    res = run_benchmark(parse(MERGE), _fast_cfg(method="auto", verify=False, repeat=2))
+    res = run_benchmark(parse(MERGE), _fast_cfg(verify=False))
+    assert made == ["lasso"]
+    assert (res.time_sample, res.time_fit) == (1.0, 10.0)
+    made.clear()
+    res = run_benchmark(parse(MERGE), _fast_cfg(method="auto", verify=False))
+    assert made == ["lasso", "symreg"]
     assert res.method == "lasso"
-    assert (res.time_sample, res.time_fit) == (1.0 + 2.0 + 4.0 + 8.0, 10.0 + 20.0 + 40.0 + 80.0)
+    assert (res.time_sample, res.time_fit) == (1.0 + 4.0, 10.0 + 40.0)
+
+
+def test_run_config_takes_one_guess_per_guesser():
+    with pytest.raises(ValueError, match="best-of-N guessing is gone"):
+        RunConfig(repeat=2)
 
 
 def test_verify_checks_a_candidate_below_the_auto_threshold(corpus_dir):
-    res = run_file(os.path.join(corpus_dir, "fib.rec"), RunConfig(seed=7, repeat=1, verify=True))
+    res = run_file(os.path.join(corpus_dir, "fib.rec"), RunConfig(seed=7, verify=True))
     assert res.score < harness.AUTO_THRESHOLD
     assert res.verification == "unsupported:non-rational-coefficients"
 
@@ -431,6 +442,22 @@ def test_run_file_never_raises_on_bad_input(tmp_path, monkeypatch):
     assert res.error.startswith("PermissionError: [Errno 13] Permission denied")
 
 
+def test_a_bad_format_version_is_bad_input(tmp_path):
+    """A format-version other than the reader's is a parse error at its
+    value, for run_file, solve and check alike, not an internal error."""
+    for version in ("x", "7"):
+        path = tmp_path / f"v{version}.rec"
+        path.write_text(f"format-version: {version}\n" + MERGE)
+        message = f"cannot parse {path}: 1:17: format-version must be 1, found {version!r}"
+        res = run_file(str(path), _fast_cfg())
+        assert (res.flags, res.error) == (("parse-failed",), message)
+        for argv in (("solve", str(path)), ("check", str(path), "--candidate", "x")):
+            p = _cli(*argv)
+            assert p.returncode == 2, argv
+            assert f"recsolve: {message}\n" in p.stderr, (argv, p.stderr)
+            assert "internal error" not in p.stderr
+
+
 def test_run_corpus_empty_dir(tmp_path):
     assert run_corpus(str(tmp_path), _fast_cfg()) == []
 
@@ -458,8 +485,7 @@ def test_cli_corpus_keeps_earlier_records_when_a_later_benchmark_crashes(tmp_pat
 
     monkeypatch.setattr(harness, "run_file", entry)
     out = tmp_path / "r.jsonl"
-    assert cli.main(["corpus", corpus, "--seed", "7", "--repeat", "1", "--jobs", "1",
-                     "--out", str(out)]) == 2
+    assert cli.main(["corpus", corpus, "--seed", "7", "--jobs", "1", "--out", str(out)]) == 2
     lines = out.read_text().splitlines()
     assert json.loads(lines[0])["kind"] == "recsolve-report"
     assert [json.loads(line)["name"] for line in lines[1:]] == ["nested"]
@@ -478,7 +504,7 @@ def _cli(*args):
 
 
 def test_cli_solve_exit_zero(corpus_dir):
-    p = _cli("solve", "corpus/nested.rec", "--verify", "--repeat", "1")
+    p = _cli("solve", "corpus/nested.rec", "--verify")
     assert p.returncode == 0, p.stderr
     assert "classification: exact" in p.stdout
 
@@ -493,10 +519,10 @@ def test_cli_usage_error_exit_one():
 @pytest.mark.parametrize("option", [
     ("--smt-timeout", "0"), ("--smt-timeout", "-1"), ("--smt-timeout", "nan"),
     ("--smt-timeout", "inf"), ("--smt-timeout", "1e-400"),
-    ("--jobs", "0"), ("--jobs", "-1"), ("--repeat", "0"),
+    ("--jobs", "0"), ("--jobs", "-1"),
 ])
 def test_cli_bad_option_value_exit_one(option):
-    p = _cli("solve", "corpus/succ.rec", "--repeat", "1", *option)
+    p = _cli("solve", "corpus/succ.rec", *option)
     assert p.returncode == 1, p.stderr
     assert "bad option value" in p.stderr
     assert p.stdout == ""
@@ -504,7 +530,7 @@ def test_cli_bad_option_value_exit_one(option):
 
 @pytest.mark.parametrize("argv", [
     ("check", "corpus/nested.rec", "--candidate", "x", "--solver", "sleep 1"),
-    ("corpus", "corpus", "--repeat", "1"),
+    ("corpus", "corpus"),
 ])
 def test_cli_bad_smt_timeout_is_a_usage_error_for_check_and_corpus(argv, capsys):
     """A timeout the solver cannot use is refused before any solver or
@@ -528,10 +554,22 @@ def test_cli_removed_tuning_flag_is_a_usage_error(option, capsys):
     """Sampling, fitting and search settings are set through RunConfig, not
     the command line; each retired flag is an unknown argument."""
     with pytest.raises(SystemExit) as exit_:
-        cli.main(["solve", "corpus/succ.rec", "--repeat", "1", *option])
+        cli.main(["solve", "corpus/succ.rec", *option])
     assert exit_.value.code == 1
     out, err = capsys.readouterr()
     assert f"unrecognized arguments: {' '.join(option)}" in err, err
+    assert out == ""
+
+
+@pytest.mark.parametrize("cmd", ["solve", "corpus"])
+@pytest.mark.parametrize("value", ["0", "1", "2"])
+def test_cli_repeat_flag_is_a_usage_error(cmd, value, capsys):
+    """Each benchmark gets one guess per guesser; --repeat is gone."""
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([cmd, "corpus/succ.rec" if cmd == "solve" else "corpus", "--repeat", value])
+    assert exit_.value.code == 1
+    out, err = capsys.readouterr()
+    assert f"unrecognized arguments: --repeat {value}" in err, err
     assert out == ""
 
 
@@ -551,7 +589,7 @@ def test_cli_internal_error_exit_two(tmp_path):
         (("corpus", "/nonexistent", "--out", str(out)), "cannot read /nonexistent: No such file or directory"),
         (("corpus", "corpus/succ.rec", "--out", str(out)), "cannot read corpus/succ.rec: Not a directory"),
     ]:
-        p = _cli(*argv, *(() if argv[0] == "check" else ("--repeat", "1")))
+        p = _cli(*argv)
         assert p.returncode == 2, argv
         assert f"recsolve: {message}" in p.stderr, (argv, p.stderr)
         assert "internal error" not in p.stderr
@@ -562,7 +600,7 @@ _NO_SOLVER = "no-such-solver-xyz"
 
 
 def test_cli_solve_with_a_missing_solver_exits_two():
-    p = _cli("solve", "corpus/nested.rec", "--verify", "--repeat", "1", "--solver", _NO_SOLVER)
+    p = _cli("solve", "corpus/nested.rec", "--verify", "--solver", _NO_SOLVER)
     assert p.returncode == 2
     assert "verification:   error" in p.stdout
     assert p.stderr == "recsolve: verify-error:SolverNotFound\n"
@@ -570,7 +608,7 @@ def test_cli_solve_with_a_missing_solver_exits_two():
 
 def test_cli_corpus_with_a_missing_solver_exits_two(tmp_path):
     corpus = _corpus_subset(tmp_path, ["nested", "succ"])
-    p = _cli("corpus", corpus, "--verify", "--repeat", "1", "--jobs", "1", "--solver", _NO_SOLVER)
+    p = _cli("corpus", corpus, "--verify", "--jobs", "1", "--solver", _NO_SOLVER)
     assert p.returncode == 2
     assert "recsolve: 2 of 2 benchmarks failed" in p.stderr
     assert "internal error" not in p.stderr
@@ -596,11 +634,11 @@ def test_cli_corpus_flags_unreadable_and_unparsable_entries(tmp_path, capsys):
     record is the one it gets alone."""
     corpus = _corpus_subset(tmp_path, ["succ"])
     alone = tmp_path / "alone.jsonl"
-    assert cli.main(["corpus", corpus, "--repeat", "1", "--jobs", "1", "--out", str(alone)]) == 0
+    assert cli.main(["corpus", corpus, "--jobs", "1", "--out", str(alone)]) == 0
     (tmp_path / "corpus" / "bad.rec").write_text(_BAD_REC)
     (tmp_path / "corpus" / "dir.rec").mkdir()
     out = tmp_path / "r.jsonl"
-    assert cli.main(["corpus", corpus, "--repeat", "1", "--jobs", "1", "--out", str(out)]) == 2
+    assert cli.main(["corpus", corpus, "--jobs", "1", "--out", str(out)]) == 2
     assert "internal error" not in capsys.readouterr().err
     records = [json.loads(line) for line in strip_timings(out.read_text()).splitlines()[1:-1]]
     assert [(r["name"], r["flags"]) for r in records[:2]] == [
@@ -614,7 +652,7 @@ def test_cli_corpus_flags_unreadable_and_unparsable_entries(tmp_path, capsys):
 def test_cli_out_into_missing_directory_fails_before_running(tmp_path):
     out = str(tmp_path / "missing" / "r.jsonl")
     for cmd in (("corpus", "corpus"), ("solve", "corpus/nested.rec")):
-        p = _cli(*cmd, "--repeat", "1", "--out", out)
+        p = _cli(*cmd, "--out", out)
         assert p.returncode == 2
         assert "cannot write report" in p.stderr
         assert p.stdout == ""  # no benchmark ran
@@ -626,7 +664,7 @@ def test_cli_out_into_missing_directory_fails_before_running(tmp_path):
 def test_cli_out_naming_a_directory_fails_before_running(cmd, tmp_path):
     (tmp_path / "r.jsonl").mkdir()
     for out in (str(tmp_path), str(tmp_path / "r.jsonl"), str(tmp_path / "new.jsonl") + os.sep):
-        p = _cli(*cmd, "--repeat", "1", "--out", out)
+        p = _cli(*cmd, "--out", out)
         assert p.returncode == 2
         assert p.stderr == f"recsolve: cannot write report {out}: it is a directory\n"
         assert p.stdout == ""  # no benchmark ran
@@ -635,12 +673,12 @@ def test_cli_out_naming_a_directory_fails_before_running(cmd, tmp_path):
 
 def test_cli_corpus_report_is_the_run_config_defaults_report(tmp_path):
     """The command line adds nothing to RunConfig: a corpus run writes the
-    report that run_corpus gives with only the seed, repeats and jobs set."""
+    report that run_corpus gives with only the seed and jobs set."""
     corpus = _corpus_subset(tmp_path, ["nested", "succ", "merge"])
     by_cli, by_library = tmp_path / "cli.jsonl", tmp_path / "library.jsonl"
-    assert cli.main(["corpus", corpus, "--seed", "7", "--repeat", "1", "--jobs", "1",
+    assert cli.main(["corpus", corpus, "--seed", "7", "--jobs", "1",
                      "--out", str(by_cli)]) == 0
-    write_report(run_corpus(corpus, RunConfig(seed=7, repeat=1, jobs=1)), str(by_library))
+    write_report(run_corpus(corpus, RunConfig(seed=7, jobs=1)), str(by_library))
     assert strip_timings(by_cli.read_text()) == strip_timings(by_library.read_text())
 
 
@@ -664,6 +702,28 @@ def test_readme_command_line_flags_are_the_cli_options(capsys):
     assert listed == printed
 
 
+def test_readme_commands_parse(tmp_path, monkeypatch):
+    """Every `recsolve solve|corpus|check` line in README's code blocks is
+    accepted by the command line, so the docs cannot cite a removed flag."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        blocks = re.findall(r"^```[^\n]*\n(.*?)^```", fh.read(), re.M | re.S)
+    commands = [
+        shlex.split(line, comments=True)[1:]
+        for block in blocks
+        for line in block.splitlines()
+        if re.match(r"recsolve (solve|corpus|check) ", line)
+    ]
+    assert len(commands) >= 5, commands
+    for handler in ("_cmd_solve", "_cmd_corpus", "_cmd_check"):
+        monkeypatch.setattr(cli, handler, lambda *args: 0)
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        try:
+            assert cli.main(argv) == 0, argv
+        except SystemExit:
+            pytest.fail(f"README's `recsolve {shlex.join(argv)}` is refused")
+
+
 def _corpus_subset(tmp_path, names):
     src_dir = os.path.join(os.path.dirname(__file__), "..", "corpus")
     sub = tmp_path / "corpus"
@@ -679,7 +739,7 @@ def test_cli_debug_smt_keeps_every_script_under_jobs(tmp_path):
     for jobs in ("1", "2"):
         out = tmp_path / f"jobs{jobs}"
         out.mkdir()
-        p = _cli("corpus", corpus, "--verify", "--seed", "7", "--repeat", "1", "--debug-smt",
+        p = _cli("corpus", corpus, "--verify", "--seed", "7", "--debug-smt",
                  "--jobs", jobs, "--out", str(out / "r.jsonl"))
         assert p.returncode == 0, p.stderr
         kept[jobs] = sorted(str(f.relative_to(out)) for f in out.rglob("*.smt2"))
@@ -697,8 +757,7 @@ def test_cli_corpus_reports_match_across_jobs_under_load(tmp_path):
         if jobs == "2":
             burner = subprocess.Popen([sys.executable, "-c", "while True: pass"])
         try:
-            p = _cli("corpus", corpus, "--verify", "--seed", "7", "--repeat", "1",
-                     "--jobs", jobs, "--out", out)
+            p = _cli("corpus", corpus, "--verify", "--seed", "7", "--jobs", jobs, "--out", out)
         finally:
             if burner is not None:
                 burner.kill()

@@ -124,6 +124,20 @@ def test_unsupported_features_answer_unknown():
     )
 
 
+def test_assertion_stack_commands_answer_unknown():
+    """The solver keeps one assertion set, so a script that pops or resets
+    assertions, satisfiable here, is not answered unsat."""
+    popped = (
+        "(declare-fun x () Int)(push 1)(assert (< x 0))(assert (> x 0))(pop 1)(check-sat)"
+    )
+    reset = (
+        "(declare-fun x () Int)(assert (< x 0))(reset)"
+        "(declare-fun x () Int)(assert (> x 0))(check-sat)"
+    )
+    assert run_script(popped) == "unknown"
+    assert run_script(reset) == "unknown"
+
+
 def test_nonlinear_atoms_leave_linear_branches_decidable():
     head = "(declare-fun x () Int)(declare-fun y () Int)"
     # the linear branch x = 3 is a model of the whole assertion

@@ -141,6 +141,14 @@ def test_verify_refutes_at_a_pinned_zero_divisor():
     assert res.counterexample["y"] == 0
 
 
+@pytest.mark.parametrize("point", ["x = 0", "x <= 0", "x >= 0 and x <= 0"])
+def test_a_guard_pins_its_variable_however_it_is_written(corpus, point):
+    """Where f(x - 1) falls into the point piece, `x - 1 <= 0` with
+    `x >= 1` pins x = 1 as an equation would, so 2^x folds away."""
+    cand = parse_candidate(f"piece {point} -> 1 piece x >= 1 -> 2*2^x - 1")
+    assert verify(corpus["exp1"].system, cand) == Proved()
+
+
 def test_a_body_dividing_by_a_pinned_zero_is_refused():
     """Only the candidate's own x/0 folds to 0; the recurrence's stays a
     division by zero that the encoder refuses."""

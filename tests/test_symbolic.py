@@ -694,8 +694,7 @@ _PINNED = {
         ],
     ),
     # the CLI defaults at seed 7 (GP seed 7*977 for the first fit domain) on
-    # the training sets of nested and exp1 that `solve --seed 7 --repeat 1`
-    # samples
+    # the training sets of nested and exp1 that `solve --seed 7` samples
     "nested-seed7": (
         (_SEED7_XS, [float(x) for (x,) in _SEED7_XS], ("x",), None, GPConfig(seed=7 * 977)),
         [(1, "0x0.0p+0", "x")],
